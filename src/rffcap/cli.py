@@ -66,9 +66,7 @@ def cmd_simulate(args) -> int:
     elif args.format == "csv":
         dataset_to_csv(ds, out)
     else:
-        _emit_json({"meta": {"fs_hz": ds.meta.fs_hz, "n_fft": ds.meta.n_fft,
-                             "snr_db": ds.meta.snr_db, "q_bits": ds.meta.q_bits,
-                             "class_ids": ds.meta.class_ids},
+        _emit_json({"meta": ds.meta.to_dict(),
                     "features": ds.features.tolist(),
                     "labels": ds.labels.tolist()}, out)
     print(f"wrote {ds.n_samples} samples x {ds.n_bins} bins "

@@ -9,23 +9,30 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from .signal_model import (
     AdcConfig,
     ChannelConfig,
-    IqCapture,
     DeviceProfile,
-    adc_sample,
-    apply_awgn,
+    IqCapture,
+    _add_noise,
+    _noise_std,
+    _quantise,
+    _unit_noise,
     generate_preamble,
     preamble_length,
 )
 
 _DATASET_MAGIC = b"RFPD"
+_DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
+_REQUIRED_META = ("fs_hz", "n_fft", "snr_db", "q_bits", "class_ids")
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
 
 
@@ -51,6 +58,14 @@ class DatasetMeta:
     snr_db: float | str = 0.0
     q_bits: int = 0
     class_ids: list = field(default_factory=list)
+    # acquisition and ADC statistics of a built dataset; None when unknown
+    # (datasets assembled by hand or files written before they were recorded)
+    onset_flagged_frac: float | None = None
+    clip_frac: float | None = None
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields, as stored in the .rfds meta block."""
+        return {**asdict(self), "class_ids": [int(c) for c in self.class_ids]}
 
 
 @dataclass
@@ -134,43 +149,58 @@ def acquire(capture: IqCapture, window: int, threshold_factor: float = 6.0) -> I
     most of the record). If no crossing occurs the maximum-energy window is
     returned instead and diagnostics["onset_flagged"] is set.
     """
-    n = len(capture)
-    if not 1 <= window <= n:
-        raise ValueError(f"window must be in [1, {n}]: {window}")
+    bursts, onsets, flagged = _acquire_rows(
+        capture.samples[np.newaxis], np.array([len(capture)]), window, threshold_factor)
+    diags = dict(capture.diagnostics)
+    diags["onset_index"] = int(onsets[0])
+    diags["onset_flagged"] = bool(flagged[0])
+    return IqCapture(bursts[0], capture.fs_hz, capture.true_id, diags)
+
+
+def _acquire_rows(x: np.ndarray, lengths: np.ndarray, window: int,
+                  threshold_factor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy-detection acquisition (see `acquire`) of every row of x at once.
+
+    Row r holds a record of lengths[r] samples followed by zero padding; only
+    blocks, short-term windows and fallback energy windows that lie inside
+    the record count. Returns the (rows, window) acquired bursts, the onset
+    index of each row and whether each row fell back to the max-energy window.
+    """
+    n_min = int(lengths.min())
+    if not 1 <= window <= n_min:
+        raise ValueError(f"window must be in [1, {n_min}]: {window}")
     if threshold_factor <= 0:
         raise ValueError("threshold_factor must be positive")
 
-    power = np.abs(capture.samples) ** 2
+    rows, width = x.shape
+    power = np.abs(x) ** 2
     w = min(16, window)
-    csum = np.concatenate(([0.0], np.cumsum(power)))
+    csum = np.zeros((rows, width + 1))
+    np.cumsum(power, axis=1, out=csum[:, 1:])
     # trailing w-sample means, evaluated only where a full window exists so a
     # lone noise spike at the record start cannot fake an onset
-    short_term = (csum[w:] - csum[:-w]) / w
+    short_term = (csum[:, w:] - csum[:, :-w]) / w
 
-    n_blocks = n // w
-    if n_blocks >= 1:
-        blocks = power[: n_blocks * w].reshape(n_blocks, w).mean(axis=1)
-        noise_floor = float(blocks.min())
-    else:
-        noise_floor = float(power.mean())
-    threshold = threshold_factor * noise_floor
+    n_blocks = width // w
+    blocks = power[:, : n_blocks * w].reshape(rows, n_blocks, w).mean(axis=2)
+    blocks[np.arange(n_blocks) >= (lengths // w)[:, np.newaxis]] = np.inf
+    threshold = threshold_factor * blocks.min(axis=1)
 
-    crossings = np.flatnonzero(short_term > threshold)
-    flagged = crossings.size == 0
-    if flagged:
-        energy = csum[window:] - csum[:-window]
-        onset = int(np.argmax(energy))
-    else:
-        # short_term[i] covers samples [i, i+w-1]; the crossing window's last
-        # sample is the first one carrying burst power
-        onset = int(crossings[0]) + w - 1
-    onset = min(onset, n - window)
-
-    diags = dict(capture.diagnostics)
-    diags["onset_index"] = onset
-    diags["onset_flagged"] = flagged
-    return IqCapture(capture.samples[onset:onset + window].copy(),
-                     capture.fs_hz, capture.true_id, diags)
+    starts = np.arange(short_term.shape[1])
+    crossed = ((short_term > threshold[:, np.newaxis])
+               & (starts <= (lengths - w)[:, np.newaxis]))
+    flagged = ~crossed.any(axis=1)
+    # short_term[i] covers samples [i, i+w-1]; the crossing window's last
+    # sample is the first one carrying burst power
+    onsets = crossed.argmax(axis=1) + (w - 1)
+    if flagged.any():
+        energy = csum[flagged, window:] - csum[flagged, :-window]
+        outside = np.arange(energy.shape[1]) > (lengths[flagged] - window)[:, np.newaxis]
+        energy[outside] = -np.inf
+        onsets[flagged] = energy.argmax(axis=1)
+    onsets = np.minimum(onsets, lengths - window)
+    bursts = np.take_along_axis(x, onsets[:, np.newaxis] + np.arange(window), axis=1)
+    return bursts, onsets, flagged
 
 
 def _validate_n_fft(n_fft: int) -> None:
@@ -189,16 +219,27 @@ def extract_spectral_feature(capture: IqCapture, n_fft: int) -> FeatureVector:
     per-bin power.
     """
     _validate_n_fft(n_fft)
-    x = capture.samples
-    if x.size < n_fft:
-        x = np.concatenate([x, np.zeros(n_fft - x.size, dtype=x.dtype)])
-    _, psd = sp_signal.welch(
-        x, fs=capture.fs_hz, window="hann", nperseg=n_fft, noverlap=n_fft // 2,
-        nfft=n_fft, detrend=False, return_onesided=False, scaling="density")
-    bin_power = psd * (capture.fs_hz / n_fft)
-    values = 10.0 * np.log10(np.maximum(bin_power, _POWER_FLOOR))
+    values = _welch_db(capture.samples[np.newaxis], n_fft)[0]
     label = -1 if capture.true_id is None else int(capture.true_id)
     return FeatureVector(values=values, label=label)
+
+
+def _welch_db(x: np.ndarray, n_fft: int) -> np.ndarray:
+    """Welch log-spectrum (see `extract_spectral_feature`) of every row of x.
+
+    Rows shorter than n_fft are zero-padded to one segment; otherwise each
+    row is cut into (n - n_fft/2) // (n_fft/2) half-overlapping segments, the
+    strided (rows, segments, n_fft) stack is Hann-windowed and transformed in
+    one FFT call, and the periodograms are averaged over segments.
+    """
+    if x.shape[1] < n_fft:
+        x = np.pad(x, ((0, 0), (0, n_fft - x.shape[1])))
+    win = sp_signal.get_window("hann", n_fft)
+    segments = sliding_window_view(x, n_fft, axis=1)[:, :: n_fft // 2]
+    spectra = sp_fft.fft(win * segments, axis=-1)
+    periodogram = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=1)
+    bin_power = periodogram / (n_fft * np.sum(win * win))
+    return 10.0 * np.log10(np.maximum(bin_power, _POWER_FLOOR))
 
 
 def feature_bin_frequencies(n_fft: int, fs_hz: float) -> np.ndarray:
@@ -212,9 +253,25 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
 
     Each capture is the device preamble embedded in a noise-only lead-in/out,
     passed through AWGN, front-end backoff, the ADC, burst acquisition, and
-    spectral extraction. Per-capture randomness (lead-in length, noise) is
-    seeded by hashing (master_seed, device_id, sample index), so results are
-    identical regardless of evaluation order.
+    spectral extraction.
+
+    Seeding contract: capture k of a device is seeded by
+    SeedSequence(master_seed, spawn_key=(device_id, k)); its first child draws
+    the lead-in length and its second seeds the standard-normal I/Q noise over
+    exactly that capture's length, as `apply_awgn` would. Results therefore do
+    not depend on the order of the profiles or on how captures are batched.
+
+    Batching: the per_class captures of one device go through the receive
+    chain together as a zero-padded (per_class, longest capture) matrix. Noise,
+    backoff and quantization act on the whole matrix; acquisition and Welch
+    run row-wise through the same kernels as `acquire` and
+    `extract_spectral_feature`, counting only each row's true length. Only
+    the seeding and noise draws above run once per capture, and one device's
+    batch is held in memory at a time.
+
+    The meta records the fraction of captures whose acquisition fell back to
+    the max-energy window (onset_flagged_frac) and the mean over captures of
+    the fraction of samples that clipped in the ADC (clip_frac).
     """
     if len(profiles) < 2:
         raise ValueError("need at least 2 device profiles")
@@ -228,75 +285,105 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     window = pipeline.window()
     _validate_n_fft(pipeline.n_fft)
     adc = pipeline.adc()
-    snr = pipeline.effective_snr_db()
+    channel = ChannelConfig(pipeline.effective_snr_db())
+    noise_std = None if channel.is_noiseless else _noise_std(channel.snr_db, 1.0)
     backoff = 10.0 ** (-pipeline.adc_backoff_db / 20.0)
     lead_lo, lead_hi = pipeline.lead_pad
     if not (0 <= lead_lo <= lead_hi):
         raise ValueError(f"invalid lead_pad range: {pipeline.lead_pad}")
 
+    n_burst = preamble_length(pipeline.fs_hz, pipeline.n_symbols)
+    width = lead_hi + n_burst + pipeline.tail_pad
     n_rows = len(ordered) * per_class
     features = np.empty((n_rows, pipeline.n_fft))
-    labels = np.empty(n_rows, dtype=np.int64)
+    labels = np.repeat(np.arange(len(ordered), dtype=np.int64), per_class)
+    flagged = np.empty(n_rows, dtype=bool)
+    clip = np.empty(n_rows)
 
-    row = 0
+    batch = np.arange(per_class)[:, np.newaxis]
     for ci, prof in enumerate(ordered):
-        burst = generate_preamble(prof, pipeline.fs_hz, pipeline.n_symbols)
+        burst = generate_preamble(prof, pipeline.fs_hz, pipeline.n_symbols).samples
+        leads = np.empty(per_class, dtype=np.intp)
+        noise = np.zeros((per_class, 2, width))
         for k in range(per_class):
-            ss = np.random.SeedSequence(master_seed, spawn_key=(prof.device_id, k))
-            pad_seq, noise_seq = ss.spawn(2)
-            lead = int(np.random.default_rng(pad_seq).integers(lead_lo, lead_hi + 1))
-            padded = np.concatenate([
-                np.zeros(lead, dtype=np.complex128),
-                burst.samples,
-                np.zeros(pipeline.tail_pad, dtype=np.complex128),
-            ])
-            cap = IqCapture(padded, pipeline.fs_hz, prof.device_id)
-            noise_seed = int(noise_seq.generate_state(1, np.uint64)[0])
-            cap = apply_awgn(cap, ChannelConfig(snr, noise_seed), signal_power=1.0)
-            cap = IqCapture(cap.samples * backoff, cap.fs_hz, cap.true_id, cap.diagnostics)
-            cap = adc_sample(cap, adc)
-            cap = acquire(cap, window, pipeline.threshold_factor)
-            features[row] = extract_spectral_feature(cap, pipeline.n_fft).values
-            labels[row] = ci
-            row += 1
+            # the two children SeedSequence(master_seed, spawn_key=(device_id,
+            # k)).spawn(2) would make, built directly
+            pad_seq, noise_seq = (
+                np.random.SeedSequence(master_seed, spawn_key=(prof.device_id, k, child))
+                for child in (0, 1))
+            leads[k] = np.random.default_rng(pad_seq).integers(lead_lo, lead_hi + 1)
+            if noise_std is not None:
+                n = leads[k] + n_burst + pipeline.tail_pad
+                noise_seed = int(noise_seq.generate_state(1, np.uint64)[0])
+                noise[k, :, :n] = _unit_noise(noise_seed, n)
+        lengths = leads + n_burst + pipeline.tail_pad
+
+        x = np.zeros((per_class, width), dtype=np.complex128)
+        x[batch, leads[:, np.newaxis] + np.arange(n_burst)] = burst
+        if noise_std is not None:
+            x = _add_noise(x, noise, noise_std)
+        x *= backoff
+        if not np.isfinite(x).all():
+            raise ValueError("samples must be finite")
+        x, clipped = _quantise(x, adc)
+        bursts, _, row_flagged = _acquire_rows(x, lengths, window,
+                                               pipeline.threshold_factor)
+
+        rows = slice(ci * per_class, (ci + 1) * per_class)
+        features[rows] = _welch_db(bursts, pipeline.n_fft)
+        flagged[rows] = row_flagged
+        clip[rows] = clipped.sum(axis=1) / lengths
 
     meta = DatasetMeta(fs_hz=pipeline.fs_hz, n_fft=pipeline.n_fft,
-                       snr_db=snr, q_bits=pipeline.q_bits,
-                       class_ids=[p.device_id for p in ordered])
+                       snr_db=channel.snr_db, q_bits=pipeline.q_bits,
+                       class_ids=[p.device_id for p in ordered],
+                       onset_flagged_frac=float(flagged.mean()),
+                       clip_frac=float(clip.mean()))
     return FingerprintDataset(features, labels, meta)
 
 
 def save_dataset(ds: FingerprintDataset, path) -> None:
     """Binary dataset container: header (n_rows, n_bins, meta) + float32 rows + labels."""
-    meta_json = json.dumps({
-        "fs_hz": ds.meta.fs_hz,
-        "n_fft": ds.meta.n_fft,
-        "snr_db": ds.meta.snr_db,
-        "q_bits": ds.meta.q_bits,
-        "class_ids": list(map(int, ds.meta.class_ids)),
-    }).encode()
+    meta_json = json.dumps(ds.meta.to_dict()).encode()
     with open(path, "wb") as fh:
         fh.write(_DATASET_MAGIC)
-        fh.write(struct.pack("<QQI", ds.n_samples, ds.n_bins, len(meta_json)))
+        fh.write(_DATASET_HEADER.pack(ds.n_samples, ds.n_bins, len(meta_json)))
         fh.write(meta_json)
         fh.write(ds.features.astype("<f4").tobytes())
         fh.write(ds.labels.astype("<i4").tobytes())
 
 
 def load_dataset(path) -> FingerprintDataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DATASET_MAGIC:
-            raise ValueError(f"not a dataset file (bad magic): {path}")
-        n_rows, n_bins, meta_len = struct.unpack("<QQI", fh.read(20))
-        meta_d = json.loads(fh.read(meta_len).decode())
-        feats = np.frombuffer(fh.read(n_rows * n_bins * 4), dtype="<f4")
-        labels = np.frombuffer(fh.read(n_rows * 4), dtype="<i4")
-    if feats.size != n_rows * n_bins or labels.size != n_rows:
+    """Read a dataset written by save_dataset; a malformed file raises ValueError.
+
+    Files written before the acquisition statistics were recorded load with
+    meta.onset_flagged_frac and meta.clip_frac set to None.
+    """
+    raw = Path(path).read_bytes()
+    if raw[:len(_DATASET_MAGIC)] != _DATASET_MAGIC:
+        raise ValueError(f"not a dataset file (bad magic): {path}")
+    meta_at = len(_DATASET_MAGIC) + _DATASET_HEADER.size
+    if len(raw) < meta_at:
+        raise ValueError(f"truncated dataset header in {path}")
+    n_rows, n_bins, meta_len = _DATASET_HEADER.unpack_from(raw, len(_DATASET_MAGIC))
+    payload_at = meta_at + meta_len
+    if len(raw) < payload_at:
+        raise ValueError(f"truncated dataset meta in {path}")
+    try:
+        meta_d = json.loads(raw[meta_at:payload_at].decode())
+    except ValueError as exc:  # invalid UTF-8 or JSON
+        raise ValueError(f"malformed dataset meta in {path}: {exc}") from None
+    missing = [k for k in _REQUIRED_META if not isinstance(meta_d, dict) or k not in meta_d]
+    if missing:
+        raise ValueError(f"dataset meta in {path} lacks {missing}")
+    if len(raw) < payload_at + 4 * n_rows * (n_bins + 1):
         raise ValueError(f"dataset payload size mismatch in {path}")
-    meta = DatasetMeta(fs_hz=meta_d["fs_hz"], n_fft=meta_d["n_fft"],
-                       snr_db=meta_d["snr_db"], q_bits=meta_d["q_bits"],
-                       class_ids=meta_d["class_ids"])
+    feats = np.frombuffer(raw, dtype="<f4", count=n_rows * n_bins, offset=payload_at)
+    labels = np.frombuffer(raw, dtype="<i4", count=n_rows,
+                           offset=payload_at + 4 * n_rows * n_bins)
+    meta = DatasetMeta(**{k: meta_d[k] for k in _REQUIRED_META},
+                       onset_flagged_frac=meta_d.get("onset_flagged_frac"),
+                       clip_frac=meta_d.get("clip_frac"))
     return FingerprintDataset(feats.reshape(n_rows, n_bins).astype(np.float64),
                               labels.astype(np.int64), meta)
 

@@ -222,7 +222,10 @@ def sweep_to_csv(result: SweepResult, path) -> None:
     """Deterministic CSV; only the leading timestamp comment varies per run."""
     lines = [f"# timestamp: {datetime.now(timezone.utc).isoformat()}"]
     for ab in result.aborted:
-        lines.append(f"# aborted: value={ab.value!r} reason={ab.reason}")
+        # backslash-escape line breaks and other control characters so the
+        # reason stays on its comment line
+        reason = ab.reason.encode("unicode_escape").decode("ascii")
+        lines.append(f"# aborted: value={ab.value!r} reason={reason}")
     lines.append(",".join(CSV_COLUMNS))
     for row in result.rows:
         lines.append(",".join(_cell(getattr(row, col)) for col in CSV_COLUMNS))
@@ -258,12 +261,16 @@ def read_sweep_rows(path) -> list[SweepRow]:
         payload = json.loads(text)
         return [SweepRow(**row) for row in payload["rows"]]
     rows = []
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
+             if ln and not ln.startswith("#")]
     if not lines:
         return rows
-    header = lines[0].split(",")
-    for line in lines[1:]:
+    header = lines[0][1].split(",")
+    for number, line in lines[1:]:
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
+                             f"the header has {len(header)}")
         data = {col: _parse_cell(col, cell) for col, cell in zip(header, cells)}
         rows.append(SweepRow(**data))
     return rows

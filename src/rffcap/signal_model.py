@@ -292,13 +292,28 @@ def apply_awgn(capture: IqCapture, channel: ChannelConfig,
         return IqCapture(capture.samples.copy(), capture.fs_hz, capture.true_id,
                          dict(capture.diagnostics))
     p_sig = float(np.mean(np.abs(capture.samples) ** 2)) if signal_power is None else float(signal_power)
-    if p_sig <= 0:
-        raise ValueError("signal power must be positive to set an SNR")
-    sigma2 = p_sig * 10.0 ** (-float(channel.snr_db) / 10.0)
-    rng = np.random.default_rng(channel.rng_seed)
-    noise = rng.standard_normal((2, capture.samples.size))
-    s = capture.samples + np.sqrt(sigma2 / 2.0) * (noise[0] + 1j * noise[1])
+    noise = _unit_noise(channel.rng_seed, capture.samples.size)
+    s = _add_noise(capture.samples, noise, _noise_std(channel.snr_db, p_sig))
     return IqCapture(s, capture.fs_hz, capture.true_id, dict(capture.diagnostics))
+
+
+def _noise_std(snr_db: float, signal_power: float) -> float:
+    """Per-rail standard deviation of complex AWGN at snr_db below signal_power."""
+    if signal_power <= 0:
+        raise ValueError("signal power must be positive to set an SNR")
+    sigma2 = signal_power * 10.0 ** (-float(snr_db) / 10.0)
+    return float(np.sqrt(sigma2 / 2.0))
+
+
+def _unit_noise(seed: int, n: int) -> np.ndarray:
+    """The (2, n) standard-normal I and Q draws of one capture's noise seed."""
+    return np.random.default_rng(seed).standard_normal((2, n))
+
+
+def _add_noise(samples: np.ndarray, noise: np.ndarray, std: float) -> np.ndarray:
+    """samples (..., n) plus std times the complex noise whose rails are noise[..., 0, :]
+    and noise[..., 1, :]."""
+    return samples + std * (noise[..., 0, :] + 1j * noise[..., 1, :])
 
 
 def adc_sample(capture: IqCapture, adc: AdcConfig) -> IqCapture:
@@ -309,16 +324,28 @@ def adc_sample(capture: IqCapture, adc: AdcConfig) -> IqCapture:
     clip rails on either branch is reported in diagnostics["clip_fraction"].
     Re-quantizing an already quantized capture is an exact no-op.
     """
-    half = adc.full_scale_vpp / 2.0
-    step = adc.full_scale_vpp / 2.0 ** adc.q_bits
-    i_raw, q_raw = capture.samples.real, capture.samples.imag
-    clipped = (np.abs(i_raw) > half) | (np.abs(q_raw) > half)
-    i = np.clip(i_raw, -half, half)
-    q = np.clip(q_raw, -half, half)
-    s = np.round(i / step) * step + 1j * (np.round(q / step) * step)
+    s, clipped = _quantise(capture.samples, adc)
     diags = dict(capture.diagnostics)
     diags["clip_fraction"] = float(np.mean(clipped))
     return IqCapture(s, capture.fs_hz, capture.true_id, diags)
+
+
+def _quantise(samples: np.ndarray, adc: AdcConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clip and quantize complex samples of any shape elementwise.
+
+    Returns the quantized samples and a boolean mask of the samples whose I or
+    Q rail hit the clip rails. Zero samples stay zero and never clip, so
+    zero-padding a batch does not change any row's clip count.
+    """
+    half = adc.full_scale_vpp / 2.0
+    step = adc.full_scale_vpp / 2.0 ** adc.q_bits
+    rails = np.stack([samples.real, samples.imag], axis=-1)
+    over = np.abs(rails) > half
+    np.clip(rails, -half, half, out=rails)
+    rails /= step
+    np.round(rails, out=rails)
+    rails *= step
+    return rails.view(np.complex128)[..., 0], over[..., 0] | over[..., 1]
 
 
 def quantization_error_bound(adc: AdcConfig) -> float:

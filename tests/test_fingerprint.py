@@ -1,5 +1,8 @@
 """Acquisition, spectral features, dataset assembly, and dataset IO."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -209,3 +212,70 @@ def test_build_dataset_validation():
         build_dataset([], 5, PipelineConfig())
     with pytest.raises(ValueError):
         build_dataset(profiles, 0, PipelineConfig())
+
+
+def test_dataset_meta_reports_acquisition_statistics(tmp_path):
+    profiles = sample_profiles(PopulationSpec(), 3, seed=6)
+    noisy = build_dataset(profiles, 20, PipelineConfig(n_fft=64, snr_db=0.0), master_seed=3)
+    clean = build_dataset(profiles, 20, PipelineConfig(n_fft=64, snr_db=30.0), master_seed=3)
+    assert noisy.meta.onset_flagged_frac >= 0.5
+    assert clean.meta.onset_flagged_frac <= 0.1
+    assert noisy.meta.clip_frac > 0.05
+    assert clean.meta.clip_frac == 0.0
+    for ds in (noisy, clean):
+        path = tmp_path / "ds.rfds"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.meta.onset_flagged_frac == ds.meta.onset_flagged_frac
+        assert back.meta.clip_frac == ds.meta.clip_frac
+
+
+def _write_rfds(path, meta: bytes, n_rows=2, n_bins=3, payload=None):
+    if payload is None:
+        payload = bytes(4 * n_rows * (n_bins + 1))
+    path.write_bytes(b"RFPD" + struct.pack("<QQI", n_rows, n_bins, len(meta))
+                     + meta + payload)
+
+
+def test_load_dataset_without_statistics_gives_none(tmp_path):
+    """Files written before the statistics were recorded still load."""
+    path = tmp_path / "old.rfds"
+    _write_rfds(path, json.dumps({"fs_hz": 4e6, "n_fft": 3, "snr_db": 24.0,
+                                  "q_bits": 14, "class_ids": [0, 1]}).encode())
+    ds = load_dataset(path)
+    assert ds.features.shape == (2, 3)
+    assert ds.meta.onset_flagged_frac is None
+    assert ds.meta.clip_frac is None
+
+
+@pytest.fixture
+def saved_dataset(tmp_path):
+    profiles = sample_profiles(PopulationSpec(), 2, seed=4)
+    ds = build_dataset(profiles, 2, PipelineConfig(n_fft=64), master_seed=2)
+    path = tmp_path / "ds.rfds"
+    save_dataset(ds, path)
+    raw = path.read_bytes()
+    meta_len = struct.unpack_from("<QQI", raw, 4)[2]
+    return raw, 24 + meta_len
+
+
+@pytest.mark.parametrize("where", ["magic", "header", "meta", "features", "labels"])
+def test_load_dataset_rejects_truncation(tmp_path, saved_dataset, where):
+    raw, payload_at = saved_dataset
+    cut = {"magic": 2, "header": 6, "meta": 30, "features": payload_at + 10,
+           "labels": len(raw) - 2}[where]
+    path = tmp_path / "cut.rfds"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("meta", [b'{"fs_hz": 4e6, "n_f', b"\xff\xfe{}", b"[1, 2]",
+                                  b'{"fs_hz": 4e6}'])
+def test_load_dataset_rejects_malformed_meta(tmp_path, meta):
+    path = tmp_path / "bad.rfds"
+    _write_rfds(path, meta)
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert type(info.value) is ValueError

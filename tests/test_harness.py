@@ -11,6 +11,8 @@ from rffcap.config import (
 )
 from rffcap.fingerprint import PipelineConfig
 from rffcap.harness import (
+    AbortedPoint,
+    SweepResult,
     SweepRow,
     SweepSpec,
     bound_checks_to_csv,
@@ -133,6 +135,40 @@ def test_aborted_point_is_isolated(tmp_path):
     text = path.read_text()
     assert "# aborted: value=1.0" in text
     assert len(read_sweep_rows(path)) == 1
+
+
+def _csv_row(value):
+    return SweepRow(axis="snr_db", value=value, seed=3, emi_bits=1.5,
+                    emi_bits_clamped=1.5, nc_1pct=4, nc_10pct=9,
+                    saturated=False, below_min=False)
+
+
+def test_aborted_reason_with_line_breaks_stays_on_its_comment_line(tmp_path):
+    reason = "LinAlgError: bad\nsecond line\r\nthird\\line"
+    result = SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0)],
+                         aborted=[AbortedPoint(5.0, reason)])
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(result, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == ("# aborted: value=5.0 reason="
+                        "LinAlgError: bad\\nsecond line\\r\\nthird\\\\line")
+    assert lines[2].startswith("axis,value,")
+    assert read_sweep_rows(path) == result.rows
+
+
+def test_read_sweep_rows_rejects_wrong_cell_count(tmp_path):
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0), _csv_row(20.0)]),
+                 path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]  # drop the last cell of the second row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4 has 15 cells, the header has 16"):
+        read_sweep_rows(path)
+    lines[3] += ",,"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4 has 17 cells"):
+        read_sweep_rows(path)
 
 
 def test_snr_trend_in_ensemble_information():
