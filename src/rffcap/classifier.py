@@ -23,6 +23,8 @@ class LdaModel:
     class_means: np.ndarray      # (C, k) projected means
     pooled_cov_inv: np.ndarray   # (k, k) inverse regularized pooled covariance
     class_ids: np.ndarray        # (C,) original device ids, ascending
+    kappa_eff: int               # number of discriminant directions kept
+    ridge: float                 # ridge added to the within-class scatter
 
 
 @dataclass
@@ -115,7 +117,8 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     pooled += (1e-9 * max(np.trace(pooled), ridge) / kappa_eff) * np.eye(kappa_eff)
     return LdaModel(projection=projection, class_means=z_means,
                     pooled_cov_inv=np.linalg.inv(pooled),
-                    class_ids=classes.astype(np.int64))
+                    class_ids=classes.astype(np.int64), kappa_eff=kappa_eff,
+                    ridge=float(ridge))
 
 
 def classify(model: LdaModel, test: FingerprintDataset) -> ClassificationReport:
@@ -131,23 +134,21 @@ def classify(model: LdaModel, test: FingerprintDataset) -> ClassificationReport:
     dist2 = np.empty((z.shape[0], n_classes))
     for c in range(n_classes):
         dz = z - model.class_means[c]
-        dist2[:, c] = np.einsum("ij,jk,ik->i", dz, model.pooled_cov_inv, dz)
+        dist2[:, c] = np.einsum("ij,ij->i", dz @ model.pooled_cov_inv, dz)
     assigned_idx = np.argmin(dist2, axis=1)  # first minimum = smallest class id
     min_dist = np.sqrt(np.maximum(dist2[np.arange(z.shape[0]), assigned_idx], 0.0))
     assigned_ids = model.class_ids[assigned_idx]
 
     true_ids = test.labels.astype(np.int64)
-    id_to_idx = {int(cid): i for i, cid in enumerate(model.class_ids)}
     errors = assigned_ids != true_ids
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    per_class_errors = np.zeros(n_classes, dtype=np.int64)
-    unseen = sorted({int(t) for t in true_ids if int(t) not in id_to_idx})
-    for t, a, err in zip(true_ids, assigned_idx, errors):
-        ti = id_to_idx.get(int(t))
-        if ti is None:
-            continue
-        confusion[ti, a] += 1
-        per_class_errors[ti] += int(err)
+    # class_ids is ascending, so a trained label sits where searchsorted puts it
+    true_idx = np.minimum(np.searchsorted(model.class_ids, true_ids), n_classes - 1)
+    seen = model.class_ids[true_idx] == true_ids
+    true_idx = true_idx[seen]
+    confusion = np.bincount(true_idx * n_classes + assigned_idx[seen],
+                            minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+    per_class_errors = np.bincount(true_idx[errors[seen]], minlength=n_classes)
+    unseen = np.unique(true_ids[~seen]).tolist()
     return ClassificationReport(
         pe=float(np.mean(errors)), per_class_errors=per_class_errors,
         min_distance_scores=min_dist, confusion=confusion,

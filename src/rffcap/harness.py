@@ -12,7 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -254,12 +254,32 @@ def _parse_cell(col: str, text: str):
     return float(text)
 
 
+_ROW_KEYS = {f.name for f in fields(SweepRow)}
+_REQUIRED_ROW_KEYS = [f.name for f in fields(SweepRow) if f.default is MISSING]
+
+
+def _json_sweep_rows(path, payload: dict) -> list[SweepRow]:
+    if not isinstance(payload.get("rows"), list):
+        raise ValueError(f"{path}: no 'rows' list")
+    rows = []
+    for i, row in enumerate(payload["rows"]):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: row {i} is not an object")
+        unknown = sorted(set(row) - _ROW_KEYS)
+        if unknown:
+            raise ValueError(f"{path}: row {i} has unknown keys {unknown}")
+        missing = [name for name in _REQUIRED_ROW_KEYS if name not in row]
+        if missing:
+            raise ValueError(f"{path}: row {i} lacks keys {missing}")
+        rows.append(SweepRow(**row))
+    return rows
+
+
 def read_sweep_rows(path) -> list[SweepRow]:
     """Load rows from a sweep CSV or JSON file."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        return [SweepRow(**row) for row in payload["rows"]]
+        return _json_sweep_rows(path, json.loads(text))
     rows = []
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
              if ln and not ln.startswith("#")]

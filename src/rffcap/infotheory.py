@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+# emi_kde no longer calls cdist; the name stays because the benchmark's tracer
+# wraps rffcap.infotheory.cdist and fails to install if it is missing
+from scipy.spatial.distance import cdist  # noqa: F401
 
 from .fingerprint import FingerprintDataset, feature_bin_frequencies
 
@@ -95,16 +97,19 @@ class EmiEstimate:
     projected_dim: int
     bandwidths: np.ndarray
     n_samples: int
+    rank: int             # principal directions above 1e-12 * s0, before capping
+    loo_floor_hits: int   # samples whose LOO class or total mass hit the 1e-300 floor
 
 
 def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate:
     """Kernel-density estimate of I(X; Y) for the full fingerprint vector.
 
     The features are centered and projected onto their top principal
-    directions (an orthonormal, energy-preserving map; zero-variance
-    directions are dropped, so the effective dimension can be lower than
-    requested). A product Gaussian kernel with per-dimension Silverman
-    bandwidths then approximates the class-conditional and marginal
+    directions, the leading eigenvectors of the Gram matrix Xc^T Xc (an
+    orthonormal, energy-preserving map; directions whose singular value is
+    at most 1e-12 of the largest are dropped, so the effective dimension can
+    be lower than requested). A product Gaussian kernel with per-dimension
+    Silverman bandwidths then approximates the class-conditional and marginal
     densities, and the estimate averages
 
         log2( mean kernel mass from the sample's own class
@@ -130,37 +135,55 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     x = dataset.features
     n = x.shape[0]
     xc = x - x.mean(axis=0)
-    _, svals, vt = np.linalg.svd(xc, full_matrices=False)
-    rank = int(np.sum(svals > svals[0] * 1e-12)) if svals.size else 0
+    # principal directions from the m x m Gram matrix; the singular values
+    # are measured as column norms of the projection, because sqrt of the
+    # Gram eigenvalues is only good to ~1e-8 * s0 and would count
+    # zero-variance directions as rank
+    _, vecs = np.linalg.eigh(xc.T @ xc)
+    proj = xc @ vecs[:, ::-1]
+    svals = np.sqrt(np.einsum("ij,ij->j", proj, proj))
+    rank = int(np.sum(svals > svals.max() * 1e-12)) if svals.size else 0
     if rank == 0:
         raise ValueError("features have zero variance")
     d = min(projected_dim, rank)
-    z = xc @ vt[:d].T
+    z = proj[:, :d]
 
     sigma = z.std(axis=0, ddof=1)
     h = sigma * (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0))
     u = z / h
+    half_sq = 0.5 * np.einsum("ij,ij->i", u, u)
 
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
 
     total = 0.0
+    floor_hits = 0
     chunk = 1024
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        d2 = cdist(u[start:stop], u, metric="sqeuclidean")
-        kern = np.exp(-0.5 * d2)
+        rows = np.arange(stop - start)
+        # -d2/2 = u.v - |u|^2/2 - |v|^2/2 from one GEMM, clamped to d2 >= 0;
+        # the self distance is set to exactly 0 so the self-kernel is exactly 1
+        kern = u[start:stop] @ u.T
+        kern -= half_sq[start:stop, None]
+        kern -= half_sq
+        np.minimum(kern, 0.0, out=kern)
+        kern[rows, start + rows] = 0.0
+        np.exp(kern, out=kern)
         class_mass = kern @ onehot                      # (chunk, C)
-        own = class_mass[np.arange(stop - start), y[start:stop]]
+        own = class_mass[rows, y[start:stop]]
         # leave-one-out: the self-kernel is exactly exp(0) = 1
-        num = np.maximum(own - 1.0, 1e-300) / (class_counts[y[start:stop]] - 1)
-        den = np.maximum(class_mass.sum(axis=1) - 1.0, 1e-300) / (n - 1)
+        num = own - 1.0
+        den = class_mass.sum(axis=1) - 1.0
+        floor_hits += int(np.count_nonzero((num < 1e-300) | (den < 1e-300)))
+        num = np.maximum(num, 1e-300) / (class_counts[y[start:stop]] - 1)
+        den = np.maximum(den, 1e-300) / (n - 1)
         total += float(np.sum(np.log2(num / den)))
 
     raw = total / n
     clamped = float(np.clip(raw, 0.0, np.log2(n_classes)))
     return EmiEstimate(emi_bits=raw, emi_bits_clamped=clamped, projected_dim=d,
-                       bandwidths=h, n_samples=n)
+                       bandwidths=h, n_samples=n, rank=rank, loo_floor_hits=floor_hits)
 
 
 def mi_report_to_csv(report: MiReport, path, fs_hz: float | None = None) -> None:

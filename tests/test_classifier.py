@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eig, qr, svdvals
 
 from rffcap.classifier import (
+    LdaModel,
     classification_report_to_csv,
     classify,
     error_rate_experiment,
@@ -118,6 +119,29 @@ def test_scale_invariant_assignments():
     scaled_test = make_ds(test.features * 3.7, test.labels)
     scaled = classify(fit_lda(scaled_train, ridge=1e-9), scaled_test)
     assert np.array_equal(base.assigned_ids, scaled.assigned_ids)
+
+
+def test_distance_ties_go_to_the_smaller_class_id():
+    model = LdaModel(projection=np.eye(1), class_means=np.array([[-1.0], [1.0], [5.0]]),
+                     pooled_cov_inv=np.eye(1), class_ids=np.array([3, 7, 9]),
+                     kappa_eff=1, ridge=0.0)
+    # 0 is equidistant from ids 3 and 7, 3 from ids 7 and 9
+    rep = classify(model, make_ds([[0.0], [0.0], [3.0], [3.0]], [3, 7, 7, 9]))
+    assert rep.assigned_ids.tolist() == [3, 3, 7, 7]
+    assert rep.pe == 0.5
+    assert rep.per_class_errors.tolist() == [0, 1, 1]
+    assert rep.confusion.tolist() == [[1, 0, 0], [1, 1, 0], [0, 1, 0]]
+
+
+def test_fit_lda_reports_kappa_eff_and_ridge():
+    rng = np.random.default_rng(29)
+    train = gaussian_blobs(rng, [[0, 0, 0], [6, 0, 0], [0, 6, 0], [0, 0, 6]], 60)
+    model = fit_lda(train, kappa=150)
+    assert model.kappa_eff == model.projection.shape[1] == 3
+    _, sw = scatter_matrices(train.features, train.labels)
+    assert model.ridge == pytest.approx(1e-6 * np.trace(sw) / 3, rel=1e-12)
+    model = fit_lda(train, kappa=2, ridge=0.5)
+    assert (model.kappa_eff, model.ridge) == (2, 0.5)
 
 
 def test_unseen_label_always_errors():

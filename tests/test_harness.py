@@ -1,5 +1,7 @@
 """Sweep orchestration: seeding, execution, serialization, bound validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,45 @@ def test_read_sweep_rows_rejects_wrong_cell_count(tmp_path):
     lines[3] += ",,"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 4 has 17 cells"):
+        read_sweep_rows(path)
+
+
+def _json_sweep(tmp_path, edit):
+    path = tmp_path / "sweep.json"
+    sweep_to_json(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0), _csv_row(20.0)]),
+                  path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_read_sweep_rows_json_roundtrip(tmp_path):
+    path = _json_sweep(tmp_path, lambda payload: None)
+    assert read_sweep_rows(path) == [_csv_row(10.0), _csv_row(20.0)]
+
+
+def test_read_sweep_rows_json_rejects_unknown_key(tmp_path):
+    path = _json_sweep(tmp_path, lambda p: p["rows"][1].update(emi_nats=1.0))
+    with pytest.raises(ValueError, match=r"sweep\.json: row 1 has unknown keys \['emi_nats'\]"):
+        read_sweep_rows(path)
+
+
+def test_read_sweep_rows_json_rejects_missing_key(tmp_path):
+    path = _json_sweep(tmp_path, lambda p: p["rows"][0].pop("emi_bits"))
+    with pytest.raises(ValueError, match=r"sweep\.json: row 0 lacks keys \['emi_bits'\]"):
+        read_sweep_rows(path)
+
+
+def test_read_sweep_rows_json_rejects_missing_rows(tmp_path):
+    path = _json_sweep(tmp_path, lambda p: p.pop("rows"))
+    with pytest.raises(ValueError, match=r"sweep\.json: no 'rows' list"):
+        read_sweep_rows(path)
+
+
+def test_read_sweep_rows_json_rejects_non_object_row(tmp_path):
+    path = _json_sweep(tmp_path, lambda p: p["rows"].append([1, 2]))
+    with pytest.raises(ValueError, match=r"sweep\.json: row 2 is not an object"):
         read_sweep_rows(path)
 
 

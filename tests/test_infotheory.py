@@ -206,7 +206,30 @@ def test_emi_kde_projection_caps_at_rank():
     y = np.repeat(np.arange(2), 200)
     est = emi_kde(make_ds(x, y), projected_dim=3)
     assert est.projected_dim == 1
+    assert est.rank == 1
+    assert est.loo_floor_hits == 0
     assert isinstance(est, EmiEstimate)
+
+
+def test_emi_kde_reports_rank_before_capping():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(300, 6))
+    x[:, 5] = 0.0  # one zero-variance column
+    est = emi_kde(make_ds(x, np.repeat(np.arange(3), 100)), projected_dim=2)
+    assert est.rank == 5
+    assert est.projected_dim == 2
+
+
+def test_emi_kde_counts_isolated_samples_at_the_loo_floor():
+    """A row far from every other has no leave-one-out kernel mass at all."""
+    rng = np.random.default_rng(14)
+    y = np.repeat(np.arange(3), 100)
+    x = rng.normal(size=(300, 2)) + 4.0 * y[:, None]
+    assert emi_kde(make_ds(x, y), projected_dim=2).loo_floor_hits == 0
+    x[[10, 250]] += [[1e3, 0.0], [0.0, -1e3]]
+    est = emi_kde(make_ds(x, y), projected_dim=2)
+    assert est.loo_floor_hits == 2
+    assert np.isfinite(est.emi_bits)
 
 
 def test_mi_report_to_csv(tmp_path):
