@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.random.bit_generator import ISeedSequence
 from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
@@ -34,6 +35,14 @@ _DATASET_MAGIC = b"RFPD"
 _DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
 _REQUIRED_META = ("fs_hz", "n_fft", "snr_db", "q_bits", "class_ids")
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
+
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx); NumPy's
+# stream-compatibility policy keeps its output fixed across releases
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass
@@ -247,6 +256,115 @@ def feature_bin_frequencies(n_fft: int, fs_hz: float) -> np.ndarray:
     return np.fft.fftfreq(n_fft, d=1.0 / fs_hz)
 
 
+class _PresetState(ISeedSequence):
+    """A SeedSequence output computed ahead, for np.random.default_rng.
+
+    PCG64 seeds itself from generate_state(4, np.uint64) and reads the
+    returned buffer as is, so the state is kept as a C-contiguous (4,) uint64
+    array: a strided row, such as one of a transposed array, would be read as
+    the wrong words.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = np.ascontiguousarray(state, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.state.size or dtype is not np.uint64:
+            raise ValueError("a preset state serves generate_state(4, np.uint64) only")
+        return self.state
+
+
+def _hashmix(value, h: np.ndarray):
+    """SeedSequence's hashmix over uint32 arrays; returns the hash and the next
+    hash constant (an array, so its products wrap silently)."""
+    value = value ^ h
+    h = h * np.uint32(_MULT_A)
+    value = value * h
+    return value ^ (value >> 16), h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> 16)
+
+
+def _mix_in(pool: list, word, h: np.ndarray) -> np.ndarray:
+    """Mix one entropy word past the pool size into every pool word, in place."""
+    for i in range(_POOL_WORDS):
+        hashed, h = _hashmix(word, h)
+        pool[i] = _mix(pool[i], hashed)
+    return h
+
+
+def _generate_state64(pool: list) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of every pool, on a new last axis."""
+    h = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        value = value * np.uint32(h)
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=-1)
+
+
+def _entropy_words(x) -> int:
+    """Number of uint32 words SeedSequence makes of an int or a sequence of ints."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, (int(x).bit_length() + 31) // 32)
+    return sum(_entropy_words(v) for v in x)
+
+
+def _spawned_states(master_seed, device_ids, per_class: int) -> np.ndarray:
+    """SeedSequence(master_seed, spawn_key=(device_id, k, child)).generate_state(4,
+    np.uint64) for every device, k < per_class and child 0 and 1.
+
+    Returns a C-contiguous (devices, per_class, 2, 4) uint64 array. NumPy
+    builds and validates SeedSequence(master_seed, spawn_key=(device_id,))
+    once per device; mixing in the two trailing spawn words and the output
+    stage are SeedSequence's uint32 arithmetic, run for all captures at once.
+    """
+    prefix, consts = [], []
+    for dev in device_ids:
+        prefix.append(np.random.SeedSequence(master_seed, spawn_key=(dev,)).pool)
+        # hashmix calls so far: fill the pool, mix it pairwise, then each
+        # entropy word past the pool size once per pool word
+        n_entropy = max(_POOL_WORDS, _entropy_words(master_seed)) + _entropy_words(dev)
+        n_calls = _POOL_WORDS ** 2 + _POOL_WORDS * (n_entropy - _POOL_WORDS)
+        consts.append(_INIT_A * pow(_MULT_A, n_calls, 1 << 32) & _MASK32)
+
+    # pool words broadcast over (device, k, child)
+    pool = list(np.array(prefix, dtype=np.uint32).T[:, :, np.newaxis, np.newaxis])
+    h = np.array(consts, dtype=np.uint32)[:, np.newaxis, np.newaxis]
+    h = _mix_in(pool, np.arange(per_class, dtype=np.uint32)[:, np.newaxis], h)
+    _mix_in(pool, np.arange(2, dtype=np.uint32), h)
+    return _generate_state64(pool)
+
+
+def _seeded_states(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(int(seed)).generate_state(4, np.uint64) of every uint64 seed,
+    as a C-contiguous (..., 4) array.
+
+    A seed below 2**32 is one entropy word, which mixes exactly like the
+    two-word form with a zero high word.
+    """
+    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), 0, 0]
+    h = np.array([_INIT_A], dtype=np.uint32)
+    pool = []
+    for word in words:
+        hashed, h = _hashmix(word, h)
+        pool.append(hashed)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    return _generate_state64(pool)
+
+
 def build_dataset(profiles: list[DeviceProfile], per_class: int,
                   pipeline: PipelineConfig, master_seed: int = 0) -> FingerprintDataset:
     """Run the full pipeline for every device and assemble a labeled dataset.
@@ -260,14 +378,17 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     the lead-in length and its second seeds the standard-normal I/Q noise over
     exactly that capture's length, as `apply_awgn` would. Results therefore do
     not depend on the order of the profiles or on how captures are batched.
+    The generator states of all captures are derived at once, in NumPy
+    arithmetic (`_spawned_states`, `_seeded_states`), equal to NumPy's bit for
+    bit.
 
     Batching: the per_class captures of one device go through the receive
     chain together as a zero-padded (per_class, longest capture) matrix. Noise,
     backoff and quantization act on the whole matrix; acquisition and Welch
     run row-wise through the same kernels as `acquire` and
     `extract_spectral_feature`, counting only each row's true length. Only
-    the seeding and noise draws above run once per capture, and one device's
-    batch is held in memory at a time.
+    the lead-in and noise draws run once per capture, and one device's batch
+    is held in memory at a time.
 
     The meta records the fraction of captures whose acquisition fell back to
     the max-energy window (onset_flagged_frac) and the mean over captures of
@@ -300,22 +421,22 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     flagged = np.empty(n_rows, dtype=bool)
     clip = np.empty(n_rows)
 
+    class_ids = [p.device_id for p in ordered]
+    # children[d, k, 0] seeds the lead-in draw; the first word of
+    # children[d, k, 1] is the noise seed
+    children = _spawned_states(master_seed, class_ids, per_class)
+    noise_states = _seeded_states(children[:, :, 1, 0])
     batch = np.arange(per_class)[:, np.newaxis]
     for ci, prof in enumerate(ordered):
         burst = generate_preamble(prof, pipeline.fs_hz, pipeline.n_symbols).samples
         leads = np.empty(per_class, dtype=np.intp)
         noise = np.zeros((per_class, 2, width))
         for k in range(per_class):
-            # the two children SeedSequence(master_seed, spawn_key=(device_id,
-            # k)).spawn(2) would make, built directly
-            pad_seq, noise_seq = (
-                np.random.SeedSequence(master_seed, spawn_key=(prof.device_id, k, child))
-                for child in (0, 1))
-            leads[k] = np.random.default_rng(pad_seq).integers(lead_lo, lead_hi + 1)
+            rng = np.random.default_rng(_PresetState(children[ci, k, 0]))
+            leads[k] = rng.integers(lead_lo, lead_hi + 1)
             if noise_std is not None:
                 n = leads[k] + n_burst + pipeline.tail_pad
-                noise_seed = int(noise_seq.generate_state(1, np.uint64)[0])
-                noise[k, :, :n] = _unit_noise(noise_seed, n)
+                noise[k, :, :n] = _unit_noise(_PresetState(noise_states[ci, k]), n)
         lengths = leads + n_burst + pipeline.tail_pad
 
         x = np.zeros((per_class, width), dtype=np.complex128)
@@ -336,7 +457,7 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
 
     meta = DatasetMeta(fs_hz=pipeline.fs_hz, n_fft=pipeline.n_fft,
                        snr_db=channel.snr_db, q_bits=pipeline.q_bits,
-                       class_ids=[p.device_id for p in ordered],
+                       class_ids=class_ids,
                        onset_flagged_frac=float(flagged.mean()),
                        clip_frac=float(clip.mean()))
     return FingerprintDataset(features, labels, meta)

@@ -127,8 +127,8 @@ class IqCapture:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples.real)) or not np.all(np.isfinite(self.samples.imag)):
             raise ValueError("samples must be finite")
-        if self.fs_hz <= 0:
-            raise ValueError("fs_hz must be positive")
+        if not np.isfinite(self.fs_hz) or self.fs_hz <= 0:
+            raise ValueError(f"fs_hz must be positive and finite: {self.fs_hz}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -305,8 +305,11 @@ def _noise_std(snr_db: float, signal_power: float) -> float:
     return float(np.sqrt(sigma2 / 2.0))
 
 
-def _unit_noise(seed: int, n: int) -> np.ndarray:
-    """The (2, n) standard-normal I and Q draws of one capture's noise seed."""
+def _unit_noise(seed, n: int) -> np.ndarray:
+    """The (2, n) standard-normal I and Q draws of one capture's noise seed.
+
+    seed is an int or an ISeedSequence holding a precomputed state.
+    """
     return np.random.default_rng(seed).standard_normal((2, n))
 
 
@@ -371,7 +374,7 @@ def save_capture(capture: IqCapture, path) -> None:
 
 
 def load_capture(path) -> IqCapture:
-    """Read a capture written by save_capture."""
+    """Read a capture written by save_capture; a malformed file raises ValueError."""
     raw = Path(path).read_bytes()
     head_len = struct.calcsize("<4sdQq")
     if len(raw) < head_len:
@@ -379,8 +382,8 @@ def load_capture(path) -> IqCapture:
     magic, fs_hz, count, tid = struct.unpack("<4sdQq", raw[:head_len])
     if magic != _CAPTURE_MAGIC:
         raise ValueError(f"not a capture file (bad magic): {path}")
-    inter = np.frombuffer(raw, dtype="<f4", offset=head_len)
-    if inter.size != 2 * count:
+    if len(raw) - head_len != 8 * count:  # count float32 I/Q pairs
         raise ValueError(f"capture payload size mismatch in {path}")
+    inter = np.frombuffer(raw, dtype="<f4", offset=head_len)
     s = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
     return IqCapture(s, fs_hz, None if tid < 0 else int(tid))

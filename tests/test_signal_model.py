@@ -1,6 +1,7 @@
 """Waveform synthesis, impairment chain, channel, ADC, and capture IO."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -255,6 +256,27 @@ def test_capture_load_rejects_garbage(tmp_path):
         load_capture(short)
 
 
+def test_capture_load_rejects_partial_iq_pair(tmp_path):
+    path = tmp_path / "odd.rfiq"
+    save_capture(IqCapture(np.array([1 + 1j, 2 - 2j]), 2e6), path)
+    raw = path.read_bytes()
+    # 3 extra bytes: not a whole float32; 4: a lone I value without its Q
+    for extra in (b"\x00" * 3, b"\x00" * 4):
+        path.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match="odd.rfiq"):
+            load_capture(path)
+
+
+def test_capture_load_rejects_non_finite_rate(tmp_path):
+    path = tmp_path / "nan_rate.rfiq"
+    save_capture(IqCapture(np.array([1 + 1j, 2 - 2j]), 2e6), path)
+    raw = bytearray(path.read_bytes())
+    raw[4:12] = struct.pack("<d", float("nan"))  # fs_hz follows the magic
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="fs_hz"):
+        load_capture(path)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         DeviceProfile(device_id=0, cfo_hz=250e3)
@@ -288,6 +310,9 @@ def test_capture_validation():
         IqCapture(np.array([np.nan + 0j]), 4e6)
     with pytest.raises(ValueError):
         IqCapture(np.array([1 + 1j]), 0.0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="fs_hz"):
+            IqCapture(np.array([1 + 1j]), rate)
 
 
 def test_generate_preamble_validation():
