@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .fingerprint import FingerprintDataset, PipelineConfig, build_dataset
 from .signal_model import DeviceProfile
@@ -97,9 +96,11 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
                 "within-class scatter is singular; rerun with a positive ridge")
     sw_reg = sw + ridge * np.eye(m)
 
+    import scipy.linalg  # here, not at module level, so `import rffcap` loads no scipy
+
     try:
         eigvals, eigvecs = scipy.linalg.eigh(sb, sw_reg)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
         raise ValueError(
             "within-class scatter is numerically singular; increase ridge") from exc
     order = np.argsort(eigvals)[::-1]

@@ -15,8 +15,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
-from scipy import fft as sp_fft
-from scipy import signal as sp_signal
 
 from .signal_model import (
     AdcConfig,
@@ -26,7 +24,6 @@ from .signal_model import (
     _add_noise,
     _noise_std,
     _quantise,
-    _unit_noise,
     generate_preamble,
     preamble_length,
 )
@@ -233,6 +230,12 @@ def extract_spectral_feature(capture: IqCapture, n_fft: int) -> FeatureVector:
     return FeatureVector(values=values, label=label)
 
 
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of n points, summed in the same order as
+    scipy.signal.get_window("hann", n), so the two are equal bit for bit."""
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
+
+
 def _welch_db(x: np.ndarray, n_fft: int) -> np.ndarray:
     """Welch log-spectrum (see `extract_spectral_feature`) of every row of x.
 
@@ -243,9 +246,9 @@ def _welch_db(x: np.ndarray, n_fft: int) -> np.ndarray:
     """
     if x.shape[1] < n_fft:
         x = np.pad(x, ((0, 0), (0, n_fft - x.shape[1])))
-    win = sp_signal.get_window("hann", n_fft)
+    win = _hann(n_fft)
     segments = sliding_window_view(x, n_fft, axis=1)[:, :: n_fft // 2]
-    spectra = sp_fft.fft(win * segments, axis=-1)
+    spectra = np.fft.fft(win * segments, axis=-1)
     periodogram = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=1)
     bin_power = periodogram / (n_fft * np.sum(win * win))
     return 10.0 * np.log10(np.maximum(bin_power, _POWER_FLOOR))
@@ -435,8 +438,12 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
             rng = np.random.default_rng(_PresetState(children[ci, k, 0]))
             leads[k] = rng.integers(lead_lo, lead_hi + 1)
             if noise_std is not None:
+                # the I rail then the Q rail: the same values as the (2, n)
+                # draw of apply_awgn, straight into the zero-padded buffer
                 n = leads[k] + n_burst + pipeline.tail_pad
-                noise[k, :, :n] = _unit_noise(_PresetState(noise_states[ci, k]), n)
+                rng = np.random.default_rng(_PresetState(noise_states[ci, k]))
+                rng.standard_normal(out=noise[k, 0, :n])
+                rng.standard_normal(out=noise[k, 1, :n])
         lengths = leads + n_burst + pipeline.tail_pad
 
         x = np.zeros((per_class, width), dtype=np.complex128)

@@ -198,6 +198,19 @@ def test_explicit_zero_ridge_rejected_when_singular():
     fit_lda(ds)  # default ridge handles it
 
 
+def test_singular_scatter_with_negligible_ridge_raises():
+    # two identical columns with within-class deviations of +-1: the within
+    # scatter is [[16, 16], [16, 16]] in them, ridge=1e-300 is lost against
+    # 16, and the Cholesky pivot 16 - 4**2 is exactly 0
+    y = np.repeat(np.arange(4), 4)
+    dup = np.tile([1.0, -1.0, 1.0, -1.0], 4) + 4.0 * y
+    other = np.tile([1.0, 1.0, -1.0, -1.0], 4) + np.array([0.0, 2.0, -2.0, 3.0])[y]
+    ds = make_ds(np.column_stack([dup, dup, other]), y)
+    with pytest.raises(ValueError, match="numerically singular; increase ridge") as err:
+        fit_lda(ds, ridge=1e-300)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_classify_rejects_mismatched_width():
     rng = np.random.default_rng(30)
     model = fit_lda(gaussian_blobs(rng, [[0, 0], [4, 0], [0, 4]], 60))

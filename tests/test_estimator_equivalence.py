@@ -1,9 +1,11 @@
-"""emi_kde and classify against straightforward reference implementations.
+"""per_feature_mi, emi_kde and classify against straightforward reference
+implementations.
 
-The references are the plain forms of the two kernels: a thin SVD and
-``cdist`` squared distances for the ensemble MI, and a three-operand einsum
-for the Mahalanobis distances. The package computes the same quantities
-through a Gram-matrix eigendecomposition and GEMM distances.
+The references are the plain forms of the kernels: one joint histogram per
+feature column for the per-bin MI, a thin SVD and ``cdist`` squared distances
+for the ensemble MI, and a three-operand einsum for the Mahalanobis
+distances. The package computes the same quantities with one ``bincount``
+over all columns, a Gram-matrix eigendecomposition and GEMM distances.
 """
 
 import math
@@ -14,8 +16,33 @@ from scipy.spatial.distance import cdist
 
 from rffcap.classifier import classify, fit_lda
 from rffcap.fingerprint import DatasetMeta, FingerprintDataset, PipelineConfig, build_dataset
-from rffcap.infotheory import emi_kde
+from rffcap.infotheory import emi_kde, per_feature_mi
 from rffcap.signal_model import PopulationSpec, sample_profiles
+
+
+def reference_per_feature_mi(x, labels, bins):
+    """Returns (per_bin_mi, h_x), one column at a time."""
+    _, y = np.unique(labels, return_inverse=True)
+    n, m = x.shape
+    n_classes = y.max() + 1
+    mins = x.min(axis=0)
+    widths = x.max(axis=0) - mins
+    safe_w = np.where(widths > 0, widths, 1.0)
+    idx = np.clip(((x - mins) / safe_w * bins).astype(np.int64), 0, bins - 1)
+    idx[:, widths == 0] = 0
+    p_y = np.bincount(y, minlength=n_classes) / n
+    mi = np.empty(m)
+    h_x = np.empty(m)
+    for col in range(m):
+        joint = np.bincount(idx[:, col] * n_classes + y,
+                            minlength=bins * n_classes).reshape(bins, n_classes) / n
+        p_x = joint.sum(axis=1)
+        nz = joint > 0
+        outer = p_x[:, None] * p_y[None, :]
+        mi[col] = max(0.0, float(np.sum(joint[nz] * np.log2(joint[nz] / outer[nz]))))
+        px_nz = p_x[p_x > 0]
+        h_x[col] = float(-np.sum(px_nz * np.log2(px_nz)))
+    return mi, h_x
 
 
 def reference_emi_kde(x, labels, projected_dim):
@@ -96,7 +123,27 @@ def spectra():
     return build_dataset(profiles, 60, PipelineConfig(n_fft=64), master_seed=6), 5
 
 
+def constant_and_unequal():
+    rng = np.random.default_rng(7)
+    y = np.array([20] * 90 + [5] * 40 + [10] * 70)  # unequal classes, unsorted ids
+    x = rng.normal(size=(200, 5)) + 0.8 * (y[:, None] == 5)
+    x[:, 2] = 3.0  # a constant member
+    return make_ds(x, y), 2
+
+
 CASES = [separated, identical, rank_one, crosses_block, outlier, spectra]
+MI_CASES = CASES + [constant_and_unequal]
+
+
+@pytest.mark.parametrize("bins", [2, 16, 64])
+@pytest.mark.parametrize("case", MI_CASES, ids=[c.__name__ for c in MI_CASES])
+def test_per_feature_mi_matches_reference(case, bins):
+    ds, _ = case()
+    want_mi, want_h = reference_per_feature_mi(ds.features, ds.labels, bins)
+    rep = per_feature_mi(ds, bins=bins)
+    np.testing.assert_allclose(rep.per_bin_mi, want_mi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.h_x, want_h, rtol=1e-12, atol=0)
+    assert rep.bins == bins
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
