@@ -53,11 +53,21 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
             ridge: float | None = None) -> LdaModel:
     """Fit the discriminant projection and Mahalanobis scoring model.
 
-    Solves the symmetric generalized eigenproblem between-class scatter vs.
-    within-class scatter + ridge*I and keeps the top kappa_eff eigenvectors,
-    where kappa_eff = min(kappa, C-1, rank of the between-class scatter).
-    ridge=None selects 1e-6 * trace(within)/n_bins; an explicit ridge of 0 is
-    rejected when the within-class scatter is singular.
+    The directions solve the symmetric generalized eigenproblem between-class
+    scatter vs. within-class scatter + ridge*I; the top kappa_eff are kept,
+    where kappa_eff = min(kappa, C-1, rank of the between-class scatter) and
+    the rank counts eigenvalues above 1e-9 of the largest. ridge=None selects
+    1e-6 * trace(within)/n_bins; an explicit ridge of 0 is rejected when the
+    within-class scatter is singular.
+
+    The between-class scatter is B^T B, with B the C x n_bins class means
+    (centered, each row weighted by sqrt of its class count), so it has rank
+    at most C-1. The solve therefore works at that rank: with the Cholesky
+    factor L L^T of the regularized within scatter, the thin SVD U S V^T of
+    the n_bins x C matrix L^-1 B^T gives the eigenvalues S^2 and the
+    directions L^-T U, which satisfy v^T (within + ridge*I) v = I. This is
+    the Cholesky reduction LAPACK's sygvd applies, without its n_bins x
+    n_bins eigensolve of a matrix of rank C-1.
     """
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1: {kappa}")
@@ -76,40 +86,36 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
 
     within = x - means[y]
     sw = within.T @ within
-    centered_means = means - mean_all
-    sb = (centered_means * counts[:, None]).T @ centered_means
+    between = np.sqrt(counts)[:, None] * (means - mean_all)  # sb = between^T between
 
     if ridge is None:
         scale = np.trace(sw) / m
         if scale <= 0:
-            scale = np.trace(sb) / m
+            scale = np.einsum("ij,ij->", between, between) / m  # trace(sb)
         if scale <= 0:
             raise ValueError("training features are all identical")
         ridge = 1e-6 * scale
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    if ridge == 0:
-        try:
-            np.linalg.cholesky(sw)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "within-class scatter is singular; rerun with a positive ridge")
     sw_reg = sw + ridge * np.eye(m)
-
-    import scipy.linalg  # here, not at module level, so `import rffcap` loads no scipy
-
     try:
-        eigvals, eigvecs = scipy.linalg.eigh(sb, sw_reg)
-    except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
+        chol = np.linalg.cholesky(sw_reg)
+    except np.linalg.LinAlgError as exc:
+        if ridge == 0:
+            raise ValueError(
+                "within-class scatter is singular; rerun with a positive ridge") from exc
         raise ValueError(
             "within-class scatter is numerically singular; increase ridge") from exc
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    rank = int(np.sum(eigvals > max(eigvals[0], 0.0) * 1e-9)) if eigvals[0] > 0 else 0
+
+    # NumPy has no triangular solve; solve() on a triangular factor is an LU
+    # solve, cheap at these n_bins x C and n_bins x kappa_eff right-hand sides
+    u, s, _ = np.linalg.svd(np.linalg.solve(chol, between.T), full_matrices=False)
+    eigvals = s * s  # descending
+    rank = int(np.sum(eigvals > eigvals[0] * 1e-9))
     if rank == 0:
         raise ValueError("between-class scatter has no usable directions")
     kappa_eff = min(kappa, n_classes - 1, rank)
-    projection = eigvecs[:, order[:kappa_eff]]
+    projection = np.linalg.solve(chol.T, u[:, :kappa_eff])
 
     z = x @ projection
     z_means = np.vstack([z[y == c].mean(axis=0) for c in range(n_classes)])

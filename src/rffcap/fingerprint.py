@@ -231,8 +231,9 @@ def extract_spectral_feature(capture: IqCapture, n_fft: int) -> FeatureVector:
 
 
 def _hann(n: int) -> np.ndarray:
-    """Periodic Hann window of n points, summed in the same order as
-    scipy.signal.get_window("hann", n), so the two are equal bit for bit."""
+    """Periodic Hann window of n points, summed as 0.5 + 0.5*cos(t) for t
+    from -pi in n steps; tests/test_import_path.py checks that it equals,
+    bit for bit, the library window it replaced."""
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
 
 

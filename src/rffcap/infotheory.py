@@ -107,6 +107,12 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
     return MiReport(per_bin_mi=mi, h_x=h_x, bins=bins)
 
 
+# rows of the kernel evaluated at a time in emi_kde; every block keeps full
+# rows. Sized by measurement (README "Estimator notes"): much taller blocks
+# were slower, as each is freshly mapped memory and falls out of cache.
+_KDE_BLOCK = 128
+
+
 @dataclass
 class EmiEstimate:
     """Ensemble MI of the whole feature vector, raw and clamped to [0, log2 C]."""
@@ -154,14 +160,20 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     x = dataset.features
     n = x.shape[0]
     xc = x - x.mean(axis=0)
-    # principal directions from the m x m Gram matrix; the singular values
-    # are measured as column norms of the projection, because sqrt of the
-    # Gram eigenvalues is only good to ~1e-8 * s0 and would count
-    # zero-variance directions as rank
-    _, vecs = np.linalg.eigh(xc.T @ xc)
-    proj = xc @ vecs[:, ::-1]
+    # principal directions from the m x m Gram matrix, largest first. The
+    # singular values of the rank test are measured as column norms of the
+    # projection, because sqrt of a Gram eigenvalue is only good to ~1e-8 *
+    # s0 and would count zero-variance directions as rank. Only directions
+    # whose eigenvalue is at most 1e-10 of the largest can come near the
+    # 1e-12 * s0 cut-off, so only those, and the kept ones, are projected.
+    gram_vals, vecs = np.linalg.eigh(xc.T @ xc)
+    gram_vals, vecs = gram_vals[::-1], vecs[:, ::-1]
+    d = min(projected_dim, gram_vals.size)
+    tiny = np.flatnonzero(gram_vals[d:] <= gram_vals.max(initial=0.0) * 1e-10) + d
+    proj = xc @ vecs[:, np.concatenate([np.arange(d), tiny])]
     svals = np.sqrt(np.einsum("ij,ij->j", proj, proj))
-    rank = int(np.sum(svals > svals.max() * 1e-12)) if svals.size else 0
+    # the directions not projected all clear the cut-off
+    rank = int(np.sum(svals > svals.max(initial=0.0) * 1e-12)) + x.shape[1] - proj.shape[1]
     if rank == 0:
         raise ValueError("features have zero variance")
     d = min(projected_dim, rank)
@@ -177,9 +189,8 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
 
     total = 0.0
     floor_hits = 0
-    chunk = 1024
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _KDE_BLOCK):
+        stop = min(start + _KDE_BLOCK, n)
         rows = np.arange(stop - start)
         # -d2/2 = u.v - |u|^2/2 - |v|^2/2 from one GEMM, clamped to d2 >= 0;
         # the self distance is set to exactly 0 so the self-kernel is exactly 1
@@ -189,7 +200,7 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
         np.minimum(kern, 0.0, out=kern)
         kern[rows, start + rows] = 0.0
         np.exp(kern, out=kern)
-        class_mass = kern @ onehot                      # (chunk, C)
+        class_mass = kern @ onehot                      # (block, C)
         own = class_mass[rows, y[start:stop]]
         # leave-one-out: the self-kernel is exactly exp(0) = 1
         num = own - 1.0

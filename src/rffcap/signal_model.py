@@ -33,7 +33,8 @@ class DeviceProfile:
     Parameters
     ----------
     device_id : int
-        Integer identity label carried through captures and datasets.
+        Non-negative integer identity label carried through captures and
+        datasets.
     cfo_hz : float
         Carrier frequency offset, |cfo_hz| <= 200 kHz.
     iq_gain_db : float
@@ -60,6 +61,8 @@ class DeviceProfile:
     dc_offset: complex = 0j
 
     def __post_init__(self):
+        if self.device_id < 0:
+            raise ValueError(f"device_id must be non-negative: {self.device_id}")
         if abs(self.cfo_hz) > 200e3:
             raise ValueError(f"cfo_hz out of range [-200e3, 200e3]: {self.cfo_hz}")
         if not -3.0 <= self.iq_gain_db <= 3.0:

@@ -193,8 +193,9 @@ def test_explicit_zero_ridge_rejected_when_singular():
     x = np.column_stack([base, base])  # within-class scatter is rank 1
     x[:, 0] += np.repeat([0.0, 5.0, 10.0], 30)
     ds = make_ds(x, np.repeat(np.arange(3), 30))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular; rerun with a positive ridge") as err:
         fit_lda(ds, ridge=0.0)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
     fit_lda(ds)  # default ridge handles it
 
 

@@ -20,7 +20,7 @@ from rffcap.fingerprint import (
     _spawned_states,
     build_dataset,
 )
-from rffcap.signal_model import PopulationSpec, _unit_noise, sample_profiles
+from rffcap.signal_model import DeviceProfile, PopulationSpec, _unit_noise, sample_profiles
 
 MASTER_SEEDS = [0, 1, 1234, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 9, 2**160 - 1,
                 np.int64(7), True]
@@ -123,10 +123,16 @@ def small_build(master_seed=3, device_ids=(0, 1)):
     return build_dataset(profiles, 2, PipelineConfig(n_fft=64), master_seed=master_seed)
 
 
-@pytest.mark.parametrize("kwargs", [{"master_seed": -1}, {"device_ids": (0, -3)}])
-def test_negative_seed_or_device_id_raises_numpys_error(kwargs):
+def test_negative_master_seed_raises_numpys_error():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        small_build(**kwargs)
+        small_build(master_seed=-1)
+
+
+def test_negative_device_id_rejected_at_construction():
+    with pytest.raises(ValueError, match="device_id must be non-negative: -3"):
+        DeviceProfile(device_id=-3)
+    with pytest.raises(ValueError, match="device_id must be non-negative: -3"):
+        small_build(device_ids=(0, -3))
 
 
 def test_float_master_seed_raises_type_error():
