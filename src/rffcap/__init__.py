@@ -22,7 +22,6 @@ from .classifier import (
 )
 from .config import ScenarioConfig, load_config, save_config, scenario_from_dict
 from .fingerprint import (
-    FeatureVector,
     FingerprintDataset,
     PipelineConfig,
     acquire,
@@ -78,8 +77,8 @@ __all__ = [
     # config
     "ScenarioConfig", "load_config", "save_config", "scenario_from_dict",
     # fingerprint
-    "FeatureVector", "FingerprintDataset", "PipelineConfig", "acquire", "build_dataset",
-    "dataset_to_csv", "extract_spectral_feature", "load_dataset", "save_dataset",
+    "FingerprintDataset", "PipelineConfig", "acquire", "build_dataset", "dataset_to_csv",
+    "extract_spectral_feature", "load_dataset", "save_dataset",
     # harness
     "SweepResult", "SweepRow", "SweepSpec", "read_sweep_rows", "run_sweep",
     "sweep_to_csv", "sweep_to_json", "validate_bounds",

@@ -21,9 +21,10 @@ from .signal_model import (
     ChannelConfig,
     DeviceProfile,
     IqCapture,
-    _add_noise,
+    _as_complex,
     _noise_std,
     _quantise,
+    _scale_noise,
     generate_preamble,
     preamble_length,
 )
@@ -40,21 +41,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
-
-
-@dataclass
-class FeatureVector:
-    """One log-spectrum fingerprint: per-bin power in dB plus identity label."""
-
-    values: np.ndarray
-    label: int = -1
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature values must be finite")
 
 
 @dataclass
@@ -179,33 +165,37 @@ def _acquire_rows(x: np.ndarray, lengths: np.ndarray, window: int,
         raise ValueError("threshold_factor must be positive")
 
     rows, width = x.shape
-    power = np.abs(x) ** 2
+    power = np.abs(x)
+    power **= 2
     w = min(16, window)
-    csum = np.zeros((rows, width + 1))
+    csum = np.empty((rows, width + 1))
+    csum[:, 0] = 0.0
     np.cumsum(power, axis=1, out=csum[:, 1:])
-    # trailing w-sample means, evaluated only where a full window exists so a
-    # lone noise spike at the record start cannot fake an onset
-    short_term = (csum[:, w:] - csum[:, :-w]) / w
-
     n_blocks = width // w
     blocks = power[:, : n_blocks * w].reshape(rows, n_blocks, w).mean(axis=2)
     blocks[np.arange(n_blocks) >= (lengths // w)[:, np.newaxis]] = np.inf
     threshold = threshold_factor * blocks.min(axis=1)
 
-    starts = np.arange(short_term.shape[1])
-    crossed = ((short_term > threshold[:, np.newaxis])
-               & (starts <= (lengths - w)[:, np.newaxis]))
-    flagged = ~crossed.any(axis=1)
+    # trailing w-sample means, evaluated only where a full window exists so a
+    # lone noise spike at the record start cannot fake an onset; they reuse
+    # the power buffer
+    short_term = np.subtract(csum[:, w:], csum[:, :-w], out=power[:, : width - w + 1])
+    short_term /= w
+    above = short_term > threshold[:, np.newaxis]
+    # windows past a row's record start at lengths - w + 1, so the row has an
+    # in-record crossing exactly when its first crossing lies in the record
+    first = above.argmax(axis=1)
+    flagged = ~above[np.arange(rows), first] | (first > lengths - w)
     # short_term[i] covers samples [i, i+w-1]; the crossing window's last
     # sample is the first one carrying burst power
-    onsets = crossed.argmax(axis=1) + (w - 1)
+    onsets = first + (w - 1)
     if flagged.any():
         energy = csum[flagged, window:] - csum[flagged, :-window]
         outside = np.arange(energy.shape[1]) > (lengths[flagged] - window)[:, np.newaxis]
         energy[outside] = -np.inf
         onsets[flagged] = energy.argmax(axis=1)
     onsets = np.minimum(onsets, lengths - window)
-    bursts = np.take_along_axis(x, onsets[:, np.newaxis] + np.arange(window), axis=1)
+    bursts = sliding_window_view(x, window, axis=1)[np.arange(rows), onsets]
     return bursts, onsets, flagged
 
 
@@ -215,8 +205,8 @@ def _validate_n_fft(n_fft: int) -> None:
         raise ValueError(f"n_fft must be a power of two in [64, 4096]: {n_fft}")
 
 
-def extract_spectral_feature(capture: IqCapture, n_fft: int) -> FeatureVector:
-    """Welch log-spectrum fingerprint of a capture.
+def extract_spectral_feature(capture: IqCapture, n_fft: int) -> np.ndarray:
+    """Welch log-spectrum fingerprint of a capture, as an (n_fft,) float64 array.
 
     Hann window, 50% segment overlap, two-sided spectrum in FFT bin order
     (DC first) so I/Q asymmetries are preserved. Captures shorter than n_fft
@@ -225,9 +215,7 @@ def extract_spectral_feature(capture: IqCapture, n_fft: int) -> FeatureVector:
     per-bin power.
     """
     _validate_n_fft(n_fft)
-    values = _welch_db(capture.samples[np.newaxis], n_fft)[0]
-    label = -1 if capture.true_id is None else int(capture.true_id)
-    return FeatureVector(values=values, label=label)
+    return _welch_db(capture.samples[np.newaxis], n_fft)[0]
 
 
 def _hann(n: int) -> np.ndarray:
@@ -387,12 +375,15 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     bit.
 
     Batching: the per_class captures of one device go through the receive
-    chain together as a zero-padded (per_class, longest capture) matrix. Noise,
-    backoff and quantization act on the whole matrix; acquisition and Welch
-    run row-wise through the same kernels as `acquire` and
-    `extract_spectral_feature`, counting only each row's true length. Only
-    the lead-in and noise draws run once per capture, and one device's batch
-    is held in memory at a time.
+    chain together, as one zero-padded (per_class, longest capture, 2) float64
+    buffer of I/Q rails that every stage updates in place. The unit noise
+    draws are scaled into it and the burst is added to each row's slice; then
+    backoff, the finiteness check and quantization act on the whole buffer,
+    and acquisition and Welch run row-wise on its complex view through the
+    same kernels as `acquire` and `extract_spectral_feature`, counting only
+    each row's true length. The rails, the noise draws and the ideal
+    baseband are made once per build; only the lead-in and noise draws run
+    once per capture.
 
     The meta records the fraction of captures whose acquisition fell back to
     the max-energy window (onset_flagged_frac) and the mean over captures of
@@ -430,31 +421,37 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     # children[d, k, 1] is the noise seed
     children = _spawned_states(master_seed, class_ids, per_class)
     noise_states = _seeded_states(children[:, :, 1, 0])
-    batch = np.arange(per_class)[:, np.newaxis]
+    # one device's batch: I/Q rails that every stage updates in place, their
+    # complex view, and the unit noise draws of its captures
+    rails = np.empty((per_class, width, 2))
+    x = _as_complex(rails)
+    draws = None if noise_std is None else np.zeros((per_class, 2, width))
+    leads = np.empty(per_class, dtype=np.intp)
     for ci, prof in enumerate(ordered):
         burst = generate_preamble(prof, pipeline.fs_hz, pipeline.n_symbols).samples
-        leads = np.empty(per_class, dtype=np.intp)
-        noise = np.zeros((per_class, 2, width))
         for k in range(per_class):
             rng = np.random.default_rng(_PresetState(children[ci, k, 0]))
             leads[k] = rng.integers(lead_lo, lead_hi + 1)
-            if noise_std is not None:
+            if draws is not None:
                 # the I rail then the Q rail: the same values as the (2, n)
-                # draw of apply_awgn, straight into the zero-padded buffer
+                # draw of apply_awgn
                 n = leads[k] + n_burst + pipeline.tail_pad
                 rng = np.random.default_rng(_PresetState(noise_states[ci, k]))
-                rng.standard_normal(out=noise[k, 0, :n])
-                rng.standard_normal(out=noise[k, 1, :n])
+                rng.standard_normal(out=draws[k, 0, :n])
+                rng.standard_normal(out=draws[k, 1, :n])
         lengths = leads + n_burst + pipeline.tail_pad
+        if draws is None:
+            rails[...] = 0.0
+        else:
+            _scale_noise(draws, noise_std, out=rails)
+        for k, (lead, n) in enumerate(zip(leads.tolist(), lengths.tolist())):
+            rails[k, n:] = 0.0
+            x[k, lead:lead + n_burst] += burst
 
-        x = np.zeros((per_class, width), dtype=np.complex128)
-        x[batch, leads[:, np.newaxis] + np.arange(n_burst)] = burst
-        if noise_std is not None:
-            x = _add_noise(x, noise, noise_std)
-        x *= backoff
-        if not np.isfinite(x).all():
+        rails *= backoff
+        if not np.isfinite(rails).all():
             raise ValueError("samples must be finite")
-        x, clipped = _quantise(x, adc)
+        clipped = _quantise(rails, adc)
         bursts, _, row_flagged = _acquire_rows(x, lengths, window,
                                                pipeline.threshold_factor)
 
@@ -485,6 +482,9 @@ def save_dataset(ds: FingerprintDataset, path) -> None:
 def load_dataset(path) -> FingerprintDataset:
     """Read a dataset written by save_dataset; a malformed file raises ValueError.
 
+    The payload must be exactly the float32 features and int32 labels the
+    header announces, and every label must index meta.class_ids.
+
     Files written before the acquisition statistics were recorded load with
     meta.onset_flagged_frac and meta.clip_frac set to None.
     """
@@ -505,11 +505,16 @@ def load_dataset(path) -> FingerprintDataset:
     missing = [k for k in _REQUIRED_META if not isinstance(meta_d, dict) or k not in meta_d]
     if missing:
         raise ValueError(f"dataset meta in {path} lacks {missing}")
-    if len(raw) < payload_at + 4 * n_rows * (n_bins + 1):
+    if len(raw) - payload_at != 4 * n_rows * (n_bins + 1):
         raise ValueError(f"dataset payload size mismatch in {path}")
     feats = np.frombuffer(raw, dtype="<f4", count=n_rows * n_bins, offset=payload_at)
     labels = np.frombuffer(raw, dtype="<i4", count=n_rows,
                            offset=payload_at + 4 * n_rows * n_bins)
+    if not isinstance(meta_d["class_ids"], list):
+        raise ValueError(f"dataset meta in {path}: class_ids must be a list")
+    n_classes = len(meta_d["class_ids"])
+    if n_rows and not (labels.min() >= 0 and labels.max() < n_classes):
+        raise ValueError(f"dataset labels in {path} lie outside [0, {n_classes})")
     meta = DatasetMeta(**{k: meta_d[k] for k in _REQUIRED_META},
                        onset_flagged_frac=meta_d.get("onset_flagged_frac"),
                        clip_frac=meta_d.get("clip_frac"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -202,13 +203,15 @@ def preamble_length(fs_hz: float, n_symbols: int) -> int:
     return int(round(n_chips * fs_hz / CHIP_RATE_HZ))
 
 
+@lru_cache(maxsize=8)
 def _oqpsk_baseband(fs_hz: float, n_symbols: int) -> np.ndarray:
-    """Ideal unit-power half-sine O-QPSK sync waveform.
+    """Ideal unit-power half-sine O-QPSK sync waveform, read-only.
 
     Even-indexed chips shape the I rail, odd-indexed chips the Q rail; each
     chip is a half-sine pulse spanning two chip intervals, so the Q rail is
     offset by one chip interval. Samples are taken at interval midpoints,
-    t_n = (n + 1/2) / fs.
+    t_n = (n + 1/2) / fs. It depends on fs_hz and n_symbols only, so it is
+    computed once per pair of them and shared by every device.
     """
     n_chips = n_symbols * CHIPS_PER_SYMBOL
     chips = np.where(np.tile(_SYMBOL0_CHIPS, n_symbols) > 0, 1.0, -1.0)
@@ -228,7 +231,9 @@ def _oqpsk_baseband(fs_hz: float, n_symbols: int) -> np.ndarray:
     )
 
     s = i_arm + 1j * q_arm
-    return s / np.sqrt(np.mean(np.abs(s) ** 2))
+    s /= np.sqrt(np.mean(np.abs(s) ** 2))
+    s.flags.writeable = False
+    return s
 
 
 def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) -> IqCapture:
@@ -253,7 +258,7 @@ def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) 
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
 
-    s = _oqpsk_baseband(fs_hz, n_symbols)
+    s = _oqpsk_baseband(fs_hz, n_symbols).copy()
     n = s.size
 
     if profile.dc_offset != 0:
@@ -295,8 +300,11 @@ def apply_awgn(capture: IqCapture, channel: ChannelConfig,
         return IqCapture(capture.samples.copy(), capture.fs_hz, capture.true_id,
                          dict(capture.diagnostics))
     p_sig = float(np.mean(np.abs(capture.samples) ** 2)) if signal_power is None else float(signal_power)
-    noise = _unit_noise(channel.rng_seed, capture.samples.size)
-    s = _add_noise(capture.samples, noise, _noise_std(channel.snr_db, p_sig))
+    n = capture.samples.size
+    rails = _scale_noise(_unit_noise(channel.rng_seed, n), _noise_std(channel.snr_db, p_sig),
+                         out=np.empty((n, 2)))
+    s = _as_complex(rails)
+    s += capture.samples
     return IqCapture(s, capture.fs_hz, capture.true_id, dict(capture.diagnostics))
 
 
@@ -316,10 +324,29 @@ def _unit_noise(seed, n: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((2, n))
 
 
-def _add_noise(samples: np.ndarray, noise: np.ndarray, std: float) -> np.ndarray:
-    """samples (..., n) plus std times the complex noise whose rails are noise[..., 0, :]
-    and noise[..., 1, :]."""
-    return samples + std * (noise[..., 0, :] + 1j * noise[..., 1, :])
+def _scale_noise(noise: np.ndarray, std: float, out: np.ndarray) -> np.ndarray:
+    """Write std times the unit draws noise (..., 2, n), I rail then Q rail, into
+    the (..., n, 2) I/Q rails out and return out.
+
+    Adding a signal to the complex view of out then gives, bit for bit, the
+    signal plus std * (I + 1j * Q): the cross terms of that complex product
+    are signed zeros.
+    """
+    np.multiply(noise[..., 0, :], std, out=out[..., 0])
+    np.multiply(noise[..., 1, :], std, out=out[..., 1])
+    return out
+
+
+def _as_complex(rails: np.ndarray) -> np.ndarray:
+    """The complex samples (...) of C-contiguous float64 I/Q rails (..., 2), as a view."""
+    return rails.view(np.complex128)[..., 0]
+
+
+def _as_rails(samples: np.ndarray) -> np.ndarray:
+    """A new (..., 2) float64 array holding the I and Q rails of complex samples."""
+    rails = np.empty(samples.shape + (2,))
+    _as_complex(rails)[...] = samples
+    return rails
 
 
 def adc_sample(capture: IqCapture, adc: AdcConfig) -> IqCapture:
@@ -330,28 +357,30 @@ def adc_sample(capture: IqCapture, adc: AdcConfig) -> IqCapture:
     clip rails on either branch is reported in diagnostics["clip_fraction"].
     Re-quantizing an already quantized capture is an exact no-op.
     """
-    s, clipped = _quantise(capture.samples, adc)
+    rails = _as_rails(capture.samples)
+    clipped = _quantise(rails, adc)
     diags = dict(capture.diagnostics)
     diags["clip_fraction"] = float(np.mean(clipped))
-    return IqCapture(s, capture.fs_hz, capture.true_id, diags)
+    return IqCapture(_as_complex(rails), capture.fs_hz, capture.true_id, diags)
 
 
-def _quantise(samples: np.ndarray, adc: AdcConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Clip and quantize complex samples of any shape elementwise.
+def _quantise(rails: np.ndarray, adc: AdcConfig) -> np.ndarray:
+    """Clip and quantize C-contiguous float64 I/Q rails (..., 2) in place.
 
-    Returns the quantized samples and a boolean mask of the samples whose I or
-    Q rail hit the clip rails. Zero samples stay zero and never clip, so
-    zero-padding a batch does not change any row's clip count.
+    Returns a boolean mask (...) of the samples whose I or Q rail hit the clip
+    rails. Zero samples stay zero and never clip, so zero-padding a batch does
+    not change any row's clip count.
     """
     half = adc.full_scale_vpp / 2.0
     step = adc.full_scale_vpp / 2.0 ** adc.q_bits
-    rails = np.stack([samples.real, samples.imag], axis=-1)
-    over = np.abs(rails) > half
+    over = rails > half
+    over |= rails < -half
     np.clip(rails, -half, half, out=rails)
     rails /= step
     np.round(rails, out=rails)
     rails *= step
-    return rails.view(np.complex128)[..., 0], over[..., 0] | over[..., 1]
+    # read each sample's (I, Q) pair of flags as one 16-bit word
+    return over.view(np.uint16)[..., 0] != 0
 
 
 def quantization_error_bound(adc: AdcConfig) -> float:

@@ -84,12 +84,12 @@ def test_feature_localizes_tone():
     f_tone = 8 * fs / n_fft  # exactly bin 8
     cap = IqCapture(np.exp(2j * np.pi * f_tone * t / fs), fs)
     feat = extract_spectral_feature(cap, n_fft)
-    assert feat.values.size == n_fft
-    assert feat.label == -1
-    assert int(np.argmax(feat.values)) == 8
+    assert isinstance(feat, np.ndarray) and feat.dtype == np.float64
+    assert feat.shape == (n_fft,)
+    assert int(np.argmax(feat)) == 8
     # negative frequency lands in the upper half of the fft ordering
     cap_neg = IqCapture(np.exp(-2j * np.pi * f_tone * t / fs), fs)
-    assert int(np.argmax(extract_spectral_feature(cap_neg, n_fft).values)) == 56
+    assert int(np.argmax(extract_spectral_feature(cap_neg, n_fft))) == 56
 
 
 def test_feature_total_power_parseval():
@@ -98,7 +98,7 @@ def test_feature_total_power_parseval():
     x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     cap = IqCapture(x, 4e6)
     feat = extract_spectral_feature(cap, 256)
-    total = np.sum(10.0 ** (feat.values / 10.0))
+    total = np.sum(10.0 ** (feat / 10.0))
     assert abs(total / np.mean(np.abs(x) ** 2) - 1.0) < 0.05
 
 
@@ -107,16 +107,16 @@ def test_feature_zero_pads_short_input():
     rng = np.random.default_rng(78)
     x = rng.normal(size=100) + 1j * rng.normal(size=100)
     feat = extract_spectral_feature(IqCapture(x, 4e6), 256)
-    assert feat.values.size == 256
+    assert feat.size == 256
     padded = np.zeros(256, dtype=complex)
     padded[:100] = x
     explicit = extract_spectral_feature(IqCapture(padded, 4e6), 256)
-    assert np.array_equal(feat.values, explicit.values)
+    assert np.array_equal(feat, explicit)
 
 
 def test_feature_floor_on_silence():
     feat = extract_spectral_feature(IqCapture(np.zeros(512, dtype=complex), 4e6), 128)
-    assert np.all(feat.values == -300.0)
+    assert np.all(feat == -300.0)
 
 
 def test_feature_nfft_validation():
@@ -124,7 +124,7 @@ def test_feature_nfft_validation():
     for bad in (32, 100, 8192):
         with pytest.raises(ValueError):
             extract_spectral_feature(cap, bad)
-    assert extract_spectral_feature(cap, 4096).values.size == 4096
+    assert extract_spectral_feature(cap, 4096).size == 4096
 
 
 def test_feature_bin_frequencies():
@@ -272,10 +272,38 @@ def test_load_dataset_rejects_truncation(tmp_path, saved_dataset, where):
 
 
 @pytest.mark.parametrize("meta", [b'{"fs_hz": 4e6, "n_f', b"\xff\xfe{}", b"[1, 2]",
-                                  b'{"fs_hz": 4e6}'])
+                                  b'{"fs_hz": 4e6}',
+                                  b'{"fs_hz": 4e6, "n_fft": 3, "snr_db": 24.0, "q_bits": 14,'
+                                  b' "class_ids": 2}'])
 def test_load_dataset_rejects_malformed_meta(tmp_path, meta):
     path = tmp_path / "bad.rfds"
     _write_rfds(path, meta)
     with pytest.raises(ValueError) as info:
         load_dataset(path)
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("change", ["trailing_bytes", "understated_rows"])
+def test_load_dataset_rejects_payload_size_mismatch(tmp_path, saved_dataset, change):
+    """40 extra bytes, or a header claiming 2 rows fewer, which would read
+    feature bytes as labels."""
+    raw, _ = saved_dataset
+    if change == "trailing_bytes":
+        raw += bytes(40)
+    else:
+        n_rows = struct.unpack_from("<Q", raw, 4)[0]
+        raw = raw[:4] + struct.pack("<Q", n_rows - 2) + raw[12:]
+    path = tmp_path / "sized.rfds"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="size mismatch in .*sized.rfds"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("label", [-1, 2, -1046183366])
+def test_load_dataset_rejects_labels_outside_class_ids(tmp_path, label):
+    path = tmp_path / "labels.rfds"
+    meta = json.dumps({"fs_hz": 4e6, "n_fft": 3, "snr_db": 24.0, "q_bits": 14,
+                       "class_ids": [5, 9]}).encode()
+    _write_rfds(path, meta, payload=bytes(4 * 2 * 3) + struct.pack("<2i", 0, label))
+    with pytest.raises(ValueError, match=r"labels in .*labels.rfds lie outside \[0, 2\)"):
+        load_dataset(path)

@@ -1,11 +1,12 @@
-"""Invariants of the receive-chain kernels and the dataset file, for all inputs.
+"""Invariants of the receive-chain kernels and the file formats, for all inputs.
 
 The quantizer reproduces any in-range sample within half a step and is a
 no-op on its own output; acquisition returns exactly `window` samples from
 an onset inside each record, whatever the record lengths, the window and
-the threshold; a dataset written by save_dataset reads back as its float32
-image. The examples are derandomized so the suite runs the same inputs every
-time.
+the threshold; a dataset written by save_dataset and a capture written by
+save_capture read back as their float32 images, and a scenario written by
+save_config reads back equal. The examples are derandomized so the suite
+runs the same inputs every time.
 """
 
 import numpy as np
@@ -15,14 +16,35 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from rffcap.config import (  # noqa: E402
+    SWEEP_AXES,
+    CapacityConfig,
+    ClassifierConfig,
+    EstimatorConfig,
+    ScenarioConfig,
+    SweepConfig,
+    load_config,
+    save_config,
+)
 from rffcap.fingerprint import (  # noqa: E402
     DatasetMeta,
     FingerprintDataset,
+    PipelineConfig,
     _acquire_rows,
     load_dataset,
     save_dataset,
 )
-from rffcap.signal_model import AdcConfig, _quantise  # noqa: E402
+from rffcap.signal_model import (  # noqa: E402
+    AdcConfig,
+    IqCapture,
+    ParamDist,
+    PopulationSpec,
+    _as_complex,
+    _as_rails,
+    _quantise,
+    load_capture,
+    save_capture,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -35,14 +57,17 @@ def test_quantise_within_half_step_and_idempotent(seed, q_bits, full_scale, n):
     half, step = full_scale / 2.0, full_scale / 2.0 ** q_bits
     rng = np.random.default_rng(seed)
     x = rng.uniform(-half, half, n) + 1j * rng.uniform(-half, half, n)
-    q, clipped = _quantise(x, adc)
+    rails = _as_rails(x)
+    clipped = _quantise(rails, adc)
+    q = _as_complex(rails)
     assert not clipped.any()
     # half a step, plus the rounding of x / step and of the product back
     tol = step / 2.0 * (1.0 + 1e-9)
     assert np.all(np.abs(q.real - x.real) <= tol)
     assert np.all(np.abs(q.imag - x.imag) <= tol)
-    again, clipped_again = _quantise(q, adc)
-    assert np.array_equal(again, q)
+    again = rails.copy()
+    clipped_again = _quantise(again, adc)
+    assert np.array_equal(again, rails)
     assert not clipped_again.any()
 
 
@@ -94,3 +119,57 @@ def test_dataset_save_load_round_trip(tmp_path_factory, seed, n_rows, n_bins,
     assert np.array_equal(back.features, features.astype(np.float32).astype(np.float64))
     assert np.array_equal(back.labels, labels)
     assert back.meta == meta
+
+
+@PROPERTY_SETTINGS
+@given(seeds, st.integers(1, 200), st.floats(1e-3, 1e12),
+       st.one_of(st.none(), st.integers(0, 2**63 - 1)))
+def test_capture_save_load_round_trip(tmp_path_factory, seed, n, fs_hz, true_id):
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(scale=100.0, size=n) + 1j * rng.normal(scale=1e-3, size=n)
+    path = tmp_path_factory.mktemp("rfiq") / "cap.rfiq"
+    save_capture(IqCapture(samples, fs_hz, true_id), path)
+    back = load_capture(path)
+    assert np.array_equal(back.samples, samples.astype(np.complex64).astype(np.complex128))
+    assert back.fs_hz == fs_hz
+    assert back.true_id == true_id
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def scenarios(draw):
+    """Scenario configs over every section, with values of each field's type."""
+    dists = {name: ParamDist(draw(finite), draw(st.floats(0.0, 1e6)))
+             for name in PopulationSpec.__dataclass_fields__}
+    lead_lo = draw(st.integers(0, 500))
+    pipeline = PipelineConfig(
+        fs_hz=draw(st.floats(2e6, 2e8)), n_symbols=draw(st.integers(1, 16)),
+        snr_db=draw(st.one_of(finite, st.just("noiseless"))),
+        snr_ref_fs_hz=draw(st.one_of(st.none(), st.floats(2e6, 2e8))),
+        q_bits=draw(st.integers(4, 24)), full_scale_vpp=draw(st.floats(0.1, 10.0)),
+        n_fft=2 ** draw(st.integers(6, 12)), threshold_factor=draw(st.floats(0.1, 100.0)),
+        lead_pad=(lead_lo, lead_lo + draw(st.integers(0, 500))),
+        tail_pad=draw(st.integers(0, 500)), adc_backoff_db=draw(finite))
+    classifier = ClassifierConfig(
+        kappa=draw(st.integers(1, 500)), ridge=draw(st.one_of(st.none(), st.floats(0.0, 1.0))),
+        train_per_class=draw(st.integers(2, 500)), test_per_class=draw(st.integers(1, 500)),
+        max_devices=draw(st.integers(2, 100)))
+    return ScenarioConfig(
+        population=PopulationSpec(**dists), pipeline=pipeline,
+        n_devices=draw(st.integers(2, 100)), per_class=draw(st.integers(2, 1000)),
+        estimator=EstimatorConfig(bins=draw(st.integers(2, 256)),
+                                  projected_dim=draw(st.integers(1, 64))),
+        classifier=classifier, capacity=CapacityConfig(n_max=draw(st.integers(2, 10**6))),
+        sweep=SweepConfig(axis=draw(st.sampled_from(SWEEP_AXES)),
+                          values=draw(st.lists(finite, min_size=1, max_size=5))),
+        seed=draw(st.integers(0, 2**63 - 1)))
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_config_save_load_round_trip(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("config") / "scenario.yaml"
+    save_config(cfg, path)
+    assert load_config(path) == cfg

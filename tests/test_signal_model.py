@@ -217,6 +217,10 @@ def test_quantizer_idempotent_and_clipping():
     hot = adc_sample(IqCapture(np.array([5.0 - 5.0j]), 4e6), adc)
     assert hot.samples[0] == 1.0 - 1.0j
     assert hot.diagnostics["clip_fraction"] == 1.0
+    # a sample clips when either rail passes full scale; one on it does not
+    one_rail = adc_sample(IqCapture(np.array([5.0 + 0.2j, 0.2 - 5.0j, 1.0 - 1.0j, 0.5j]),
+                                    4e6), adc)
+    assert one_rail.diagnostics["clip_fraction"] == 0.5
 
 
 def test_quantization_error_bound_values():
