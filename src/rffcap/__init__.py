@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .capacity import (
     BoundValue,
     CapacityResult,
-    capacity_curve,
-    capacity_table_to_csv,
     check_fano_consistency,
     fano_lower_bound,
     fano_upper_bound,
@@ -15,7 +13,6 @@ from .capacity import (
 from .classifier import (
     ClassificationReport,
     LdaModel,
-    classification_report_to_csv,
     classify,
     error_rate_experiment,
     fit_lda,
@@ -26,7 +23,6 @@ from .fingerprint import (
     PipelineConfig,
     acquire,
     build_dataset,
-    dataset_to_csv,
     extract_spectral_feature,
     load_dataset,
     save_dataset,
@@ -40,6 +36,7 @@ from .harness import (
     sweep_to_csv,
     sweep_to_json,
     validate_bounds,
+    write_table,
 )
 from .infotheory import (
     EmiEstimate,
@@ -47,7 +44,6 @@ from .infotheory import (
     binary_entropy,
     emi_kde,
     entropy_discrete,
-    mi_report_to_csv,
     per_feature_mi,
 )
 from .signal_model import (
@@ -69,22 +65,21 @@ from .signal_model import (
 
 __all__ = [
     # capacity
-    "BoundValue", "CapacityResult", "capacity_curve", "capacity_table_to_csv",
-    "check_fano_consistency", "fano_lower_bound", "fano_upper_bound", "user_capacity",
+    "BoundValue", "CapacityResult", "check_fano_consistency", "fano_lower_bound",
+    "fano_upper_bound", "user_capacity",
     # classifier
-    "ClassificationReport", "LdaModel", "classification_report_to_csv", "classify",
-    "error_rate_experiment", "fit_lda",
+    "ClassificationReport", "LdaModel", "classify", "error_rate_experiment", "fit_lda",
     # config
     "ScenarioConfig", "load_config", "save_config", "scenario_from_dict",
     # fingerprint
-    "FingerprintDataset", "PipelineConfig", "acquire", "build_dataset", "dataset_to_csv",
+    "FingerprintDataset", "PipelineConfig", "acquire", "build_dataset",
     "extract_spectral_feature", "load_dataset", "save_dataset",
     # harness
     "SweepResult", "SweepRow", "SweepSpec", "read_sweep_rows", "run_sweep",
-    "sweep_to_csv", "sweep_to_json", "validate_bounds",
+    "sweep_to_csv", "sweep_to_json", "validate_bounds", "write_table",
     # infotheory
     "EmiEstimate", "MiReport", "binary_entropy", "emi_kde", "entropy_discrete",
-    "mi_report_to_csv", "per_feature_mi",
+    "per_feature_mi",
     # signal_model
     "AdcConfig", "ChannelConfig", "DeviceProfile", "IqCapture", "ParamDist",
     "PopulationSpec", "adc_sample", "apply_awgn", "generate_preamble", "load_capture",

@@ -84,52 +84,3 @@ def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> Cap
     n_c = int(n[ok[-1]])
     return CapacityResult(n_c=n_c, threshold=threshold, emi_bits=emi_bits,
                           saturated=n_c == n_max, below_min=False, trace=ratio)
-
-
-@dataclass
-class CapacityCurvePoint:
-    """Capacity results at one parameter value, keyed by threshold."""
-
-    parameter: float
-    emi_bits: float
-    results: dict
-
-
-def capacity_curve(parameters, emi_series, thresholds=(0.01, 0.10),
-                   n_max: int = 10_000) -> list[CapacityCurvePoint]:
-    """Map a series of EMI estimates to capacities at each threshold."""
-    parameters = list(parameters)
-    emi_series = list(emi_series)
-    if len(parameters) != len(emi_series):
-        raise ValueError("parameters and emi_series must have equal length")
-    points = []
-    for param, emi in zip(parameters, emi_series):
-        results = {float(t): user_capacity(emi, float(t), n_max) for t in thresholds}
-        points.append(CapacityCurvePoint(parameter=float(param),
-                                         emi_bits=float(emi), results=results))
-    return points
-
-
-def _threshold_column(threshold: float) -> str:
-    return f"nc_at_{threshold * 100:g}pct"
-
-
-def capacity_table_to_csv(points: list[CapacityCurvePoint], path) -> None:
-    """CSV rows: parameter, emi_bits, one nc column per threshold, flags.
-
-    saturated / below_min are set when any threshold's result has the flag.
-    """
-    if not points:
-        raise ValueError("no capacity points to write")
-    thresholds = sorted(points[0].results)
-    nc_cols = [_threshold_column(t) for t in thresholds]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["parameter", "emi_bits"] + nc_cols
-                          + ["saturated", "below_min"]) + "\n")
-        for pt in points:
-            res = [pt.results[t] for t in thresholds]
-            row = [repr(pt.parameter), repr(pt.emi_bits)]
-            row += [str(r.n_c) for r in res]
-            row.append("true" if any(r.saturated for r in res) else "false")
-            row.append("true" if any(r.below_min for r in res) else "false")
-            fh.write(",".join(row) + "\n")

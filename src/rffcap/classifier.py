@@ -204,12 +204,3 @@ def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
     if return_datasets:
         return report, train, test
     return report
-
-
-def classification_report_to_csv(report: ClassificationReport, path) -> None:
-    """CSV rows: sample index, best Mahalanobis distance, assigned id, true id."""
-    with open(path, "w", newline="") as fh:
-        fh.write("sample_index,min_distance,assigned_id,true_id\n")
-        for i in range(report.n_test):
-            fh.write(f"{i},{float(report.min_distance_scores[i])!r},"
-                     f"{int(report.assigned_ids[i])},{int(report.true_ids[i])}\n")

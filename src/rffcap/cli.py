@@ -8,16 +8,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .capacity import capacity_curve, capacity_table_to_csv, user_capacity
-from .classifier import classification_report_to_csv, error_rate_experiment
+from .capacity import user_capacity
+from .classifier import error_rate_experiment
 from .config import ScenarioConfig, load_config
-from .fingerprint import build_dataset, dataset_to_csv, load_dataset, save_dataset
-from .harness import (SweepSpec, bound_checks_to_csv, read_sweep_rows, run_sweep,
-                      sweep_to_csv, sweep_to_json, validate_bounds)
-from .infotheory import emi_kde, mi_report_to_csv, per_feature_mi
+from .fingerprint import build_dataset, feature_bin_frequencies, load_dataset, save_dataset
+from .harness import (SweepSpec, read_sweep_rows, run_sweep, sweep_to_csv, sweep_to_json,
+                      validate_bounds, write_table)
+from .infotheory import emi_kde, per_feature_mi
 from .signal_model import sample_profiles
 
 
@@ -38,7 +36,15 @@ def _scenario(args) -> ScenarioConfig:
     return cfg
 
 
-def _emit_json(payload: dict, out: Path | None) -> None:
+def emit(args, columns, rows, payload, out: Path | None = None) -> None:
+    """Write rows under columns as CSV, or payload as JSON, as --format asks.
+
+    The output goes to out, else to --out, else to stdout.
+    """
+    out = out or args.out
+    if args.format == "csv":
+        write_table(out or sys.stdout, columns, rows)
+        return
     text = json.dumps(payload, indent=2) + "\n"
     if out:
         out.write_text(text)
@@ -46,29 +52,26 @@ def _emit_json(payload: dict, out: Path | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_scenario_dataset(cfg: ScenarioConfig):
+def _dataset(args, cfg: ScenarioConfig):
+    """The --data file if one is given, else the scenario's dataset."""
+    if getattr(args, "data", None):
+        return load_dataset(args.data)
     profiles = sample_profiles(cfg.population, cfg.n_devices, cfg.seed)
     return build_dataset(profiles, cfg.per_class, cfg.pipeline, cfg.seed)
 
 
-def _load_or_build(args, cfg: ScenarioConfig):
-    if getattr(args, "data", None):
-        return load_dataset(args.data)
-    return _build_scenario_dataset(cfg)
-
-
 def cmd_simulate(args) -> int:
     cfg = _scenario(args)
-    ds = _build_scenario_dataset(cfg)
+    ds = _dataset(args, cfg)
     out = args.out or Path(f"dataset.{ 'rfds' if args.format == 'bin' else args.format }")
     if args.format == "bin":
         save_dataset(ds, out)
-    elif args.format == "csv":
-        dataset_to_csv(ds, out)
     else:
-        _emit_json({"meta": ds.meta.to_dict(),
-                    "features": ds.features.tolist(),
-                    "labels": ds.labels.tolist()}, out)
+        payload = ({"meta": ds.meta.to_dict(), "features": ds.features.tolist(),
+                    "labels": ds.labels.tolist()} if args.format == "json" else None)
+        emit(args, [f"bin_{m}" for m in range(ds.n_bins)] + ["label"],
+             (row.tolist() + [int(label)] for row, label in zip(ds.features, ds.labels)),
+             payload, out)
     print(f"wrote {ds.n_samples} samples x {ds.n_bins} bins "
           f"({ds.n_classes} devices) to {out}")
     return 0
@@ -76,58 +79,60 @@ def cmd_simulate(args) -> int:
 
 def cmd_mi(args) -> int:
     cfg = _scenario(args)
-    ds = _load_or_build(args, cfg)
-    report = per_feature_mi(ds, bins=args.bins or cfg.estimator.bins)
-    out = args.out or Path("mi_report.csv" if args.format == "csv" else "mi_report.json")
+    ds = _dataset(args, cfg)
+    report = per_feature_mi(ds, bins=cfg.estimator.bins if args.bins is None else args.bins)
+    mi = report.per_bin_mi.tolist()
+    freqs = (feature_bin_frequencies(len(mi), ds.meta.fs_hz).tolist() if ds.meta.fs_hz
+             else [None] * len(mi))
+    out = args.out or Path(f"mi_report.{args.format}")
+    emit(args, ["bin_index", "freq_hz", "mi_bits"], zip(range(len(mi)), freqs, mi),
+         {"bins": report.bins, "mi_bits": mi, "h_x": report.h_x.tolist()}, out)
     if args.format == "csv":
-        mi_report_to_csv(report, out, fs_hz=ds.meta.fs_hz or None)
-        print(f"wrote per-bin MI for {report.per_bin_mi.size} bins to {out}")
-    else:
-        _emit_json({"bins": report.bins,
-                    "mi_bits": report.per_bin_mi.tolist(),
-                    "h_x": report.h_x.tolist()}, out)
+        print(f"wrote per-bin MI for {len(mi)} bins to {out}")
     return 0
 
 
 def cmd_emi(args) -> int:
     cfg = _scenario(args)
-    ds = _load_or_build(args, cfg)
-    est = emi_kde(ds, projected_dim=args.dim or cfg.estimator.projected_dim)
-    payload = {"emi_bits": est.emi_bits, "emi_bits_clamped": est.emi_bits_clamped,
+    ds = _dataset(args, cfg)
+    dim = cfg.estimator.projected_dim if args.dim is None else args.dim
+    est = emi_kde(ds, projected_dim=dim)
+    summary = {"emi_bits": est.emi_bits, "emi_bits_clamped": est.emi_bits_clamped,
                "projected_dim": est.projected_dim, "n_samples": est.n_samples,
-               "n_classes": ds.n_classes,
-               "bandwidths": est.bandwidths.tolist()}
+               "n_classes": ds.n_classes}
+    emit(args, list(summary), [summary.values()],
+         summary | {"bandwidths": est.bandwidths.tolist()})
     if args.format == "csv" and args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("emi_bits,emi_bits_clamped,projected_dim,n_samples,n_classes\n")
-            fh.write(f"{est.emi_bits!r},{est.emi_bits_clamped!r},"
-                     f"{est.projected_dim},{est.n_samples},{ds.n_classes}\n")
         print(f"wrote EMI summary to {args.out}")
-    else:
-        _emit_json(payload, args.out if args.format == "json" else None)
     return 0
 
 
 def cmd_capacity(args) -> int:
     cfg = _scenario(args)
-    thresholds = [float(t) for t in args.thresholds.split(",")]
-    n_max = args.n_max or cfg.capacity.n_max
-    points = capacity_curve([0.0], [args.emi], thresholds=thresholds, n_max=n_max)
+    n_max = cfg.capacity.n_max if args.n_max is None else args.n_max
+    results = {t: user_capacity(args.emi, t, n_max)
+               for t in map(float, args.thresholds.split(","))}
+    # the CSV row takes the thresholds in ascending order and sets a flag when
+    # any threshold's result has it; the JSON keeps the order they were given in
+    ascending = sorted(results)
+    row = ([0.0, args.emi] + [results[t].n_c for t in ascending]
+           + [any(r.saturated for r in results.values()),
+              any(r.below_min for r in results.values())])
+    emit(args, ["parameter", "emi_bits"] + [f"nc_at_{t * 100:g}pct" for t in ascending]
+         + ["saturated", "below_min"], [row],
+         {"emi_bits": args.emi, "n_max": n_max,
+          "capacity": {f"{t:g}": {"n_c": r.n_c, "saturated": r.saturated,
+                                  "below_min": r.below_min}
+                       for t, r in results.items()}})
     if args.format == "csv" and args.out:
-        capacity_table_to_csv(points, args.out)
         print(f"wrote capacity table to {args.out}")
-    else:
-        results = {f"{t:g}": {"n_c": r.n_c, "saturated": r.saturated,
-                              "below_min": r.below_min}
-                   for t, r in points[0].results.items()}
-        _emit_json({"emi_bits": args.emi, "n_max": n_max, "capacity": results},
-                   args.out if args.format == "json" else None)
     return 0
 
 
 def cmd_classify(args) -> int:
     cfg = _scenario(args)
-    n_classes = args.n_classes or min(cfg.n_devices, cfg.classifier.max_devices)
+    n_classes = (min(cfg.n_devices, cfg.classifier.max_devices) if args.n_classes is None
+                 else args.n_classes)
     profiles = sample_profiles(cfg.population, max(n_classes, cfg.n_devices), cfg.seed)
     report = error_rate_experiment(
         profiles, n_classes, cfg.pipeline,
@@ -140,13 +145,12 @@ def cmd_classify(args) -> int:
                "per_class_errors": report.per_class_errors.tolist(),
                "unseen_labels": report.unseen_labels}
     if args.out:
-        if args.format == "csv":
-            classification_report_to_csv(report, args.out)
-        else:
-            _emit_json(summary | {
-                "confusion": report.confusion.tolist(),
-                "assigned_ids": report.assigned_ids.tolist(),
-                "true_ids": report.true_ids.tolist()}, args.out)
+        emit(args, ["sample_index", "min_distance", "assigned_id", "true_id"],
+             zip(range(report.n_test), report.min_distance_scores.tolist(),
+                 report.assigned_ids.tolist(), report.true_ids.tolist()),
+             summary | {"confusion": report.confusion.tolist(),
+                        "assigned_ids": report.assigned_ids.tolist(),
+                        "true_ids": report.true_ids.tolist()})
         print(f"wrote classification report to {args.out}")
     print(json.dumps(summary, indent=2))
     return 0
@@ -158,10 +162,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(spec, with_classifier=args.with_classifier,
                        threads=args.threads)
     out = args.out or Path(f"sweep_{spec.axis}.{args.format}")
-    if args.format == "csv":
-        sweep_to_csv(result, out)
-    else:
-        sweep_to_json(result, out)
+    (sweep_to_csv if args.format == "csv" else sweep_to_json)(result, out)
     print(f"wrote {len(result.rows)} rows ({len(result.aborted)} aborted) to {out}")
     for ab in result.aborted:
         print(f"  aborted value={ab.value!r}: {ab.reason}", file=sys.stderr)
@@ -172,11 +173,8 @@ def cmd_validate(args) -> int:
     rows = read_sweep_rows(args.rows)
     checks = validate_bounds(rows, slack=args.slack)
     if args.out:
-        if args.format == "csv":
-            bound_checks_to_csv(checks, args.out)
-        else:
-            _emit_json({"slack": args.slack,
-                        "checks": [vars(c) for c in checks]}, args.out)
+        emit(args, list(vars(checks[0])), (vars(c).values() for c in checks),
+             {"slack": args.slack, "checks": [vars(c) for c in checks]})
     failures = [c for c in checks if not c.passed]
     for c in checks:
         status = "pass" if c.passed else "FAIL"

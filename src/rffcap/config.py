@@ -7,13 +7,13 @@ fail loudly. See the README for the full schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
 
 from .fingerprint import PipelineConfig
-from .signal_model import ParamDist, PopulationSpec
+from .signal_model import PopulationSpec
 
 SWEEP_AXES = ("n_train_devices", "snr_db", "q_bits", "n_fft", "fs_hz")
 
@@ -63,63 +63,59 @@ class ScenarioConfig:
     seed: int = 1234
 
 
-def _build(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    return cls(**data)
+_SCALARS = {"int": int, "float": float, "float | None": float}
 
 
-def _population_from(data: dict, path: str) -> PopulationSpec:
+def _build(cls, data, path: str | None):
+    """cls from a mapping of its fields, recursing into nested dataclasses.
+
+    Missing fields keep cls's defaults. A nested dataclass field needs a
+    mapping, the lead_pad tuple a [low, high] pair and a list field a list;
+    fields annotated int, float or float | None are converted to that type.
+    path names the section in errors (None for the top level).
+    """
+    where = path or "top level"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    known = {f.name for f in fields(PopulationSpec)}
-    unknown = set(data) - known
+        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(kinds)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    dists = {}
-    for name, sub in data.items():
-        if not isinstance(sub, dict) or set(sub) - {"mean", "std"}:
-            raise ConfigError(f"{path}.{name}: expected mean/std mapping")
-        dists[name] = ParamDist(float(sub.get("mean", 0.0)), float(sub.get("std", 0.0)))
-    return PopulationSpec(**dists)
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    defaults = cls()
+    values = {}
+    for name, value in data.items():
+        key = f"{path}.{name}" if path else name
+        default = getattr(defaults, name)
+        if is_dataclass(default):
+            value = _build(type(default), value, key)
+        elif isinstance(default, tuple):
+            if not (isinstance(value, (list, tuple)) and len(value) == len(default)):
+                raise ConfigError(f"{key}: expected [low, high]")
+            value = tuple(_scalar("int", v, key) for v in value)
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key}: expected a list, got {type(value).__name__}")
+        elif kinds[name] in _SCALARS:
+            value = _scalar(kinds[name], value, key)
+        values[name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _scalar(annotation: str, value, key: str):
+    if value is None and annotation.endswith(" | None"):
+        return None
+    try:
+        return _SCALARS[annotation](value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected {annotation}, got {value!r}") from None
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig; missing sections use defaults."""
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a mapping")
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-
-    cfg = ScenarioConfig()
-    if "population" in data:
-        cfg = replace(cfg, population=_population_from(data["population"], "population"))
-    if "pipeline" in data:
-        pdata = dict(data["pipeline"])
-        if "lead_pad" in pdata:
-            lp = pdata["lead_pad"]
-            if not (isinstance(lp, (list, tuple)) and len(lp) == 2):
-                raise ConfigError("pipeline.lead_pad: expected [low, high]")
-            pdata["lead_pad"] = (int(lp[0]), int(lp[1]))
-        cfg = replace(cfg, pipeline=_build(PipelineConfig, pdata, "pipeline"))
-    for section, cls in (("estimator", EstimatorConfig),
-                         ("classifier", ClassifierConfig),
-                         ("capacity", CapacityConfig),
-                         ("sweep", SweepConfig)):
-        if section in data:
-            cfg = replace(cfg, **{section: _build(cls, data[section], section)})
-    for scalar in ("n_devices", "per_class", "seed"):
-        if scalar in data:
-            cfg = replace(cfg, **{scalar: int(data[scalar])})
-
+    cfg = _build(ScenarioConfig, {} if data is None else data, None)
     if cfg.n_devices < 2:
         raise ConfigError("n_devices must be >= 2")
     if cfg.per_class < 2:
@@ -130,33 +126,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     return scenario_from_dict(data)
 
 
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    pop = {f.name: {"mean": getattr(cfg.population, f.name).mean,
-                    "std": getattr(cfg.population, f.name).std}
-           for f in fields(PopulationSpec)}
-    pipe = {f.name: getattr(cfg.pipeline, f.name) for f in fields(PipelineConfig)}
-    pipe["lead_pad"] = list(pipe["lead_pad"])
-    return {
-        "population": pop,
-        "pipeline": pipe,
-        "n_devices": cfg.n_devices,
-        "per_class": cfg.per_class,
-        "estimator": {"bins": cfg.estimator.bins,
-                      "projected_dim": cfg.estimator.projected_dim},
-        "classifier": {"kappa": cfg.classifier.kappa, "ridge": cfg.classifier.ridge,
-                       "train_per_class": cfg.classifier.train_per_class,
-                       "test_per_class": cfg.classifier.test_per_class,
-                       "max_devices": cfg.classifier.max_devices},
-        "capacity": {"n_max": cfg.capacity.n_max},
-        "sweep": {"axis": cfg.sweep.axis, "values": list(cfg.sweep.values)},
-        "seed": cfg.seed,
-    }
-
-
 def save_config(cfg: ScenarioConfig, path) -> None:
-    Path(path).write_text(yaml.safe_dump(scenario_to_dict(cfg), sort_keys=False))
+    Path(path).write_text(yaml.safe_dump(asdict(cfg), sort_keys=False))

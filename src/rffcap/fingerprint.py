@@ -520,13 +520,3 @@ def load_dataset(path) -> FingerprintDataset:
                        clip_frac=meta_d.get("clip_frac"))
     return FingerprintDataset(feats.reshape(n_rows, n_bins).astype(np.float64),
                               labels.astype(np.int64), meta)
-
-
-def dataset_to_csv(ds: FingerprintDataset, path) -> None:
-    """One row per sample, feature bins first, integer label last."""
-    with open(path, "w", newline="") as fh:
-        cols = [f"bin_{m}" for m in range(ds.n_bins)] + ["label"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(ds.n_samples):
-            vals = [repr(float(v)) for v in ds.features[i]]
-            fh.write(",".join(vals + [str(int(ds.labels[i]))]) + "\n")

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 import zlib
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,13 +27,6 @@ from .infotheory import emi_kde
 from .signal_model import sample_profiles
 
 SWEEP_THRESHOLDS = (0.01, 0.10)
-
-CSV_COLUMNS = [
-    "axis", "value", "seed", "emi_bits", "emi_bits_clamped",
-    "nc_1pct", "nc_10pct", "saturated", "below_min",
-    "n_classes_tested", "pe_empirical", "pe_above_capacity",
-    "emi_bits_classifier", "fano_lower", "fano_upper_raw", "fano_consistent",
-]
 
 
 @dataclass
@@ -94,6 +88,9 @@ class SweepRow:
     fano_lower: float | None = None
     fano_upper_raw: float | None = None
     fano_consistent: bool | None = None
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 @dataclass
@@ -211,51 +208,74 @@ def run_sweep(spec: SweepSpec, with_classifier: bool = False,
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     return str(value)
+
+
+def write_table(target, columns, rows, comments=()) -> None:
+    """CSV to a path or an open text stream: '# ' comment lines, a header, rows.
+
+    Cells are formatted by _cell: empty for None, true/false for booleans,
+    repr(float(v)) for floats and str(int(v)) for integers, NumPy scalars
+    included, so every float reads back bit for bit.
+    """
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", newline="") as fh:
+            write_table(fh, columns, rows, comments)
+        return
+    for comment in comments:
+        target.write(f"# {comment}\n")
+    target.write(",".join(columns) + "\n")
+    for row in rows:
+        target.write(",".join(map(_cell, row)) + "\n")
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:
     """Deterministic CSV; only the leading timestamp comment varies per run."""
-    lines = [f"# timestamp: {datetime.now(timezone.utc).isoformat()}"]
+    comments = [f"timestamp: {datetime.now(timezone.utc).isoformat()}"]
     for ab in result.aborted:
         # backslash-escape line breaks and other control characters so the
         # reason stays on its comment line
         reason = ab.reason.encode("unicode_escape").decode("ascii")
-        lines.append(f"# aborted: value={ab.value!r} reason={reason}")
-    lines.append(",".join(CSV_COLUMNS))
-    for row in result.rows:
-        lines.append(",".join(_cell(getattr(row, col)) for col in CSV_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+        comments.append(f"aborted: value={ab.value!r} reason={reason}")
+    write_table(path, CSV_COLUMNS, (astuple(row) for row in result.rows), comments)
 
 
 def sweep_to_json(result: SweepResult, path) -> None:
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "axis": result.spec_axis,
-        "rows": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in result.rows],
+        "rows": [asdict(r) for r in result.rows],
         "aborted": [{"value": a.value, "reason": a.reason} for a in result.aborted],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_cell(col: str, text: str):
-    if text == "":
-        return None
-    if col in ("saturated", "below_min", "fano_consistent"):
-        return text == "true"
-    if col in ("nc_1pct", "nc_10pct", "n_classes_tested", "seed"):
-        return int(text)
-    if col == "axis":
-        return text
-    return float(text)
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false: {text!r}")
+    return text == "true"
 
 
-_ROW_KEYS = {f.name for f in fields(SweepRow)}
+# each SweepRow field's cell parser, by the field's annotated type
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_ROW_PARSERS = {f.name: _PARSERS[f.type.split(" | ")[0]] for f in fields(SweepRow)}
 _REQUIRED_ROW_KEYS = [f.name for f in fields(SweepRow) if f.default is MISSING]
+
+
+def _sweep_row(path, where: str, data: dict) -> SweepRow:
+    unknown = sorted(set(data) - set(_ROW_PARSERS))
+    if unknown:
+        raise ValueError(f"{path}: {where} has unknown keys {unknown}")
+    missing = [name for name in _REQUIRED_ROW_KEYS if name not in data]
+    if missing:
+        raise ValueError(f"{path}: {where} lacks keys {missing}")
+    return SweepRow(**data)
 
 
 def _json_sweep_rows(path, payload: dict) -> list[SweepRow]:
@@ -265,13 +285,7 @@ def _json_sweep_rows(path, payload: dict) -> list[SweepRow]:
     for i, row in enumerate(payload["rows"]):
         if not isinstance(row, dict):
             raise ValueError(f"{path}: row {i} is not an object")
-        unknown = sorted(set(row) - _ROW_KEYS)
-        if unknown:
-            raise ValueError(f"{path}: row {i} has unknown keys {unknown}")
-        missing = [name for name in _REQUIRED_ROW_KEYS if name not in row]
-        if missing:
-            raise ValueError(f"{path}: row {i} lacks keys {missing}")
-        rows.append(SweepRow(**row))
+        rows.append(_sweep_row(path, f"row {i}", row))
     return rows
 
 
@@ -291,8 +305,9 @@ def read_sweep_rows(path) -> list[SweepRow]:
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
                              f"the header has {len(header)}")
-        data = {col: _parse_cell(col, cell) for col, cell in zip(header, cells)}
-        rows.append(SweepRow(**data))
+        data = {col: None if cell == "" else _ROW_PARSERS.get(col, str)(cell)
+                for col, cell in zip(header, cells)}
+        rows.append(_sweep_row(path, f"line {number}", data))
     return rows
 
 
@@ -332,11 +347,3 @@ def validate_bounds(rows, slack: float = 0.2) -> list[BoundCheck]:
         raise ValueError("no rows carry an empirical error rate to validate")
     return checks
 
-
-def bound_checks_to_csv(checks: list[BoundCheck], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("value,n_classes,pe,emi_bits,slacked_lower,margin,passed\n")
-        for c in checks:
-            fh.write(f"{c.value!r},{c.n_classes},{c.pe!r},{c.emi_bits!r},"
-                     f"{c.slacked_lower!r},{c.margin!r},"
-                     f"{'true' if c.passed else 'false'}\n")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fingerprint import FingerprintDataset, feature_bin_frequencies
+from .fingerprint import FingerprintDataset
 
 
 def __getattr__(name):
@@ -214,14 +214,3 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     clamped = float(np.clip(raw, 0.0, np.log2(n_classes)))
     return EmiEstimate(emi_bits=raw, emi_bits_clamped=clamped, projected_dim=d,
                        bandwidths=h, n_samples=n, rank=rank, loo_floor_hits=floor_hits)
-
-
-def mi_report_to_csv(report: MiReport, path, fs_hz: float | None = None) -> None:
-    """CSV with one row per feature bin: index, center frequency, MI in bits."""
-    m = report.per_bin_mi.size
-    freqs = feature_bin_frequencies(m, fs_hz) if fs_hz else None
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_index,freq_hz,mi_bits\n")
-        for i in range(m):
-            f = repr(float(freqs[i])) if freqs is not None else ""
-            fh.write(f"{i},{f},{float(report.per_bin_mi[i])!r}\n")

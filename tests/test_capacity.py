@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from rffcap.capacity import (
-    CapacityResult,
-    capacity_curve,
-    capacity_table_to_csv,
     check_fano_consistency,
     fano_lower_bound,
     fano_upper_bound,
     user_capacity,
 )
+from rffcap.cli import main
 
 
 def test_fano_lower_bound_values():
@@ -100,33 +98,22 @@ def test_user_capacity_validation():
         user_capacity(3.5, 0.01, n_max=2)
 
 
-def test_capacity_curve_and_csv(tmp_path):
-    params = [10.0, 20.0, 30.0]
-    emis = [2.0, 3.0, 3.5]
-    points = capacity_curve(params, emis)
-    assert len(points) == 3
-    assert points[2].results[0.01].n_c == 12
-    assert isinstance(points[0].results[0.1], CapacityResult)
-
+def test_capacity_csv_row(tmp_path):
     path = tmp_path / "cap.csv"
-    capacity_table_to_csv(points, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "parameter,emi_bits,nc_at_1pct,nc_at_10pct,saturated,below_min"
-    assert len(lines) == 4
-    row = lines[3].split(",")
-    assert float(row[0]) == 30.0
-    assert float(row[1]) == 3.5
+    for emi in (2.0, 3.0, 3.5):
+        assert main(["capacity", "--emi", str(emi), "--format", "csv",
+                     "--out", str(path)]) == 0
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "parameter,emi_bits,nc_at_1pct,nc_at_10pct,saturated,below_min"
+        assert len(lines) == 2
+        row = lines[1].split(",")
+        assert float(row[0]) == 0.0
+        assert float(row[1]) == emi
+        assert int(row[2]) == user_capacity(emi, 0.01).n_c
+        assert int(row[3]) == user_capacity(emi, 0.10).n_c
+        assert row[4] == "false"
+        assert row[5] == "false"
     assert int(row[2]) == 12
-    assert int(row[3]) == user_capacity(3.5, 0.10).n_c
-    assert row[4] == "false"
-    assert row[5] == "false"
-
-
-def test_capacity_curve_validation(tmp_path):
-    with pytest.raises(ValueError):
-        capacity_curve([1.0, 2.0], [3.0])
-    with pytest.raises(ValueError):
-        capacity_table_to_csv([], tmp_path / "empty.csv")
 
 
 def test_lower_bound_tightens_with_users():

@@ -6,11 +6,11 @@ from scipy.linalg import eig, qr, svdvals
 
 from rffcap.classifier import (
     LdaModel,
-    classification_report_to_csv,
     classify,
     error_rate_experiment,
     fit_lda,
 )
+from rffcap.cli import main
 from rffcap.fingerprint import DatasetMeta, FingerprintDataset, PipelineConfig
 from rffcap.signal_model import ParamDist, PopulationSpec, sample_profiles
 
@@ -256,17 +256,21 @@ def test_error_rate_experiment_validation():
 
 
 def test_classification_report_csv(tmp_path):
-    rng = np.random.default_rng(33)
-    train = gaussian_blobs(rng, [[0, 0], [6, 0], [0, 6]], 60)
-    test = gaussian_blobs(rng, [[0, 0], [6, 0], [0, 6]], 5)
-    rep = classify(fit_lda(train), test)
+    config = tmp_path / "scenario.yaml"
+    config.write_text("pipeline: {n_fft: 64}\nn_devices: 3\nseed: 33\n"
+                      "classifier: {train_per_class: 20, test_per_class: 5}\n")
     path = tmp_path / "rep.csv"
-    classification_report_to_csv(rep, path)
+    assert main(["classify", "--config", str(config), "--format", "csv",
+                 "--out", str(path)]) == 0
+    rep = error_rate_experiment(sample_profiles(PopulationSpec(), 3, 33), 3,
+                                PipelineConfig(n_fft=64), train_per_class=20,
+                                test_per_class=5, master_seed=33)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "sample_index,min_distance,assigned_id,true_id"
     assert len(lines) == 1 + 15
-    idx, dist, assigned, true = lines[1].split(",")
-    assert idx == "0"
-    assert float(dist) == pytest.approx(rep.min_distance_scores[0])
-    assert int(assigned) == rep.assigned_ids[0]
-    assert int(true) == rep.true_ids[0]
+    for i, line in enumerate(lines[1:]):
+        idx, dist, assigned, true = line.split(",")
+        assert idx == str(i)
+        assert float(dist) == rep.min_distance_scores[i]
+        assert int(assigned) == rep.assigned_ids[i]
+        assert int(true) == rep.true_ids[i]

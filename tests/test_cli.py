@@ -1,4 +1,4 @@
-"""End-to-end command-line checks via subprocess."""
+"""End-to-end command-line checks, via subprocess and in process."""
 
 import json
 import os
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rffcap
+from rffcap.cli import main
 from rffcap.fingerprint import load_dataset
 from rffcap.harness import SweepResult, SweepRow, sweep_to_csv
 
@@ -171,3 +172,14 @@ def test_validate_command(tmp_path):
     assert res.returncode == 1
     assert "FAIL" in res.stdout
     assert "0/1 bound checks passed" in res.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mi", "--bins", "0"], "bins must be >= 2"),
+    (["emi", "--dim", "0"], "projected_dim must be in"),
+    (["capacity", "--emi", "3.5", "--n-max", "0"], "n_max must be >= 3"),
+    (["classify", "--n-classes", "0"], "n_classes must be >= 3"),
+])
+def test_explicit_zero_override_is_not_replaced_by_the_config(config_file, argv, message):
+    with pytest.raises(ValueError, match=message):
+        main([*argv, "--config", str(config_file)])

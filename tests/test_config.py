@@ -1,5 +1,7 @@
 """Scenario configuration parsing, validation, and YAML roundtrips."""
 
+from dataclasses import asdict
+
 import pytest
 
 from rffcap.config import (
@@ -8,7 +10,6 @@ from rffcap.config import (
     load_config,
     save_config,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 
@@ -44,7 +45,7 @@ def test_dict_roundtrip():
     assert cfg.classifier.kappa == 9
     assert cfg.classifier.test_per_class == 200  # untouched default
     assert cfg.sweep.values == [6, 10, 14]
-    assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
+    assert scenario_from_dict(asdict(cfg)) == cfg
 
 
 def test_yaml_roundtrip(tmp_path):
@@ -73,19 +74,30 @@ def test_unknown_keys_rejected_at_each_level():
         scenario_from_dict({"sweep": {"step": 2}})
 
 
-def test_value_validation():
-    with pytest.raises(ConfigError):
-        scenario_from_dict({"n_devices": 1})
-    with pytest.raises(ConfigError):
-        scenario_from_dict({"per_class": 1})
-    with pytest.raises(ConfigError):
-        scenario_from_dict({"sweep": {"axis": "bandwidth"}})
-    with pytest.raises(ConfigError):
-        scenario_from_dict({"pipeline": {"lead_pad": [1, 2, 3]}})
-    with pytest.raises(ConfigError):
-        scenario_from_dict({"population": {"cfo_hz": 5.0}})
-    with pytest.raises(ConfigError):
-        scenario_from_dict("not a mapping")
+def test_value_validation(tmp_path):
+    bad_yaml = tmp_path / "bad.yaml"
+    bad_yaml.write_text("pipeline: {n_fft: 64\n")
+    with pytest.raises(ConfigError, match="bad.yaml"):
+        load_config(bad_yaml)
+    for data, message in [
+        ({"pipeline": [1, 2]}, "pipeline: expected a mapping"),
+        ({"pipeline": None}, "pipeline: expected a mapping"),
+        ({"sweep": {"values": 5}}, "sweep.values: expected a list"),
+        ({"population": {"cfo_hz": {"mean": "x"}}}, "population.cfo_hz.mean: expected float"),
+        ({"population": {"cfo_hz": {"std": -1.0}}}, "population.cfo_hz: std must be"),
+        ({"n_devices": [4]}, "n_devices: expected int"),
+        ({"pipeline": {"lead_pad": ["a", 2]}}, "pipeline.lead_pad: expected int"),
+        ({"estimator": {"bins": {}}}, "estimator.bins: expected int"),
+        ({"classifier": {"ridge": "abc"}}, r"classifier.ridge: expected float \| None"),
+        ({"n_devices": 1}, "n_devices must be >= 2"),
+        ({"per_class": 1}, "per_class must be >= 2"),
+        ({"sweep": {"axis": "bandwidth"}}, "sweep.axis must be one of"),
+        ({"pipeline": {"lead_pad": [1, 2, 3]}}, r"pipeline.lead_pad: expected \[low, high\]"),
+        ({"population": {"cfo_hz": 5.0}}, "population.cfo_hz: expected a mapping"),
+        ("not a mapping", "top level: expected a mapping"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict(data)
 
 
 def test_config_error_is_value_error():

@@ -6,12 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from rffcap.cli import main
 from rffcap.fingerprint import (
     FingerprintDataset,
     PipelineConfig,
     acquire,
     build_dataset,
-    dataset_to_csv,
     extract_spectral_feature,
     feature_bin_frequencies,
     load_dataset,
@@ -190,20 +190,24 @@ def test_dataset_io_roundtrip(tmp_path):
 
 
 def test_dataset_csv_header_and_body(tmp_path):
-    profiles = sample_profiles(PopulationSpec(), 2, seed=4)
-    ds = build_dataset(profiles, 2, PipelineConfig(n_fft=64), master_seed=2)
+    config = tmp_path / "scenario.yaml"
+    config.write_text("pipeline: {n_fft: 64}\nn_devices: 2\nper_class: 2\nseed: 4\n")
     path = tmp_path / "ds.csv"
-    dataset_to_csv(ds, path)
+    assert main(["simulate", "--config", str(config), "--format", "csv",
+                 "--out", str(path)]) == 0
+    profiles = sample_profiles(PopulationSpec(), 2, seed=4)
+    ds = build_dataset(profiles, 2, PipelineConfig(n_fft=64), master_seed=4)
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "bin_0"
     assert header[-2] == "bin_63"
     assert header[-1] == "label"
     assert len(lines) == 1 + 4
-    first = lines[1].split(",")
-    assert len(first) == 65
-    assert float(first[0]) == pytest.approx(ds.features[0, 0])
-    assert int(first[-1]) == ds.labels[0]
+    for line, features, label in zip(lines[1:], ds.features, ds.labels):
+        cells = line.split(",")
+        assert len(cells) == 65
+        assert [float(c) for c in cells[:-1]] == features.tolist()
+        assert cells[-1] == str(label)
 
 
 def test_build_dataset_validation():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rffcap.cli import main
 from rffcap.config import (
     ClassifierConfig,
     EstimatorConfig,
@@ -17,7 +18,6 @@ from rffcap.harness import (
     SweepResult,
     SweepRow,
     SweepSpec,
-    bound_checks_to_csv,
     point_seed_sequence,
     read_sweep_rows,
     run_sweep,
@@ -173,6 +173,19 @@ def test_read_sweep_rows_rejects_wrong_cell_count(tmp_path):
         read_sweep_rows(path)
 
 
+def test_read_sweep_rows_rejects_unknown_and_missing_columns(tmp_path):
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0)]), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[1].replace("emi_bits,", "emi_nats,", 1), lines[2]]))
+    with pytest.raises(ValueError, match=r"sweep\.csv: line 2 has unknown keys \['emi_nats'\]"):
+        read_sweep_rows(path)
+    header, row = lines[1].split(","), lines[2].split(",")
+    path.write_text(",".join(header[1:]) + "\n" + ",".join(row[1:]) + "\n")
+    with pytest.raises(ValueError, match=r"sweep\.csv: line 2 lacks keys \['axis'\]"):
+        read_sweep_rows(path)
+
+
 def _json_sweep(tmp_path, edit):
     path = tmp_path / "sweep.json"
     sweep_to_json(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0), _csv_row(20.0)]),
@@ -298,8 +311,12 @@ def test_validate_bounds_and_csv(tmp_path):
     assert checks[2].passed
     assert checks[2].slacked_lower == 0.0
 
+    rows = tmp_path / "rows.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db",
+                             rows=[impossible, chance, informed, skipped]), rows)
     path = tmp_path / "checks.csv"
-    bound_checks_to_csv(checks, path)
+    assert main(["validate", "--rows", str(rows), "--format", "csv",
+                 "--out", str(path)]) == 1
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "value,n_classes,pe,emi_bits,slacked_lower,margin,passed"
     assert lines[1].endswith(",false")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rffcap.fingerprint import DatasetMeta, FingerprintDataset
+from rffcap.cli import main
+from rffcap.fingerprint import DatasetMeta, FingerprintDataset, load_dataset, save_dataset
 from rffcap.infotheory import (
     EmiEstimate,
     binary_entropy,
     emi_kde,
     entropy_discrete,
-    mi_report_to_csv,
     per_feature_mi,
 )
 
@@ -236,17 +236,24 @@ def test_mi_report_to_csv(tmp_path):
     rng = np.random.default_rng(12)
     x = rng.normal(size=(200, 4))
     y = rng.integers(0, 2, size=200)
-    rep = per_feature_mi(make_ds(x, y), bins=16)
+    data = tmp_path / "ds.rfds"
+    save_dataset(make_ds(x, y), data)
+    rep = per_feature_mi(load_dataset(data), bins=16)
     path = tmp_path / "mi.csv"
-    mi_report_to_csv(rep, path, fs_hz=4e6)
+    assert main(["mi", "--data", str(data), "--bins", "16", "--out", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_index,freq_hz,mi_bits"
     assert len(lines) == 5
-    idx, freq, mi = lines[1].split(",")
-    assert idx == "0"
-    assert float(freq) == 0.0
-    assert float(mi) == pytest.approx(rep.per_bin_mi[0])
-    # frequency column is optional
+    freqs = np.fft.fftfreq(4, d=1 / 4e6)
+    for i, line in enumerate(lines[1:]):
+        idx, freq, mi = line.split(",")
+        assert idx == str(i)
+        assert float(freq) == freqs[i]
+        assert float(mi) == rep.per_bin_mi[i]
+    # the frequency column is empty when the dataset has no sample rate
+    ds = make_ds(x, y)
+    ds.meta.fs_hz = 0.0
+    save_dataset(ds, data)
     bare = tmp_path / "bare.csv"
-    mi_report_to_csv(rep, bare)
+    assert main(["mi", "--data", str(data), "--bins", "16", "--out", str(bare)]) == 0
     assert bare.read_text().splitlines()[1].split(",")[1] == ""

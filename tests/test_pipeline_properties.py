@@ -34,6 +34,13 @@ from rffcap.fingerprint import (  # noqa: E402
     load_dataset,
     save_dataset,
 )
+from rffcap.harness import (  # noqa: E402
+    AbortedPoint,
+    SweepResult,
+    SweepRow,
+    read_sweep_rows,
+    sweep_to_csv,
+)
 from rffcap.signal_model import (  # noqa: E402
     AdcConfig,
     IqCapture,
@@ -173,3 +180,34 @@ def test_config_save_load_round_trip(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("config") / "scenario.yaml"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+any_float = st.floats(allow_nan=False)  # includes +-inf, -0.0 and subnormals
+
+
+@st.composite
+def sweep_rows(draw):
+    """Rows with every field drawn, the optional ones possibly None."""
+    def optional(strategy):
+        return draw(st.one_of(st.none(), strategy))
+    return SweepRow(
+        axis=draw(st.sampled_from(SWEEP_AXES)), value=draw(any_float),
+        seed=draw(st.integers(0, 2**64 - 1)), emi_bits=draw(any_float),
+        emi_bits_clamped=draw(any_float), nc_1pct=draw(st.integers(2, 10**6)),
+        nc_10pct=draw(st.integers(2, 10**6)), saturated=draw(st.booleans()),
+        below_min=draw(st.booleans()), n_classes_tested=optional(st.integers(3, 10**4)),
+        pe_empirical=optional(any_float), pe_above_capacity=optional(any_float),
+        emi_bits_classifier=optional(any_float), fano_lower=optional(any_float),
+        fano_upper_raw=optional(any_float), fano_consistent=optional(st.booleans()))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(sweep_rows(), max_size=4),
+       st.lists(st.builds(AbortedPoint, any_float, st.text()), max_size=2))
+def test_sweep_csv_round_trip(tmp_path_factory, rows, aborted):
+    path = tmp_path_factory.mktemp("sweep") / "rows.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=rows, aborted=aborted), path)
+    back = read_sweep_rows(path)
+    # repr tells -0.0 from 0.0 and True from 1, which == does not
+    assert back == rows
+    assert repr(back) == repr(rows)
