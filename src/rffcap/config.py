@@ -2,7 +2,8 @@
 
 A scenario YAML file is a nested key-value document; every key is optional
 and falls back to the defaults below. Unknown keys are rejected so typos
-fail loudly. See the README for the full schema.
+fail loudly. Each section checks its limits when it is constructed and is
+frozen (use dataclasses.replace). See the README for the full schema.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .fingerprint import PipelineConfig
+from .fingerprint import PipelineConfig, _check_count
 from .signal_model import PopulationSpec
 
 SWEEP_AXES = ("n_train_devices", "snr_db", "q_bits", "n_fft", "fs_hz")
@@ -22,13 +23,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorConfig:
     bins: int = 64
     projected_dim: int = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifierConfig:
     kappa: int = 150
     ridge: float | None = None
@@ -37,18 +38,22 @@ class ClassifierConfig:
     max_devices: int = 40
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapacityConfig:
     n_max: int = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     axis: str = "snr_db"
     values: list = field(default_factory=lambda: [10.0, 20.0, 30.0])
 
+    def __post_init__(self):
+        if self.axis not in SWEEP_AXES:
+            raise ValueError(f"axis must be one of {SWEEP_AXES}: {self.axis}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one synthetic identification scenario."""
 
@@ -62,6 +67,10 @@ class ScenarioConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     seed: int = 1234
 
+    def __post_init__(self):
+        _check_count("n_devices", self.n_devices, 2)
+        _check_count("per_class", self.per_class, 2)
+
 
 _SCALARS = {"int": int, "float": float, "float | None": float}
 
@@ -71,8 +80,8 @@ def _build(cls, data, path: str | None):
 
     Missing fields keep cls's defaults. A nested dataclass field needs a
     mapping, the lead_pad tuple a [low, high] pair and a list field a list;
-    fields annotated int, float or float | None are converted to that type.
-    path names the section in errors (None for the top level).
+    fields annotated int (no fraction), float or float | None are converted to
+    that type. path names the section in errors (None for the top level).
     """
     where = path or "top level"
     if not isinstance(data, dict):
@@ -108,21 +117,17 @@ def _scalar(annotation: str, value, key: str):
     if value is None and annotation.endswith(" | None"):
         return None
     try:
-        return _SCALARS[annotation](value)
-    except (TypeError, ValueError):
+        converted = _SCALARS[annotation](value)
+        if annotation == "int" and isinstance(value, float) and converted != value:
+            raise ValueError  # an int field rejects 2.5 rather than truncating it
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected {annotation}, got {value!r}") from None
+    return converted
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig; missing sections use defaults."""
-    cfg = _build(ScenarioConfig, {} if data is None else data, None)
-    if cfg.n_devices < 2:
-        raise ConfigError("n_devices must be >= 2")
-    if cfg.per_class < 2:
-        raise ConfigError("per_class must be >= 2")
-    if cfg.sweep.axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}: {cfg.sweep.axis}")
-    return cfg
+    return _build(ScenarioConfig, {} if data is None else data, None)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -93,13 +93,14 @@ class FingerprintDataset:
         return np.unique(self.labels).size
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end capture pipeline settings shared by dataset builders.
 
     lead_pad is an inclusive range of noise-only samples prepended before the
     burst (drawn per capture); adc_backoff_db is a front-end gain backoff
     applied before quantization so rail peaks sit below full scale.
+    Construction checks every limit, and the config is frozen so it stays valid.
     """
 
     fs_hz: float = 4.0e6
@@ -113,6 +114,23 @@ class PipelineConfig:
     lead_pad: tuple = (16, 144)
     tail_pad: int = 32
     adc_backoff_db: float = 3.0
+
+    def __post_init__(self):
+        _validate_n_fft(self.n_fft)
+        self.adc()  # q_bits, full_scale_vpp and fs_hz
+        if self.snr_ref_fs_hz is not None and not 0.0 < self.snr_ref_fs_hz < np.inf:
+            raise ValueError(f"snr_ref_fs_hz must be None or finite and > 0: {self.snr_ref_fs_hz}")
+        ChannelConfig(self.effective_snr_db())
+        _check_count("n_symbols", self.n_symbols, 1)
+        if not 0.0 < self.threshold_factor < np.inf:
+            raise ValueError(f"threshold_factor must be finite and > 0: {self.threshold_factor}")
+        lead_lo, lead_hi = self.lead_pad
+        _check_count("lead_pad low", lead_lo, 0)
+        _check_count("lead_pad high", lead_hi, lead_lo)
+        _check_count("tail_pad", self.tail_pad, 0)
+        # with snr_db >= -1000 the ADC input stays below ~1e100, finite when squared
+        if not -1000.0 <= self.adc_backoff_db <= 1000.0:
+            raise ValueError(f"adc_backoff_db must be in [-1000, 1000]: {self.adc_backoff_db}")
 
     def effective_snr_db(self) -> float | str:
         """SNR after optional noise-bandwidth scaling.
@@ -203,6 +221,11 @@ def _validate_n_fft(n_fft: int) -> None:
     if not (isinstance(n_fft, (int, np.integer)) and 64 <= n_fft <= 4096
             and (n_fft & (n_fft - 1)) == 0):
         raise ValueError(f"n_fft must be a power of two in [64, 4096]: {n_fft}")
+
+
+def _check_count(name: str, value, low) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be >= {low} and an integer: {value!r}")
 
 
 def extract_spectral_feature(capture: IqCapture, n_fft: int) -> np.ndarray:
@@ -398,17 +421,12 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
         raise ValueError("per_class must be >= 2")
 
     ordered = sorted(profiles, key=lambda p: p.device_id)
-    window = pipeline.window()
-    _validate_n_fft(pipeline.n_fft)
+    n_burst = window = pipeline.window()
     adc = pipeline.adc()
     channel = ChannelConfig(pipeline.effective_snr_db())
     noise_std = None if channel.is_noiseless else _noise_std(channel.snr_db, 1.0)
     backoff = 10.0 ** (-pipeline.adc_backoff_db / 20.0)
     lead_lo, lead_hi = pipeline.lead_pad
-    if not (0 <= lead_lo <= lead_hi):
-        raise ValueError(f"invalid lead_pad range: {pipeline.lead_pad}")
-
-    n_burst = preamble_length(pipeline.fs_hz, pipeline.n_symbols)
     width = lead_hi + n_burst + pipeline.tail_pad
     n_rows = len(ordered) * per_class
     features = np.empty((n_rows, pipeline.n_fft))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .capacity import check_fano_consistency, fano_lower_bound, fano_upper_bound, user_capacity
 from .classifier import error_rate_experiment
-from .config import SWEEP_AXES, ScenarioConfig
+from .config import ScenarioConfig, SweepConfig
 from .fingerprint import build_dataset
 from .infotheory import emi_kde
 from .signal_model import sample_profiles
@@ -31,15 +31,14 @@ SWEEP_THRESHOLDS = (0.01, 0.10)
 
 @dataclass
 class SweepSpec:
-    """One varying axis over a fixed scenario."""
+    """One varying axis over a fixed scenario; every point's scenario is built at construction."""
 
     axis: str
     values: list
     fixed: ScenarioConfig
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}: {self.axis}")
+        SweepConfig(self.axis)  # checks the axis
         vals = list(self.values)
         if not vals:
             raise ValueError("values must be non-empty")
@@ -47,27 +46,8 @@ class SweepSpec:
         if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("values must be strictly ordered")
         for v in vals:
-            _check_axis_value(self.axis, v)
+            _scenario_at(self.fixed, self.axis, v)
         self.values = vals
-
-
-def _check_axis_value(axis: str, value) -> None:
-    if axis == "n_train_devices":
-        if int(value) != value or value < 1:
-            raise ValueError(f"n_train_devices values must be integers >= 1: {value}")
-    elif axis == "snr_db":
-        if not np.isfinite(value):
-            raise ValueError(f"snr_db values must be finite: {value}")
-    elif axis == "q_bits":
-        if int(value) != value or not 4 <= value <= 24:
-            raise ValueError(f"q_bits values must be integers in [4, 24]: {value}")
-    elif axis == "n_fft":
-        v = int(value)
-        if v != value or not 64 <= v <= 2048 or v & (v - 1):
-            raise ValueError(f"n_fft values must be powers of two in [64, 2048]: {value}")
-    elif axis == "fs_hz":
-        if not 2e6 <= value <= 10e6:
-            raise ValueError(f"fs_hz values must be in [2e6, 10e6]: {value}")
 
 
 @dataclass
@@ -114,23 +94,19 @@ def point_seed_sequence(master_seed: int, axis: str, value) -> np.random.SeedSeq
 
 
 def _scenario_at(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
+    """base with the axis set to value; 10.5 reaches an int field as is, not truncated."""
+    if axis in ("snr_db", "fs_hz"):
+        value = float(value)
+    elif float(value).is_integer():
+        value = int(value)
     if axis == "n_train_devices":
-        return replace(base, n_devices=int(value))
-    if axis == "snr_db":
-        return replace(base, pipeline=replace(base.pipeline, snr_db=float(value)))
-    if axis == "q_bits":
-        return replace(base, pipeline=replace(base.pipeline, q_bits=int(value)))
-    if axis == "n_fft":
-        return replace(base, pipeline=replace(base.pipeline, n_fft=int(value)))
-    if axis == "fs_hz":
-        return replace(base, pipeline=replace(base.pipeline, fs_hz=float(value)))
-    raise ValueError(f"unknown axis: {axis}")
+        return replace(base, n_devices=value)
+    return replace(base, pipeline=replace(base.pipeline, **{axis: value}))
 
 
 def _run_point(spec: SweepSpec, value, with_classifier: bool) -> SweepRow:
     scenario = _scenario_at(spec.fixed, spec.axis, value)
-    ss = point_seed_sequence(scenario.seed, spec.axis, value)
-    seeds = ss.generate_state(4, np.uint64)
+    seeds = point_seed_sequence(scenario.seed, spec.axis, value).generate_state(4, np.uint64)
     profiles_seed, dataset_seed, cls_lo_seed, cls_hi_seed = (int(s) for s in seeds)
 
     n_avail = max(scenario.n_devices, scenario.classifier.max_devices if with_classifier else 0)
@@ -150,21 +126,15 @@ def _run_point(spec: SweepSpec, value, with_classifier: bool) -> SweepRow:
         below_min=any(c.below_min for c in cap.values()))
 
     if with_classifier:
-        max_dev = scenario.classifier.max_devices
-        n_lo = int(np.clip(cap[0.01].n_c, 3, max_dev - 1))
-        n_hi = n_lo + 1
+        c = scenario.classifier
+        n_lo = int(np.clip(cap[0.01].n_c, 3, c.max_devices - 1))
+        kw = dict(train_per_class=c.train_per_class, test_per_class=c.test_per_class,
+                  kappa=c.kappa, ridge=c.ridge)
         rep_lo, train_lo, _ = error_rate_experiment(
-            profiles, n_lo, scenario.pipeline,
-            train_per_class=scenario.classifier.train_per_class,
-            test_per_class=scenario.classifier.test_per_class,
-            kappa=scenario.classifier.kappa, ridge=scenario.classifier.ridge,
-            master_seed=cls_lo_seed, return_datasets=True)
-        rep_hi = error_rate_experiment(
-            profiles, n_hi, scenario.pipeline,
-            train_per_class=scenario.classifier.train_per_class,
-            test_per_class=scenario.classifier.test_per_class,
-            kappa=scenario.classifier.kappa, ridge=scenario.classifier.ridge,
-            master_seed=cls_hi_seed)
+            profiles, n_lo, scenario.pipeline, master_seed=cls_lo_seed,
+            return_datasets=True, **kw)
+        rep_hi = error_rate_experiment(profiles, n_lo + 1, scenario.pipeline,
+                                       master_seed=cls_hi_seed, **kw)
         emi_cls = emi_kde(train_lo, scenario.estimator.projected_dim)
         row.n_classes_tested = n_lo
         row.pe_empirical = rep_lo.pe
@@ -262,9 +232,11 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-# each SweepRow field's cell parser, by the field's annotated type
+# per SweepRow field: its annotated type, CSV cell parser and accepted values
+_ROW_TYPES = {f.name: f.type for f in fields(SweepRow)}
 _PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
-_ROW_PARSERS = {f.name: _PARSERS[f.type.split(" | ")[0]] for f in fields(SweepRow)}
+_ROW_PARSERS = {name: _PARSERS[kind.split(" | ")[0]] for name, kind in _ROW_TYPES.items()}
+_VALUE_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 _REQUIRED_ROW_KEYS = [f.name for f in fields(SweepRow) if f.default is MISSING]
 
 
@@ -275,6 +247,11 @@ def _sweep_row(path, where: str, data: dict) -> SweepRow:
     missing = [name for name in _REQUIRED_ROW_KEYS if name not in data]
     if missing:
         raise ValueError(f"{path}: {where} lacks keys {missing}")
+    for key, value in data.items():
+        kind, _, optional = _ROW_TYPES[key].partition(" | ")
+        if not (value is None and optional or isinstance(value, _VALUE_TYPES[kind])
+                and (kind == "bool") == isinstance(value, bool)):
+            raise ValueError(f"{path}: {where} {key} is not {_ROW_TYPES[key]}: {value!r}")
     return SweepRow(**data)
 
 

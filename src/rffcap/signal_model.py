@@ -88,10 +88,10 @@ class AdcConfig:
     def __post_init__(self):
         if not (isinstance(self.q_bits, (int, np.integer)) and 4 <= self.q_bits <= 24):
             raise ValueError(f"q_bits must be an integer in [4, 24]: {self.q_bits}")
-        if self.full_scale_vpp <= 0:
-            raise ValueError("full_scale_vpp must be positive")
-        if self.fs_hz < 2.0e6:
-            raise ValueError(f"fs_hz must be >= 2e6: {self.fs_hz}")
+        if not 0.0 < self.full_scale_vpp / 2.0 ** self.q_bits < np.inf:
+            raise ValueError(f"full_scale_vpp must be finite, its step > 0: {self.full_scale_vpp}")
+        if not 2.0e6 <= self.fs_hz < np.inf:
+            raise ValueError(f"fs_hz must be finite and >= 2e6: {self.fs_hz}")
 
 
 NOISELESS = "noiseless"
@@ -108,8 +108,8 @@ class ChannelConfig:
         if isinstance(self.snr_db, str):
             if self.snr_db != NOISELESS:
                 raise ValueError(f"snr_db must be a finite float or '{NOISELESS}'")
-        elif not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite: {self.snr_db}")
+        elif not -1000.0 <= self.snr_db < np.inf:
+            raise ValueError(f"snr_db must be finite and >= -1000: {self.snr_db}")
 
     @property
     def is_noiseless(self) -> bool:

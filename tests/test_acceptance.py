@@ -5,6 +5,7 @@ Every test also enforces a wall-clock budget so the gate stays practical.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -260,7 +261,7 @@ def test_acceptance_8_reproducibility(tmp_path):
                                   iq_gain_db=ParamDist(0.0, 0.8)),
         pipeline=PipelineConfig(n_fft=64, snr_db=24.0),
         n_devices=4, per_class=24, seed=12)
-    fixed.estimator.projected_dim = 2
+    fixed = replace(fixed, estimator=replace(fixed.estimator, projected_dim=2))
     spec = SweepSpec(axis="snr_db", values=[12.0, 18.0, 24.0], fixed=fixed)
 
     serial = run_sweep(spec, threads=1)

@@ -91,10 +91,25 @@ def test_value_validation(tmp_path):
         ({"classifier": {"ridge": "abc"}}, r"classifier.ridge: expected float \| None"),
         ({"n_devices": 1}, "n_devices must be >= 2"),
         ({"per_class": 1}, "per_class must be >= 2"),
-        ({"sweep": {"axis": "bandwidth"}}, "sweep.axis must be one of"),
+        ({"sweep": {"axis": "bandwidth"}}, "sweep: axis must be one of"),
         ({"pipeline": {"lead_pad": [1, 2, 3]}}, r"pipeline.lead_pad: expected \[low, high\]"),
         ({"population": {"cfo_hz": 5.0}}, "population.cfo_hz: expected a mapping"),
         ("not a mapping", "top level: expected a mapping"),
+        # each section's own construction check, named by the section
+        ({"pipeline": {"n_fft": 96}}, "pipeline: n_fft must be a power of two"),
+        ({"pipeline": {"fs_hz": float("inf")}}, "pipeline: fs_hz must be finite"),
+        ({"pipeline": {"snr_ref_fs_hz": 0}},
+         "pipeline: snr_ref_fs_hz must be None or finite and > 0"),
+        ({"pipeline": {"threshold_factor": float("nan")}},
+         "pipeline: threshold_factor must be finite and > 0"),
+        ({"pipeline": {"tail_pad": -40}}, "pipeline: tail_pad must be >= 0"),
+        ({"pipeline": {"lead_pad": [10, 5]}}, "pipeline: lead_pad high must be >= 10"),
+        ({"pipeline": {"adc_backoff_db": -1e6}}, r"pipeline: adc_backoff_db must be in \[-1000"),
+        ({"n_devices": 4.0, "per_class": 1}, "top level: per_class must be >= 2"),
+        # an int field takes no fraction and no infinity
+        ({"pipeline": {"q_bits": 10.5}}, "pipeline.q_bits: expected int, got 10.5"),
+        ({"n_devices": 2.5}, "n_devices: expected int, got 2.5"),
+        ({"n_devices": float("inf")}, "n_devices: expected int, got inf"),
     ]:
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict(data)

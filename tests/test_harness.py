@@ -1,10 +1,13 @@
 """Sweep orchestration: seeding, execution, serialization, bound validation."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+import rffcap.harness
 from rffcap.cli import main
 from rffcap.config import (
     ClassifierConfig,
@@ -75,6 +78,24 @@ def test_sweep_spec_validation():
         SweepSpec(axis="fs_hz", values=[1e6], fixed=base)
     with pytest.raises(ValueError):
         SweepSpec(axis="n_train_devices", values=[0, 4], fixed=base)
+    # an integer axis is never truncated: a fraction reaches the config and fails
+    with pytest.raises(ValueError, match="q_bits must be an integer"):
+        SweepSpec(axis="q_bits", values=[8, 10.5], fixed=base)
+    with pytest.raises(ValueError, match="n_devices must be >= 2 and an integer: 2.5"):
+        SweepSpec(axis="n_train_devices", values=[2.5, 4], fixed=base)
+    with pytest.raises(ValueError, match="n_devices must be >= 2"):
+        SweepSpec(axis="n_train_devices", values=[1, 4], fixed=base)
+    # the pipeline's own limits, not narrower ones
+    assert SweepSpec(axis="n_fft", values=[4096], fixed=base).values == [4096]
+    assert SweepSpec(axis="fs_hz", values=[20e6], fixed=base).values == [20e6]
+    assert SweepSpec(axis="q_bits", values=[8.0, 10.0], fixed=base).values == [8.0, 10.0]
+    # a constructed config stays valid
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.pipeline.n_fft = 96
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.n_devices = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.estimator.projected_dim = 2
 
 
 def test_single_point_sweep_and_csv_roundtrip(tmp_path):
@@ -121,21 +142,29 @@ def test_thread_count_does_not_change_results(tmp_path):
         run_sweep(spec, threads=0)
 
 
-def test_aborted_point_is_isolated(tmp_path):
-    # a single-device population cannot define identity information
-    spec = SweepSpec(axis="n_train_devices", values=[1, 4],
+def test_aborted_point_is_isolated(tmp_path, monkeypatch):
+    # a point that fails while it runs: the estimator rejects the 2-device dataset
+    emi_kde = rffcap.harness.emi_kde
+
+    def failing_at_two_devices(ds, *args):
+        if ds.n_classes == 2:
+            raise ValueError("no estimate for 2 devices")
+        return emi_kde(ds, *args)
+
+    monkeypatch.setattr(rffcap.harness, "emi_kde", failing_at_two_devices)
+    spec = SweepSpec(axis="n_train_devices", values=[2, 4],
                      fixed=small_scenario(seed=5))
     result = run_sweep(spec)
     assert len(result.rows) == 1
     assert result.rows[0].value == 4.0
     assert len(result.aborted) == 1
-    assert result.aborted[0].value == 1.0
+    assert result.aborted[0].value == 2.0
     assert "ValueError" in result.aborted[0].reason
 
     path = tmp_path / "partial.csv"
     sweep_to_csv(result, path)
     text = path.read_text()
-    assert "# aborted: value=1.0" in text
+    assert "# aborted: value=2.0" in text
     assert len(read_sweep_rows(path)) == 1
 
 
@@ -186,6 +215,17 @@ def test_read_sweep_rows_rejects_unknown_and_missing_columns(tmp_path):
         read_sweep_rows(path)
 
 
+def test_read_sweep_rows_rejects_empty_required_cell(tmp_path):
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0)]), path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = ""  # emi_bits
+    path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+    with pytest.raises(ValueError, match=r"sweep\.csv: line 3 emi_bits is not float: None"):
+        read_sweep_rows(path)
+
+
 def _json_sweep(tmp_path, edit):
     path = tmp_path / "sweep.json"
     sweep_to_json(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0), _csv_row(20.0)]),
@@ -223,6 +263,36 @@ def test_read_sweep_rows_json_rejects_non_object_row(tmp_path):
     path = _json_sweep(tmp_path, lambda p: p["rows"].append([1, 2]))
     with pytest.raises(ValueError, match=r"sweep\.json: row 2 is not an object"):
         read_sweep_rows(path)
+
+
+@pytest.mark.parametrize("key, value, annotation", [
+    ("pe_empirical", "x", "float | None"),
+    ("emi_bits", "1.5", "float"),
+    ("emi_bits", None, "float"),
+    ("emi_bits", True, "float"),
+    ("nc_1pct", 4.0, "int"),
+    ("nc_1pct", False, "int"),
+    ("saturated", 0, "bool"),
+    ("fano_consistent", "true", "bool | None"),
+    ("axis", 3, "str"),
+])
+def test_read_sweep_rows_json_rejects_wrongly_typed_value(tmp_path, key, value, annotation):
+    path = _json_sweep(tmp_path, lambda p: p["rows"][1].update({key: value}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"sweep.json: row 1 {key} is not {annotation}: {value!r}")):
+        read_sweep_rows(path)
+
+
+def test_read_sweep_rows_json_accepts_an_int_for_a_float_and_none_when_optional(tmp_path):
+    def edit(payload):
+        payload["rows"][0].update(value=10, pe_empirical=None)
+        payload["rows"][1].update(emi_bits=2, pe_empirical=0, n_classes_tested=3,
+                                  fano_consistent=True)
+
+    rows = read_sweep_rows(_json_sweep(tmp_path, edit))
+    assert rows[0] == _csv_row(10.0)
+    assert (rows[1].emi_bits, rows[1].pe_empirical, rows[1].fano_consistent) == (2, 0, True)
+    assert [c.pe for c in validate_bounds(rows)] == [0]
 
 
 def test_snr_trend_in_ensemble_information():

@@ -5,15 +5,16 @@ no-op on its own output; acquisition returns exactly `window` samples from
 an onset inside each record, whatever the record lengths, the window and
 the threshold; a dataset written by save_dataset and a capture written by
 save_capture read back as their float32 images, and a scenario written by
-save_config reads back equal. The examples are derandomized so the suite
-runs the same inputs every time.
+save_config reads back equal; a PipelineConfig either fails construction
+with ValueError or builds finite features. The examples are derandomized so
+the suite runs the same inputs every time.
 """
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rffcap.config import (  # noqa: E402
@@ -31,6 +32,7 @@ from rffcap.fingerprint import (  # noqa: E402
     FingerprintDataset,
     PipelineConfig,
     _acquire_rows,
+    build_dataset,
     load_dataset,
     save_dataset,
 )
@@ -50,6 +52,7 @@ from rffcap.signal_model import (  # noqa: E402
     _as_rails,
     _quantise,
     load_capture,
+    sample_profiles,
     save_capture,
 )
 
@@ -153,12 +156,13 @@ def scenarios(draw):
     lead_lo = draw(st.integers(0, 500))
     pipeline = PipelineConfig(
         fs_hz=draw(st.floats(2e6, 2e8)), n_symbols=draw(st.integers(1, 16)),
-        snr_db=draw(st.one_of(finite, st.just("noiseless"))),
+        # the effective SNR, snr_db shifted by at most 20 dB, stays >= -1000
+        snr_db=draw(st.one_of(st.floats(-980.0, 1e6), st.just("noiseless"))),
         snr_ref_fs_hz=draw(st.one_of(st.none(), st.floats(2e6, 2e8))),
         q_bits=draw(st.integers(4, 24)), full_scale_vpp=draw(st.floats(0.1, 10.0)),
         n_fft=2 ** draw(st.integers(6, 12)), threshold_factor=draw(st.floats(0.1, 100.0)),
         lead_pad=(lead_lo, lead_lo + draw(st.integers(0, 500))),
-        tail_pad=draw(st.integers(0, 500)), adc_backoff_db=draw(finite))
+        tail_pad=draw(st.integers(0, 500)), adc_backoff_db=draw(st.floats(-1e3, 1e3)))
     classifier = ClassifierConfig(
         kappa=draw(st.integers(1, 500)), ridge=draw(st.one_of(st.none(), st.floats(0.0, 1.0))),
         train_per_class=draw(st.integers(2, 500)), test_per_class=draw(st.integers(1, 500)),
@@ -180,6 +184,78 @@ def test_config_save_load_round_trip(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("config") / "scenario.yaml"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def wide(lo, hi):
+    """Finite floats in [lo, hi] and the non-finite ones."""
+    return st.one_of(st.floats(lo, hi), non_finite)
+
+
+def counts(lo, hi):
+    """Integers, fractions and non-finite floats, for an integer field."""
+    return st.one_of(st.integers(lo, hi), st.floats(lo, hi), non_finite)
+
+
+# each PipelineConfig field: (ordinary values, wide values). Sizes stay small
+# enough to build: at most 8 symbols at 40 MHz and lead/tail pads of 300.
+PIPELINE_FIELDS = {
+    "fs_hz": (st.floats(2e6, 2e7), wide(-1e7, 4e7)),
+    "n_symbols": (st.integers(1, 8), counts(-3, 8)),
+    "snr_db": (st.one_of(st.floats(-20.0, 60.0), st.just("noiseless")),
+               st.one_of(wide(-1e4, 1e4), st.just("loud"))),
+    "snr_ref_fs_hz": (st.one_of(st.none(), st.floats(1e6, 1e8)), wide(-1e7, 1e300)),
+    "q_bits": (st.integers(4, 24), counts(-2, 40)),
+    "full_scale_vpp": (st.floats(0.1, 10.0), wide(-10.0, 1e300)),
+    "n_fft": (st.sampled_from([2 ** k for k in range(6, 13)]), counts(-64, 8192)),
+    "threshold_factor": (st.floats(1.0, 20.0), wide(-10.0, 1e6)),
+    "lead_pad": (st.tuples(st.integers(0, 50), st.integers(50, 200)),
+                 st.tuples(counts(-10, 300), counts(-10, 300))),
+    "tail_pad": (st.integers(0, 100), counts(-50, 300)),
+    "adc_backoff_db": (st.floats(-20.0, 20.0), wide(-1e7, 1e7)),
+}
+
+
+@st.composite
+def pipeline_fields(draw):
+    """PipelineConfig keywords: ordinary values, with up to three fields drawn
+    from their wide values instead."""
+    kw = {name: draw(ordinary) for name, (ordinary, _) in PIPELINE_FIELDS.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(PIPELINE_FIELDS)), max_size=3,
+                              unique=True)):
+        kw[name] = draw(PIPELINE_FIELDS[name][1])
+    return kw
+
+
+def _numbers(kw):
+    for value in kw.values():
+        yield from value if isinstance(value, tuple) else [value]
+
+
+TWO_PROFILES = sample_profiles(PopulationSpec(), 2, seed=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pipeline_fields())
+@example({"snr_ref_fs_hz": 0.0})
+@example({"adc_backoff_db": -1e6})
+@example({"threshold_factor": float("nan")})
+@example({"tail_pad": -40})
+@example({"full_scale_vpp": 1e-320})
+@example({"adc_backoff_db": -6000.0, "full_scale_vpp": 1e300})
+def test_pipeline_config_is_rejected_or_builds_finite_features(kw):
+    """Construction raises ValueError, or the config holds no NaN or infinity
+    and 2 profiles x 2 captures build into finite features."""
+    try:
+        pipeline = PipelineConfig(**kw)
+    except ValueError:
+        return
+    assert all(np.isfinite(v) for v in _numbers(kw) if isinstance(v, float))
+    ds = build_dataset(TWO_PROFILES, 2, pipeline, master_seed=1)
+    assert ds.features.shape == (4, pipeline.n_fft)
+    assert np.isfinite(ds.features).all()
 
 
 any_float = st.floats(allow_nan=False)  # includes +-inf, -0.0 and subnormals
