@@ -15,6 +15,9 @@ import numpy as np
 
 from .infotheory import binary_entropy
 
+# the smallest population the capacity scan evaluates
+MIN_USERS = 3
+
 
 class BoundValue(NamedTuple):
     """A bound with its clamped value and the raw pre-clamp quantity."""
@@ -73,9 +76,9 @@ def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> Cap
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must be in (0, 0.5): {threshold}")
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3: {n_max}")
-    n = np.arange(3, n_max + 1)
+    if n_max < MIN_USERS:
+        raise ValueError(f"n_max must be >= {MIN_USERS}: {n_max}")
+    n = np.arange(MIN_USERS, n_max + 1)
     ratio = (np.log2(n) - emi_bits - binary_entropy(threshold)) / np.log2(n - 1)
     ok = np.flatnonzero(ratio <= threshold)
     if ok.size == 0:

@@ -84,8 +84,12 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     mean_all = x.mean(axis=0)
     means = np.vstack([x[y == c].mean(axis=0) for c in range(n_classes)])
 
-    within = x - means[y]
+    # the within-class deviations overwrite their own means[y] buffer, the one
+    # n x m array fit_lda allocates, which is freed once sw is formed
+    within = means[y]
+    np.subtract(x, within, out=within)
     sw = within.T @ within
+    del within
     between = np.sqrt(counts)[:, None] * (means - mean_all)  # sb = between^T between
 
     if ridge is None:
@@ -97,9 +101,9 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
         ridge = 1e-6 * scale
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    sw_reg = sw + ridge * np.eye(m)
+    sw[np.diag_indices(m)] += ridge
     try:
-        chol = np.linalg.cholesky(sw_reg)
+        chol = np.linalg.cholesky(sw)
     except np.linalg.LinAlgError as exc:
         if ridge == 0:
             raise ValueError(

@@ -11,7 +11,7 @@ from pathlib import Path
 from . import __version__
 from .capacity import user_capacity
 from .classifier import error_rate_experiment
-from .config import ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .fingerprint import build_dataset, feature_bin_frequencies, load_dataset, save_dataset
 from .harness import (SweepSpec, read_sweep_rows, run_sweep, sweep_to_csv, sweep_to_json,
                       validate_bounds, write_table)
@@ -238,7 +238,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        # a rejected scenario is the user's input, not a fault: one line, like argparse
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

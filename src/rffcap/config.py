@@ -8,12 +8,15 @@ frozen (use dataclasses.replace). See the README for the full schema.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
 
+from .capacity import MIN_USERS
 from .fingerprint import PipelineConfig, _check_count
+from .infotheory import MAX_PROJECTED_DIM, MIN_BINS
 from .signal_model import PopulationSpec
 
 SWEEP_AXES = ("n_train_devices", "snr_db", "q_bits", "n_fft", "fs_hz")
@@ -28,6 +31,13 @@ class EstimatorConfig:
     bins: int = 64
     projected_dim: int = 10
 
+    def __post_init__(self):
+        _check_count("bins", self.bins, MIN_BINS)
+        _check_count("projected_dim", self.projected_dim, 1)
+        if self.projected_dim > MAX_PROJECTED_DIM:
+            raise ValueError(
+                f"projected_dim must be <= {MAX_PROJECTED_DIM}: {self.projected_dim}")
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
@@ -35,12 +45,23 @@ class ClassifierConfig:
     ridge: float | None = None
     train_per_class: int = 200
     test_per_class: int = 200
-    max_devices: int = 40
+    max_devices: int = 40  # the bracket classifies n_lo and n_lo + 1 devices, n_lo >= MIN_USERS
+
+    def __post_init__(self):
+        _check_count("kappa", self.kappa, 1)
+        if self.ridge is not None and not 0.0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be None or finite and >= 0: {self.ridge}")
+        _check_count("train_per_class", self.train_per_class, 2)
+        _check_count("test_per_class", self.test_per_class, 2)
+        _check_count("max_devices", self.max_devices, MIN_USERS + 1)
 
 
 @dataclass(frozen=True)
 class CapacityConfig:
     n_max: int = 10_000
+
+    def __post_init__(self):
+        _check_count("n_max", self.n_max, MIN_USERS)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ a population of device profiles.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +33,8 @@ _DATASET_MAGIC = b"RFPD"
 _DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
 _REQUIRED_META = ("fs_hz", "n_fft", "snr_db", "q_bits", "class_ids")
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
+# feature rows converted at a time when a dataset is written or read
+_IO_ROWS = 1024
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx); NumPy's
 # stream-compatibility policy keeps its output fixed across releases
@@ -261,9 +263,14 @@ def _welch_db(x: np.ndarray, n_fft: int) -> np.ndarray:
     win = _hann(n_fft)
     segments = sliding_window_view(x, n_fft, axis=1)[:, :: n_fft // 2]
     spectra = np.fft.fft(win * segments, axis=-1)
-    periodogram = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=1)
-    bin_power = periodogram / (n_fft * np.sum(win * win))
-    return 10.0 * np.log10(np.maximum(bin_power, _POWER_FLOOR))
+    power = np.square(spectra.real)
+    power += np.square(spectra.imag)
+    bin_power = power.mean(axis=1)
+    bin_power /= n_fft * np.sum(win * win)
+    np.maximum(bin_power, _POWER_FLOOR, out=bin_power)
+    np.log10(bin_power, out=bin_power)
+    bin_power *= 10.0
+    return bin_power
 
 
 def feature_bin_frequencies(n_fft: int, fs_hz: float) -> np.ndarray:
@@ -487,47 +494,62 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
 
 
 def save_dataset(ds: FingerprintDataset, path) -> None:
-    """Binary dataset container: header (n_rows, n_bins, meta) + float32 rows + labels."""
+    """Binary dataset container: header (n_rows, n_bins, meta) + float32 rows + labels.
+
+    The rows are converted and written _IO_ROWS at a time, so no float32
+    copy of the whole feature matrix is made.
+    """
     meta_json = json.dumps(ds.meta.to_dict()).encode()
     with open(path, "wb") as fh:
         fh.write(_DATASET_MAGIC)
         fh.write(_DATASET_HEADER.pack(ds.n_samples, ds.n_bins, len(meta_json)))
         fh.write(meta_json)
-        fh.write(ds.features.astype("<f4").tobytes())
-        fh.write(ds.labels.astype("<i4").tobytes())
+        for lo in range(0, ds.n_samples, _IO_ROWS):
+            fh.write(ds.features[lo:lo + _IO_ROWS].astype("<f4", order="C"))
+        fh.write(ds.labels.astype("<i4"))
 
 
 def load_dataset(path) -> FingerprintDataset:
     """Read a dataset written by save_dataset; a malformed file raises ValueError.
 
     The payload must be exactly the float32 features and int32 labels the
-    header announces, and every label must index meta.class_ids.
+    header announces, and every label must index meta.class_ids. The
+    features are read _IO_ROWS rows at a time straight into the float64
+    matrix the dataset holds.
 
     Files written before the acquisition statistics were recorded load with
     meta.onset_flagged_frac and meta.clip_frac set to None.
     """
-    raw = Path(path).read_bytes()
-    if raw[:len(_DATASET_MAGIC)] != _DATASET_MAGIC:
-        raise ValueError(f"not a dataset file (bad magic): {path}")
-    meta_at = len(_DATASET_MAGIC) + _DATASET_HEADER.size
-    if len(raw) < meta_at:
-        raise ValueError(f"truncated dataset header in {path}")
-    n_rows, n_bins, meta_len = _DATASET_HEADER.unpack_from(raw, len(_DATASET_MAGIC))
-    payload_at = meta_at + meta_len
-    if len(raw) < payload_at:
-        raise ValueError(f"truncated dataset meta in {path}")
-    try:
-        meta_d = json.loads(raw[meta_at:payload_at].decode())
-    except ValueError as exc:  # invalid UTF-8 or JSON
-        raise ValueError(f"malformed dataset meta in {path}: {exc}") from None
-    missing = [k for k in _REQUIRED_META if not isinstance(meta_d, dict) or k not in meta_d]
-    if missing:
-        raise ValueError(f"dataset meta in {path} lacks {missing}")
-    if len(raw) - payload_at != 4 * n_rows * (n_bins + 1):
-        raise ValueError(f"dataset payload size mismatch in {path}")
-    feats = np.frombuffer(raw, dtype="<f4", count=n_rows * n_bins, offset=payload_at)
-    labels = np.frombuffer(raw, dtype="<i4", count=n_rows,
-                           offset=payload_at + 4 * n_rows * n_bins)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(_DATASET_MAGIC) + _DATASET_HEADER.size)
+        if head[:len(_DATASET_MAGIC)] != _DATASET_MAGIC:
+            raise ValueError(f"not a dataset file (bad magic): {path}")
+        meta_at = len(_DATASET_MAGIC) + _DATASET_HEADER.size
+        if len(head) < meta_at:
+            raise ValueError(f"truncated dataset header in {path}")
+        n_rows, n_bins, meta_len = _DATASET_HEADER.unpack_from(head, len(_DATASET_MAGIC))
+        payload_at = meta_at + meta_len
+        if size < payload_at:
+            raise ValueError(f"truncated dataset meta in {path}")
+        try:
+            meta_d = json.loads(fh.read(meta_len).decode())
+        except ValueError as exc:  # invalid UTF-8 or JSON
+            raise ValueError(f"malformed dataset meta in {path}: {exc}") from None
+        missing = [k for k in _REQUIRED_META
+                   if not isinstance(meta_d, dict) or k not in meta_d]
+        if missing:
+            raise ValueError(f"dataset meta in {path} lacks {missing}")
+        if size - payload_at != 4 * n_rows * (n_bins + 1):
+            raise ValueError(f"dataset payload size mismatch in {path}")
+        features = np.empty((n_rows, n_bins))
+        block = np.empty((min(_IO_ROWS, n_rows), n_bins), dtype="<f4")
+        labels = np.empty(n_rows, dtype="<i4")
+        for lo in range(0, n_rows, _IO_ROWS):
+            rows = block[:min(_IO_ROWS, n_rows - lo)]
+            _read_exactly(fh, rows, path)
+            features[lo:lo + rows.shape[0]] = rows
+        _read_exactly(fh, labels, path)
     if not isinstance(meta_d["class_ids"], list):
         raise ValueError(f"dataset meta in {path}: class_ids must be a list")
     n_classes = len(meta_d["class_ids"])
@@ -536,5 +558,10 @@ def load_dataset(path) -> FingerprintDataset:
     meta = DatasetMeta(**{k: meta_d[k] for k in _REQUIRED_META},
                        onset_flagged_frac=meta_d.get("onset_flagged_frac"),
                        clip_frac=meta_d.get("clip_frac"))
-    return FingerprintDataset(feats.reshape(n_rows, n_bins).astype(np.float64),
-                              labels.astype(np.int64), meta)
+    return FingerprintDataset(features, labels.astype(np.int64), meta)
+
+
+def _read_exactly(fh, out: np.ndarray, path) -> None:
+    """Fill the contiguous array out from fh; a short read raises ValueError."""
+    if fh.readinto(out) != out.nbytes:
+        raise ValueError(f"dataset payload size mismatch in {path}")

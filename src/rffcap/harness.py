@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import check_fano_consistency, fano_lower_bound, fano_upper_bound, user_capacity
+from .capacity import (
+    MIN_USERS,
+    check_fano_consistency,
+    fano_lower_bound,
+    fano_upper_bound,
+    user_capacity,
+)
 from .classifier import error_rate_experiment
 from .config import ScenarioConfig, SweepConfig
 from .fingerprint import build_dataset
@@ -127,7 +133,7 @@ def _run_point(spec: SweepSpec, value, with_classifier: bool) -> SweepRow:
 
     if with_classifier:
         c = scenario.classifier
-        n_lo = int(np.clip(cap[0.01].n_c, 3, c.max_devices - 1))
+        n_lo = int(np.clip(cap[0.01].n_c, MIN_USERS, c.max_devices - 1))
         kw = dict(train_per_class=c.train_per_class, test_per_class=c.test_per_class,
                   kappa=c.kappa, ridge=c.ridge)
         rep_lo, train_lo, _ = error_rate_experiment(

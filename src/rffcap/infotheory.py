@@ -14,6 +14,10 @@ import numpy as np
 
 from .fingerprint import FingerprintDataset
 
+# estimator limits; EstimatorConfig checks a loaded scenario against them too
+MIN_BINS = 2
+MAX_PROJECTED_DIM = 20
+
 
 def __getattr__(name):
     # emi_kde no longer calls cdist, but the benchmark's tracer still looks up
@@ -73,8 +77,8 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
     pooled min/max; MI is computed from the joint (bin, label) counts in
     base-2. A constant member yields zero MI.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    if bins < MIN_BINS:
+        raise ValueError(f"bins must be >= {MIN_BINS}")
     y, n_classes = _contiguous_labels(dataset.labels)
     if n_classes < 2:
         raise ValueError("need at least 2 distinct labels")
@@ -107,10 +111,25 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
     return MiReport(per_bin_mi=mi, h_x=h_x, bins=bins)
 
 
-# rows of the kernel evaluated at a time in emi_kde; every block keeps full
-# rows. Sized by measurement (README "Estimator notes"): much taller blocks
-# were slower, as each is freshly mapped memory and falls out of cache.
+# rows of the kernel evaluated at a time in emi_kde, into one reused buffer;
+# every block keeps full rows. Sized by measurement (README "Estimator
+# notes"): 64-row blocks were ~15% slower, and much taller ones slower too.
 _KDE_BLOCK = 128
+
+# rows of the centered features formed at a time in emi_kde. Sized by
+# measurement (README "Estimator notes"): the Gram matrix of 1,024-row
+# blocks is as fast as one product over all rows; 256-row blocks were slower.
+_CENTER_BLOCK = 1024
+
+
+def _centered_blocks(x: np.ndarray, mean: np.ndarray):
+    """Yield (first row, x[rows] - mean) for successive blocks of
+    _CENTER_BLOCK rows, each written over the previous one in one buffer."""
+    n = x.shape[0]
+    buf = np.empty((min(_CENTER_BLOCK, n), x.shape[1]))
+    for lo in range(0, n, _CENTER_BLOCK):
+        rows = min(_CENTER_BLOCK, n - lo)
+        yield lo, np.subtract(x[lo:lo + rows], mean, out=buf[:rows])
 
 
 @dataclass
@@ -144,8 +163,9 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     keeping the self-match inflates the estimate for indistinguishable
     classes. Raw and [0, log2 C]-clamped values are both reported.
     """
-    if not 1 <= projected_dim <= 20:
-        raise ValueError(f"projected_dim must be in [1, 20]: {projected_dim}")
+    if not 1 <= projected_dim <= MAX_PROJECTED_DIM:
+        raise ValueError(
+            f"projected_dim must be in [1, {MAX_PROJECTED_DIM}]: {projected_dim}")
     y, n_classes = _contiguous_labels(dataset.labels)
     if n_classes < 2:
         raise ValueError("need at least 2 distinct labels")
@@ -158,26 +178,42 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
             f"(smallest has {class_counts.min()}); reduce projected_dim")
 
     x = dataset.features
-    n = x.shape[0]
-    xc = x - x.mean(axis=0)
+    n, m = x.shape
+    mean = x.mean(axis=0)
     # principal directions from the m x m Gram matrix, largest first. The
     # singular values of the rank test are measured as column norms of the
     # projection, because sqrt of a Gram eigenvalue is only good to ~1e-8 *
     # s0 and would count zero-variance directions as rank. Only directions
     # whose eigenvalue is at most 1e-10 of the largest can come near the
-    # 1e-12 * s0 cut-off, so only those, and the kept ones, are projected.
-    gram_vals, vecs = np.linalg.eigh(xc.T @ xc)
+    # 1e-12 * s0 cut-off, so only those, and the kept ones, are projected,
+    # and only the kept ones are stored. The centered features Xc = x - mean
+    # are never formed whole, only in row blocks, and the m x m matrices are
+    # freed before the kernel loop.
+    gram = np.zeros((m, m))
+    for _, xb in _centered_blocks(x, mean):
+        gram += xb.T @ xb
+    del xb  # the loop variable would keep the block buffer alive
+    gram_vals, vecs = np.linalg.eigh(gram)
+    del gram
     gram_vals, vecs = gram_vals[::-1], vecs[:, ::-1]
     d = min(projected_dim, gram_vals.size)
     tiny = np.flatnonzero(gram_vals[d:] <= gram_vals.max(initial=0.0) * 1e-10) + d
-    proj = xc @ vecs[:, np.concatenate([np.arange(d), tiny])]
-    svals = np.sqrt(np.einsum("ij,ij->j", proj, proj))
+    basis = vecs[:, np.concatenate([np.arange(d), tiny])]
+    del vecs
+    z = np.empty((n, d))
+    sq_norms = np.zeros(basis.shape[1])
+    for lo, xb in _centered_blocks(x, mean):
+        proj = xb @ basis
+        sq_norms += np.einsum("ij,ij->j", proj, proj)
+        z[lo:lo + proj.shape[0]] = proj[:, :d]
+    del xb, proj
+    svals = np.sqrt(sq_norms)
     # the directions not projected all clear the cut-off
-    rank = int(np.sum(svals > svals.max(initial=0.0) * 1e-12)) + x.shape[1] - proj.shape[1]
+    rank = int(np.sum(svals > svals.max(initial=0.0) * 1e-12)) + m - svals.size
     if rank == 0:
         raise ValueError("features have zero variance")
     d = min(projected_dim, rank)
-    z = proj[:, :d]
+    z = z[:, :d]
 
     sigma = z.std(axis=0, ddof=1)
     h = sigma * (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0))
@@ -189,12 +225,13 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
 
     total = 0.0
     floor_hits = 0
+    kern_buf = np.empty((min(_KDE_BLOCK, n), n))
     for start in range(0, n, _KDE_BLOCK):
         stop = min(start + _KDE_BLOCK, n)
         rows = np.arange(stop - start)
         # -d2/2 = u.v - |u|^2/2 - |v|^2/2 from one GEMM, clamped to d2 >= 0;
         # the self distance is set to exactly 0 so the self-kernel is exactly 1
-        kern = u[start:stop] @ u.T
+        kern = np.matmul(u[start:stop], u.T, out=kern_buf[:stop - start])
         kern -= half_sq[start:stop, None]
         kern -= half_sq
         np.minimum(kern, 0.0, out=kern)

@@ -183,3 +183,21 @@ def test_validate_command(tmp_path):
 def test_explicit_zero_override_is_not_replaced_by_the_config(config_file, argv, message):
     with pytest.raises(ValueError, match=message):
         main([*argv, "--config", str(config_file)])
+
+
+def test_rejected_scenario_is_one_error_line(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("pipeline: {n_fft: 96}\n")
+    proc = run_cli(["simulate", "--config", str(bad), "--out", "bad.rfds"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "rffcap: error: pipeline: n_fft must be a power of two in [64, 4096]: 96"]
+    assert not (tmp_path / "bad.rfds").exists()
+    bad.write_text("estimator: {projected_dim: 0}\n")
+    proc = run_cli(["emi", "--config", str(bad)], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        2, "rffcap: error: estimator: projected_dim must be >= 1 and an integer: 0\n")
+    # any other failure keeps its traceback
+    proc = run_cli(["emi", "--data", "missing.rfds"], tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr

@@ -110,9 +110,31 @@ def test_value_validation(tmp_path):
         ({"pipeline": {"q_bits": 10.5}}, "pipeline.q_bits: expected int, got 10.5"),
         ({"n_devices": 2.5}, "n_devices: expected int, got 2.5"),
         ({"n_devices": float("inf")}, "n_devices: expected int, got inf"),
+        # the estimator, classifier and capacity limits, met before any run
+        ({"estimator": {"bins": 1}}, "estimator: bins must be >= 2"),
+        ({"estimator": {"projected_dim": 0}}, "estimator: projected_dim must be >= 1"),
+        ({"estimator": {"projected_dim": 21}}, "estimator: projected_dim must be <= 20"),
+        ({"classifier": {"kappa": 0}}, "classifier: kappa must be >= 1"),
+        ({"classifier": {"ridge": -1e-3}}, "classifier: ridge must be None or finite and >= 0"),
+        ({"classifier": {"ridge": float("nan")}}, "classifier: ridge must be None or finite"),
+        ({"classifier": {"ridge": float("inf")}}, "classifier: ridge must be None or finite"),
+        ({"classifier": {"train_per_class": 1}}, "classifier: train_per_class must be >= 2"),
+        ({"classifier": {"test_per_class": 1}}, "classifier: test_per_class must be >= 2"),
+        ({"classifier": {"max_devices": 3}}, "classifier: max_devices must be >= 4"),
+        ({"capacity": {"n_max": 2}}, "capacity: n_max must be >= 3"),
     ]:
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict(data)
+
+
+def test_section_limits_accept_their_bounds():
+    cfg = scenario_from_dict({
+        "estimator": {"bins": 2, "projected_dim": 20},
+        "classifier": {"kappa": 1, "ridge": 0, "train_per_class": 2, "test_per_class": 2,
+                       "max_devices": 4},
+        "capacity": {"n_max": 3}})
+    assert (cfg.estimator.bins, cfg.classifier.ridge, cfg.capacity.n_max) == (2, 0.0, 3)
+    assert scenario_from_dict({"estimator": {"projected_dim": 1}}).estimator.projected_dim == 1
 
 
 def test_config_error_is_value_error():

@@ -219,6 +219,15 @@ def scaled_columns():
     return make_ds(x + 7.0, y), 3
 
 
+def many_rows():
+    # 4,000 x 256: the centered features are formed in several 1,024-row
+    # blocks and a tail, and the kernel runs in many 128-row blocks
+    rng = np.random.default_rng(14)
+    y = np.repeat(np.arange(20), 200)
+    centers = rng.normal(scale=0.5, size=(20, 256))
+    return make_ds(rng.normal(size=(4000, 256)) + centers[y], y), 10
+
+
 def unequal_counts():
     rng = np.random.default_rng(9)
     y = np.repeat(np.arange(5), [30, 80, 55, 120, 41])
@@ -303,8 +312,8 @@ def test_classify_matches_reference(case):
     assert report.pe == want_pe
 
 
-@pytest.mark.parametrize("case", CASES + [scaled_columns],
-                         ids=[c.__name__ for c in CASES + [scaled_columns]])
+@pytest.mark.parametrize("case", CASES + [scaled_columns, many_rows],
+                         ids=[c.__name__ for c in CASES + [scaled_columns, many_rows]])
 def test_emi_kde_matches_full_projection(case):
     ds, dim = case()
     want, want_dim, want_rank = full_projection_emi_kde(ds.features, ds.labels, dim)

@@ -1,0 +1,174 @@
+"""Memory the analysis path allocates beyond its input, and the in-place
+forms that keep it small against the plain forms they replaced.
+
+Peaks are traced with tracemalloc, to which NumPy reports its array
+buffers, on a synthetic 4,000 x 256 float64 dataset of 20 classes (8.2 MB).
+The plain forms are kept here as oracles: fit_lda with its within-class
+deviations in a second n x m array and the ridge added through an identity
+matrix, the dataset file written from and read into whole arrays, and the
+Welch kernel with a fresh array per step. The in-place forms must give the
+same bits.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from rffcap import infotheory
+from rffcap.classifier import LdaModel, classify, fit_lda
+from rffcap.fingerprint import (
+    _DATASET_HEADER,
+    _DATASET_MAGIC,
+    _IO_ROWS,
+    _POWER_FLOOR,
+    DatasetMeta,
+    FingerprintDataset,
+    _hann,
+    _welch_db,
+    load_dataset,
+    save_dataset,
+)
+from rffcap.infotheory import emi_kde
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    rng = np.random.default_rng(21)
+    y = np.repeat(np.arange(20), 200)
+    x = rng.normal(size=(4000, 256)) + rng.normal(scale=0.5, size=(20, 256))[y]
+    meta = DatasetMeta(fs_hz=4e6, n_fft=256, snr_db=24.0, q_bits=14,
+                       class_ids=list(range(100, 120)))
+    return FingerprintDataset(x, y, meta)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes fn allocates at its peak, beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_emi_kde_holds_one_kernel_block_beyond_its_input(dataset):
+    n, nbytes = dataset.n_samples, dataset.features.nbytes
+    # the kernel block, _KDE_BLOCK full rows of the n x n kernel, is itself
+    # half the input at 256 columns; everything else (the centered row
+    # blocks, the Gram matrix and its eigenvectors, the projection) must stay
+    # below a quarter of it. A centered copy of the input alone is a whole
+    # one, and a centered row block still alive in the kernel loop a quarter.
+    kernel_block = infotheory._KDE_BLOCK * n * 8
+    assert traced_peak(emi_kde, dataset, projected_dim=10) - kernel_block < 0.25 * nbytes
+
+
+def test_fit_lda_holds_one_within_class_buffer(dataset):
+    nbytes = dataset.features.nbytes
+    # the within-class deviations are one n x m array, the size of the input;
+    # what fit_lda holds beside them (the m x m scatter and its factor, the
+    # projected training set) stays below half of it
+    assert traced_peak(fit_lda, dataset) - nbytes < 0.5 * nbytes
+
+
+def test_dataset_io_holds_one_row_block(dataset, tmp_path):
+    path = tmp_path / "ds.rfds"
+    nbytes = dataset.features.nbytes
+    assert traced_peak(save_dataset, dataset, path) < 0.25 * nbytes
+    # beyond the float64 features it returns, load_dataset holds one block of
+    # float32 rows, not the file's whole payload
+    assert traced_peak(load_dataset, path) - nbytes < 0.25 * nbytes
+
+
+def out_of_place_fit_lda(train, kappa=150):
+    """fit_lda at the default ridge as it was written before it reused the
+    means[y] buffer and added the ridge in place."""
+    classes, y = np.unique(train.labels, return_inverse=True)
+    n_classes, counts = classes.size, np.bincount(y)
+    x = train.features
+    n, m = x.shape
+    mean_all = x.mean(axis=0)
+    means = np.vstack([x[y == c].mean(axis=0) for c in range(n_classes)])
+    within = x - means[y]
+    sw = within.T @ within
+    between = np.sqrt(counts)[:, None] * (means - mean_all)
+    ridge = 1e-6 * np.trace(sw) / m
+    chol = np.linalg.cholesky(sw + ridge * np.eye(m))
+    u, s, _ = np.linalg.svd(np.linalg.solve(chol, between.T), full_matrices=False)
+    eigvals = s * s
+    kappa_eff = min(kappa, n_classes - 1, int(np.sum(eigvals > eigvals[0] * 1e-9)))
+    projection = np.linalg.solve(chol.T, u[:, :kappa_eff])
+    z = x @ projection
+    z_means = np.vstack([z[y == c].mean(axis=0) for c in range(n_classes)])
+    zw = z - z_means[y]
+    pooled = zw.T @ zw / max(n - n_classes, 1)
+    pooled += (1e-9 * max(np.trace(pooled), ridge) / kappa_eff) * np.eye(kappa_eff)
+    return LdaModel(projection=projection, class_means=z_means,
+                    pooled_cov_inv=np.linalg.inv(pooled), class_ids=classes.astype(np.int64),
+                    kappa_eff=kappa_eff, ridge=float(ridge))
+
+
+def test_fit_lda_and_classify_equal_the_out_of_place_form(dataset):
+    # the even rows, a strided view, train, as in the benchmark's stored analysis
+    train = FingerprintDataset(dataset.features[0::2], dataset.labels[0::2], dataset.meta)
+    test = FingerprintDataset(dataset.features[1::2], dataset.labels[1::2], dataset.meta)
+    got, want = fit_lda(train, kappa=12), out_of_place_fit_lda(train, kappa=12)
+    for name in ("projection", "class_means", "pooled_cov_inv", "class_ids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.kappa_eff, got.ridge) == (want.kappa_eff, want.ridge)
+    got, want = classify(got, test), classify(want, test)
+    for name in ("min_distance_scores", "assigned_ids", "confusion", "per_class_errors"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.pe == want.pe
+
+
+def whole_array_bytes(ds):
+    """The .rfds file as save_dataset wrote it from whole-array copies."""
+    meta_json = json.dumps(ds.meta.to_dict()).encode()
+    return (_DATASET_MAGIC + _DATASET_HEADER.pack(ds.n_samples, ds.n_bins, len(meta_json))
+            + meta_json + ds.features.astype("<f4").tobytes()
+            + ds.labels.astype("<i4").tobytes())
+
+
+@pytest.mark.parametrize("rows", [0, 1, _IO_ROWS, _IO_ROWS + 1, 4000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rfds_bytes_and_loaded_arrays_equal_the_whole_array_forms(dataset, tmp_path,
+                                                                   rows, order):
+    ds = FingerprintDataset(np.asarray(dataset.features[:rows], order=order),
+                            dataset.labels[:rows], dataset.meta)
+    path = tmp_path / "ds.rfds"
+    save_dataset(ds, path)
+    raw = path.read_bytes()
+    assert raw == whole_array_bytes(ds)
+    back = load_dataset(path)
+    payload = len(raw) - 4 * rows * (ds.n_bins + 1)
+    want = np.frombuffer(raw, "<f4", rows * ds.n_bins, payload)
+    assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
+    assert np.array_equal(back.features, want.reshape(rows, ds.n_bins).astype(np.float64))
+    assert np.array_equal(back.labels, ds.labels) and back.labels.dtype == np.int64
+
+
+def fresh_array_welch_db(x, n_fft):
+    """The Welch kernel with a new array for each step."""
+    if x.shape[1] < n_fft:
+        x = np.pad(x, ((0, 0), (0, n_fft - x.shape[1])))
+    win = _hann(n_fft)
+    segments = sliding_window_view(x, n_fft, axis=1)[:, :: n_fft // 2]
+    spectra = np.fft.fft(win * segments, axis=-1)
+    periodogram = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=1)
+    bin_power = periodogram / (n_fft * np.sum(win * win))
+    return 10.0 * np.log10(np.maximum(bin_power, _POWER_FLOOR))
+
+
+@pytest.mark.parametrize("n_fft, width", [(256, 512), (512, 512), (128, 300),
+                                          (1024, 2048), (64, 40)])
+def test_welch_in_place_equals_fresh_arrays(n_fft, width):
+    rng = np.random.default_rng(n_fft + width)
+    x = rng.normal(size=(5, width)) + 1j * rng.normal(size=(5, width))
+    x[4] = 0.0  # every bin on the power floor
+    got = _welch_db(x, n_fft)
+    assert np.array_equal(got, fresh_array_welch_db(x, n_fft))
+    assert got.shape == (5, n_fft) and got.flags.c_contiguous

@@ -165,14 +165,14 @@ def scenarios(draw):
         tail_pad=draw(st.integers(0, 500)), adc_backoff_db=draw(st.floats(-1e3, 1e3)))
     classifier = ClassifierConfig(
         kappa=draw(st.integers(1, 500)), ridge=draw(st.one_of(st.none(), st.floats(0.0, 1.0))),
-        train_per_class=draw(st.integers(2, 500)), test_per_class=draw(st.integers(1, 500)),
-        max_devices=draw(st.integers(2, 100)))
+        train_per_class=draw(st.integers(2, 500)), test_per_class=draw(st.integers(2, 500)),
+        max_devices=draw(st.integers(4, 100)))
     return ScenarioConfig(
         population=PopulationSpec(**dists), pipeline=pipeline,
         n_devices=draw(st.integers(2, 100)), per_class=draw(st.integers(2, 1000)),
         estimator=EstimatorConfig(bins=draw(st.integers(2, 256)),
-                                  projected_dim=draw(st.integers(1, 64))),
-        classifier=classifier, capacity=CapacityConfig(n_max=draw(st.integers(2, 10**6))),
+                                  projected_dim=draw(st.integers(1, 20))),
+        classifier=classifier, capacity=CapacityConfig(n_max=draw(st.integers(3, 10**6))),
         sweep=SweepConfig(axis=draw(st.sampled_from(SWEEP_AXES)),
                           values=draw(st.lists(finite, min_size=1, max_size=5))),
         seed=draw(st.integers(0, 2**63 - 1)))
