@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -19,21 +18,19 @@ from .infotheory import emi_kde, per_feature_mi
 from .signal_model import sample_profiles
 
 
-def _add_common(parser: argparse.ArgumentParser, fmt_choices=("csv", "json")) -> None:
-    parser.add_argument("--config", type=Path, help="scenario YAML file")
-    parser.add_argument("--seed", type=int, help="override the scenario seed")
+def _add_common(parser: argparse.ArgumentParser, fmt_choices=("csv", "json"),
+                scenario=True) -> None:
+    """--out and --format, and --config, the only source of scenario values."""
+    if scenario:
+        parser.add_argument("--config", type=Path,
+                            help="scenario YAML file (default: the built-in scenario)")
     parser.add_argument("--out", type=Path, help="output file path")
     parser.add_argument("--format", choices=fmt_choices, default=fmt_choices[0],
                         help=f"output format (default {fmt_choices[0]})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweeps (default 1)")
 
 
 def _scenario(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    return load_config(args.config) if args.config else ScenarioConfig()
 
 
 def emit(args, columns, rows, payload, out: Path | None = None) -> None:
@@ -80,7 +77,7 @@ def cmd_simulate(args) -> int:
 def cmd_mi(args) -> int:
     cfg = _scenario(args)
     ds = _dataset(args, cfg)
-    report = per_feature_mi(ds, bins=cfg.estimator.bins if args.bins is None else args.bins)
+    report = per_feature_mi(ds, bins=cfg.estimator.bins)
     mi = report.per_bin_mi.tolist()
     freqs = (feature_bin_frequencies(len(mi), ds.meta.fs_hz).tolist() if ds.meta.fs_hz
              else [None] * len(mi))
@@ -95,8 +92,7 @@ def cmd_mi(args) -> int:
 def cmd_emi(args) -> int:
     cfg = _scenario(args)
     ds = _dataset(args, cfg)
-    dim = cfg.estimator.projected_dim if args.dim is None else args.dim
-    est = emi_kde(ds, projected_dim=dim)
+    est = emi_kde(ds, projected_dim=cfg.estimator.projected_dim)
     summary = {"emi_bits": est.emi_bits, "emi_bits_clamped": est.emi_bits_clamped,
                "projected_dim": est.projected_dim, "n_samples": est.n_samples,
                "n_classes": ds.n_classes}
@@ -108,8 +104,7 @@ def cmd_emi(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    cfg = _scenario(args)
-    n_max = cfg.capacity.n_max if args.n_max is None else args.n_max
+    n_max = _scenario(args).capacity.n_max
     results = {t: user_capacity(args.emi, t, n_max)
                for t in map(float, args.thresholds.split(","))}
     # the CSV row takes the thresholds in ascending order and sets a flag when
@@ -200,13 +195,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("mi", help="per-feature-bin mutual information")
     _add_common(p)
     p.add_argument("--data", type=Path, help="existing dataset file (.rfds)")
-    p.add_argument("--bins", type=int, help="histogram bins (default from config)")
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("emi", help="ensemble mutual information (KDE)")
     _add_common(p, fmt_choices=("json", "csv"))
     p.add_argument("--data", type=Path, help="existing dataset file (.rfds)")
-    p.add_argument("--dim", type=int, help="projection dimension (default from config)")
     p.set_defaults(func=cmd_emi)
 
     p = sub.add_parser("capacity", help="user capacity from an EMI value")
@@ -214,7 +207,6 @@ def main(argv=None) -> int:
     p.add_argument("--emi", type=float, required=True, help="EMI estimate in bits")
     p.add_argument("--thresholds", default="0.01,0.10",
                    help="comma-separated error thresholds (default 0.01,0.10)")
-    p.add_argument("--n-max", type=int, help="largest population to scan")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("classify", help="train/test error-rate experiment")
@@ -228,10 +220,12 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--with-classifier", action="store_true",
                    help="bracket each capacity with empirical error rates")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="check sweep rows against error bounds")
-    _add_common(p)
+    _add_common(p, scenario=False)
     p.add_argument("--rows", type=Path, required=True, help="sweep CSV/JSON file")
     p.add_argument("--slack", type=float, default=0.2,
                    help="EMI slack in bits (default 0.2)")

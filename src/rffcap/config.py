@@ -102,7 +102,8 @@ def _build(cls, data, path: str | None):
     Missing fields keep cls's defaults. A nested dataclass field needs a
     mapping, the lead_pad tuple a [low, high] pair and a list field a list;
     fields annotated int (no fraction), float or float | None are converted to
-    that type. path names the section in errors (None for the top level).
+    that type, and a boolean is rejected there. path names the section in
+    errors (None for the top level).
     """
     where = path or "top level"
     if not isinstance(data, dict):
@@ -138,6 +139,8 @@ def _scalar(annotation: str, value, key: str):
     if value is None and annotation.endswith(" | None"):
         return None
     try:
+        if isinstance(value, bool):
+            raise TypeError  # YAML true/false is no number, though int() and float() take it
         converted = _SCALARS[annotation](value)
         if annotation == "int" and isinstance(value, float) and converted != value:
             raise ValueError  # an int field rejects 2.5 rather than truncating it

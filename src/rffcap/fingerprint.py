@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
 from .signal_model import (
+    NOISELESS,
     AdcConfig,
     ChannelConfig,
     DeviceProfile,
@@ -25,6 +26,7 @@ from .signal_model import (
     _noise_std,
     _quantise,
     _scale_noise,
+    _unit_noise,
     generate_preamble,
     preamble_length,
 )
@@ -140,7 +142,8 @@ class PipelineConfig:
         When snr_ref_fs_hz is set, snr_db is interpreted at that rate and the
         noise power grows proportionally with fs_hz (fixed noise density).
         """
-        if isinstance(self.snr_db, str) or self.snr_ref_fs_hz is None:
+        # "noiseless" and a bool pass unscaled, the bool for ChannelConfig to reject
+        if isinstance(self.snr_db, (str, bool)) or self.snr_ref_fs_hz is None:
             return self.snr_db
         return float(self.snr_db) - 10.0 * np.log10(self.fs_hz / self.snr_ref_fs_hz)
 
@@ -458,12 +461,8 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
             rng = np.random.default_rng(_PresetState(children[ci, k, 0]))
             leads[k] = rng.integers(lead_lo, lead_hi + 1)
             if draws is not None:
-                # the I rail then the Q rail: the same values as the (2, n)
-                # draw of apply_awgn
-                n = leads[k] + n_burst + pipeline.tail_pad
-                rng = np.random.default_rng(_PresetState(noise_states[ci, k]))
-                rng.standard_normal(out=draws[k, 0, :n])
-                rng.standard_normal(out=draws[k, 1, :n])
+                _unit_noise(_PresetState(noise_states[ci, k]),
+                            draws[k, :, :leads[k] + n_burst + pipeline.tail_pad])
         lengths = leads + n_burst + pipeline.tail_pad
         if draws is None:
             rails[...] = 0.0
@@ -509,10 +508,32 @@ def save_dataset(ds: FingerprintDataset, path) -> None:
         fh.write(ds.labels.astype("<i4"))
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what each .rfds meta key must hold, as a test and its description
+_META_TYPES = {
+    "fs_hz": (_is_number, "a number"),
+    "n_fft": (_is_integer, "an integer"),
+    "q_bits": (_is_integer, "an integer"),
+    "snr_db": (lambda v: _is_number(v) or v == NOISELESS, f"a number or {NOISELESS!r}"),
+    "class_ids": (lambda v: isinstance(v, list) and all(_is_integer(c) and c >= 0 for c in v),
+                  "a list of non-negative integers"),
+    "onset_flagged_frac": (lambda v: v is None or _is_number(v), "a number or null"),
+    "clip_frac": (lambda v: v is None or _is_number(v), "a number or null"),
+}
+
+
 def load_dataset(path) -> FingerprintDataset:
     """Read a dataset written by save_dataset; a malformed file raises ValueError.
 
-    The payload must be exactly the float32 features and int32 labels the
+    Each meta value must have its field's type (a bool is not a number), the
+    payload must be exactly the float32 features and int32 labels the
     header announces, and every label must index meta.class_ids. The
     features are read _IO_ROWS rows at a time straight into the float64
     matrix the dataset holds.
@@ -540,6 +561,10 @@ def load_dataset(path) -> FingerprintDataset:
                    if not isinstance(meta_d, dict) or k not in meta_d]
         if missing:
             raise ValueError(f"dataset meta in {path} lacks {missing}")
+        for key, (fits, kind) in _META_TYPES.items():
+            value = meta_d.get(key)
+            if not fits(value):
+                raise ValueError(f"dataset meta in {path}: {key} must be {kind}: {value!r}")
         if size - payload_at != 4 * n_rows * (n_bins + 1):
             raise ValueError(f"dataset payload size mismatch in {path}")
         features = np.empty((n_rows, n_bins))
@@ -550,8 +575,6 @@ def load_dataset(path) -> FingerprintDataset:
             _read_exactly(fh, rows, path)
             features[lo:lo + rows.shape[0]] = rows
         _read_exactly(fh, labels, path)
-    if not isinstance(meta_d["class_ids"], list):
-        raise ValueError(f"dataset meta in {path}: class_ids must be a list")
     n_classes = len(meta_d["class_ids"])
     if n_rows and not (labels.min() >= 0 and labels.max() < n_classes):
         raise ValueError(f"dataset labels in {path} lie outside [0, {n_classes})")

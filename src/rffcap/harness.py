@@ -27,7 +27,7 @@ from .capacity import (
     user_capacity,
 )
 from .classifier import error_rate_experiment
-from .config import ScenarioConfig, SweepConfig
+from .config import ConfigError, ScenarioConfig, SweepConfig
 from .fingerprint import build_dataset
 from .infotheory import emi_kde
 from .signal_model import sample_profiles
@@ -44,15 +44,24 @@ class SweepSpec:
     fixed: ScenarioConfig
 
     def __post_init__(self):
-        SweepConfig(self.axis)  # checks the axis
+        """A rejected axis, value list or point raises ConfigError naming the sweep."""
         vals = list(self.values)
-        if not vals:
-            raise ValueError("values must be non-empty")
-        diffs = np.diff(np.asarray(vals, dtype=float))
-        if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("values must be strictly ordered")
+        try:
+            SweepConfig(self.axis)  # checks the axis
+            if not vals:
+                raise ValueError("values must be non-empty")
+            if any(isinstance(v, (bool, np.bool_)) for v in vals):
+                raise ValueError(f"values must be numbers, not booleans: {vals}")
+            diffs = np.diff(np.asarray(vals, dtype=float))
+            if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+                raise ValueError(f"values must be strictly ordered: {vals}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep: {exc}") from None
         for v in vals:
-            _scenario_at(self.fixed, self.axis, v)
+            try:
+                _scenario_at(self.fixed, self.axis, v)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"sweep: {self.axis} = {v!r}: {exc}") from None
         self.values = vals
 
 

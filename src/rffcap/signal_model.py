@@ -105,9 +105,10 @@ class ChannelConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.snr_db, str):
+        if isinstance(self.snr_db, (str, bool)):  # a bool is not a number here
             if self.snr_db != NOISELESS:
-                raise ValueError(f"snr_db must be a finite float or '{NOISELESS}'")
+                raise ValueError(f"snr_db must be a finite float or '{NOISELESS}': "
+                                 f"{self.snr_db!r}")
         elif not -1000.0 <= self.snr_db < np.inf:
             raise ValueError(f"snr_db must be finite and >= -1000: {self.snr_db}")
 
@@ -301,8 +302,8 @@ def apply_awgn(capture: IqCapture, channel: ChannelConfig,
                          dict(capture.diagnostics))
     p_sig = float(np.mean(np.abs(capture.samples) ** 2)) if signal_power is None else float(signal_power)
     n = capture.samples.size
-    rails = _scale_noise(_unit_noise(channel.rng_seed, n), _noise_std(channel.snr_db, p_sig),
-                         out=np.empty((n, 2)))
+    rails = _scale_noise(_unit_noise(channel.rng_seed, np.empty((2, n))),
+                         _noise_std(channel.snr_db, p_sig), out=np.empty((n, 2)))
     s = _as_complex(rails)
     s += capture.samples
     return IqCapture(s, capture.fs_hz, capture.true_id, dict(capture.diagnostics))
@@ -316,12 +317,17 @@ def _noise_std(snr_db: float, signal_power: float) -> float:
     return float(np.sqrt(sigma2 / 2.0))
 
 
-def _unit_noise(seed, n: int) -> np.ndarray:
-    """The (2, n) standard-normal I and Q draws of one capture's noise seed.
+def _unit_noise(seed, out: np.ndarray) -> np.ndarray:
+    """Fill the (2, n) out with the standard-normal I and Q draws of one
+    capture's noise seed, the I rail then the Q rail, and return out.
 
-    seed is an int or an ISeedSequence holding a precomputed state.
+    seed is an int or an ISeedSequence holding a precomputed state. Each rail
+    of out must be contiguous; out as a whole need not be.
     """
-    return np.random.default_rng(seed).standard_normal((2, n))
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=out[0])
+    rng.standard_normal(out=out[1])
+    return out
 
 
 def _scale_noise(noise: np.ndarray, std: float, out: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ pipeline:
 n_devices: 4
 per_class: 24
 estimator:
+  bins: 16
   projected_dim: 2
 classifier:
   train_per_class: 24
@@ -88,7 +90,7 @@ def test_mi_command(tmp_path, config_file):
                    "--out", str(ds_path)], tmp_path)
     assert res.returncode == 0, res.stderr
     out = tmp_path / "mi.csv"
-    res = run_cli(["mi", "--data", str(ds_path), "--bins", "16",
+    res = run_cli(["mi", "--data", str(ds_path), "--config", str(config_file),
                    "--out", str(out)], tmp_path)
     assert res.returncode == 0, res.stderr
     lines = out.read_text().splitlines()
@@ -102,7 +104,7 @@ def test_emi_command_json_stdout(tmp_path, config_file):
     res = run_cli(["simulate", "--config", str(config_file), "--format", "bin",
                    "--out", str(ds_path)], tmp_path)
     assert res.returncode == 0, res.stderr
-    res = run_cli(["emi", "--data", str(ds_path), "--dim", "2"], tmp_path)
+    res = run_cli(["emi", "--data", str(ds_path), "--config", str(config_file)], tmp_path)
     assert res.returncode == 0, res.stderr
     payload = json.loads(res.stdout)
     assert payload["projected_dim"] == 2
@@ -174,15 +176,46 @@ def test_validate_command(tmp_path):
     assert "0/1 bound checks passed" in res.stdout
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["mi", "--bins", "0"], "bins must be >= 2"),
-    (["emi", "--dim", "0"], "projected_dim must be in"),
-    (["capacity", "--emi", "3.5", "--n-max", "0"], "n_max must be >= 3"),
-    (["classify", "--n-classes", "0"], "n_classes must be >= 3"),
-])
-def test_explicit_zero_override_is_not_replaced_by_the_config(config_file, argv, message):
-    with pytest.raises(ValueError, match=message):
-        main([*argv, "--config", str(config_file)])
+def test_explicit_zero_override_is_not_replaced_by_the_config(config_file):
+    with pytest.raises(ValueError, match="n_classes must be >= 3"):
+        main(["classify", "--n-classes", "0", "--config", str(config_file)])
+
+
+# each subcommand's options: inputs, outputs and analysis settings that have no
+# scenario field; every scenario value comes from --config alone
+OPTIONS = {
+    "simulate": {"--config", "--out", "--format"},
+    "mi": {"--config", "--data", "--out", "--format"},
+    "emi": {"--config", "--data", "--out", "--format"},
+    "capacity": {"--config", "--emi", "--thresholds", "--out", "--format"},
+    "classify": {"--config", "--n-classes", "--shuffle-labels", "--out", "--format"},
+    "sweep": {"--config", "--with-classifier", "--threads", "--out", "--format"},
+    "validate": {"--rows", "--slack", "--out", "--format"},
+}
+
+# options that repeated a scenario field or that their command never read
+REMOVED = [("simulate", "--seed"), ("mi", "--seed"), ("emi", "--seed"),
+           ("classify", "--seed"), ("sweep", "--seed"), ("capacity", "--seed"),
+           ("validate", "--seed"), ("validate", "--config"), ("mi", "--bins"),
+           ("emi", "--dim"), ("capacity", "--n-max")] + [
+    (command, "--threads") for command in OPTIONS if command != "sweep"]
+
+
+def test_each_subcommand_has_only_its_own_options(capsys):
+    for command, options in OPTIONS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) == options, command
+    assert sum(map(len, OPTIONS.values())) == 30
+    assert len(REMOVED) == 17
+    required = {"capacity": ["--emi", "1"], "validate": ["--rows", "rows.csv"]}
+    for command, option in REMOVED:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *required.get(command, []), option, "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"rffcap: error: unrecognized arguments: {option} 2\n"), command
 
 
 def test_rejected_scenario_is_one_error_line(tmp_path):
@@ -197,6 +230,13 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
     proc = run_cli(["emi", "--config", str(bad)], tmp_path)
     assert (proc.returncode, proc.stderr) == (
         2, "rffcap: error: estimator: projected_dim must be >= 1 and an integer: 0\n")
+    # a sweep value is checked against the scenario it makes, before any point runs
+    bad.write_text("sweep: {axis: n_train_devices, values: [1, 4]}\n")
+    proc = run_cli(["sweep", "--config", str(bad), "--out", "bad.csv"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        2, "rffcap: error: sweep: n_train_devices = 1: "
+           "n_devices must be >= 2 and an integer: 1\n")
+    assert not (tmp_path / "bad.csv").exists()
     # any other failure keeps its traceback
     proc = run_cli(["emi", "--data", "missing.rfds"], tmp_path)
     assert proc.returncode == 1

@@ -67,26 +67,25 @@ CASES = [
     ("simulate_json", "simulate --config scenario.yaml --format json --out ds.json", 0,
      ["ds.json"]),
     ("mi_csv", "mi --data ds.rfds", 0, ["mi_report.csv"]),
-    ("mi_json", "mi --config scenario.yaml --bins 6 --format json --out mi.json", 0,
-     ["mi.json"]),
-    ("emi_json_stdout", "emi --data ds.rfds --dim 1", 0, []),
+    ("mi_json", "mi --config bins6.yaml --format json --out mi.json", 0, ["mi.json"]),
+    ("emi_json_stdout", "emi --data ds.rfds --config scenario.yaml", 0, []),
     ("emi_json_out", "emi --config scenario.yaml --out emi.json", 0, ["emi.json"]),
-    ("emi_csv_out", "emi --data ds.rfds --dim 1 --format csv --out emi.csv", 0,
-     ["emi.csv"]),
-    ("emi_csv_stdout", "emi --data ds.rfds --dim 1 --format csv", 0, []),
+    ("emi_csv_out", "emi --data ds.rfds --config scenario.yaml --format csv --out emi.csv",
+     0, ["emi.csv"]),
+    ("emi_csv_stdout", "emi --data ds.rfds --config scenario.yaml --format csv", 0, []),
     ("capacity_json_stdout", "capacity --emi 3.5", 0, []),
     ("capacity_json_out",
-     "capacity --emi 3.5 --thresholds 0.05,0.01,0.2 --n-max 500 --format json "
-     "--out cap.json", 0, ["cap.json"]),
+     "capacity --emi 3.5 --thresholds 0.05,0.01,0.2 --config non_default_config.yaml "
+     "--format json --out cap.json", 0, ["cap.json"]),
     ("capacity_csv_out",
-     "capacity --emi 3.5 --thresholds 0.05,0.01,0.2 --n-max 500 --format csv "
-     "--out cap.csv", 0, ["cap.csv"]),
-    ("capacity_csv_saturated", "capacity --emi 9.0 --n-max 40 --format csv "
+     "capacity --emi 3.5 --thresholds 0.05,0.01,0.2 --config non_default_config.yaml "
+     "--format csv --out cap.csv", 0, ["cap.csv"]),
+    ("capacity_csv_saturated", "capacity --emi 9.0 --config n_max40.yaml --format csv "
      "--out cap_saturated.csv", 0, ["cap_saturated.csv"]),
     ("capacity_csv_below_min", "capacity --emi 0.25 --format csv "
      "--out cap_below_min.csv", 0, ["cap_below_min.csv"]),
     ("capacity_csv_stdout", "capacity --emi 3.5 --thresholds 0.05,0.01,0.2 "
-     "--n-max 500 --format csv", 0, []),
+     "--config non_default_config.yaml --format csv", 0, []),
     ("classify_stdout", "classify --config scenario.yaml", 0, []),
     ("classify_csv", "classify --config scenario.yaml --format csv --out cls.csv", 0,
      ["cls.csv"]),
@@ -112,6 +111,8 @@ def produce(workdir: Path) -> dict[str, bytes]:
     """Run every case in workdir; map each golden name to the bytes produced."""
     outputs = {}
     (workdir / "scenario.yaml").write_text(SCENARIO_YAML)
+    (workdir / "bins6.yaml").write_text(SCENARIO_YAML.replace("bins: 8", "bins: 6"))
+    (workdir / "n_max40.yaml").write_text("capacity: {n_max: 40}\n")
     save_config(ScenarioConfig(), workdir / CONFIG_FILES[0])
     save_config(scenario_from_dict(NON_DEFAULT), workdir / CONFIG_FILES[1])
     for name in CONFIG_FILES:

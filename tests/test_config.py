@@ -79,6 +79,9 @@ def test_value_validation(tmp_path):
     bad_yaml.write_text("pipeline: {n_fft: 64\n")
     with pytest.raises(ConfigError, match="bad.yaml"):
         load_config(bad_yaml)
+    bad_yaml.write_text("pipeline: {snr_db: true}\n")
+    with pytest.raises(ConfigError, match="pipeline: snr_db must be a finite float"):
+        load_config(bad_yaml)
     for data, message in [
         ({"pipeline": [1, 2]}, "pipeline: expected a mapping"),
         ({"pipeline": None}, "pipeline: expected a mapping"),
@@ -122,6 +125,15 @@ def test_value_validation(tmp_path):
         ({"classifier": {"test_per_class": 1}}, "classifier: test_per_class must be >= 2"),
         ({"classifier": {"max_devices": 3}}, "classifier: max_devices must be >= 4"),
         ({"capacity": {"n_max": 2}}, "capacity: n_max must be >= 3"),
+        # a YAML boolean is no number, though int() and float() would take it
+        ({"seed": True}, "seed: expected int, got True"),
+        ({"pipeline": {"fs_hz": False}}, "pipeline.fs_hz: expected float, got False"),
+        ({"classifier": {"ridge": True}}, r"classifier.ridge: expected float \| None, got True"),
+        ({"pipeline": {"lead_pad": [True, 8]}}, "pipeline.lead_pad: expected int, got True"),
+        ({"pipeline": {"snr_db": True}},
+         "pipeline: snr_db must be a finite float or 'noiseless': True"),
+        ({"pipeline": {"snr_db": False, "snr_ref_fs_hz": 2e6}},
+         "pipeline: snr_db must be a finite float or 'noiseless': False"),
     ]:
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict(data)

@@ -287,6 +287,23 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, meta):
     assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize("key, value", [
+    ("fs_hz", "abc"), ("fs_hz", True), ("n_fft", 64.0), ("n_fft", None), ("q_bits", "14"),
+    ("snr_db", "loud"), ("snr_db", False), ("class_ids", ["a", "b"]), ("class_ids", [0, -1]),
+    ("class_ids", [0, 1.0]), ("onset_flagged_frac", "none"), ("clip_frac", [0.1]),
+    ("clip_frac", True)])
+def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
+    """Each meta value must have its field's type; a bool is not a number."""
+    path = tmp_path / "typed.rfds"
+    meta = {"fs_hz": 4e6, "n_fft": 64, "snr_db": "noiseless", "q_bits": 14,
+            "class_ids": [3, 7], "onset_flagged_frac": None, "clip_frac": 0.0}
+    _write_rfds(path, json.dumps(meta).encode())
+    assert load_dataset(path).meta.class_ids == [3, 7]
+    _write_rfds(path, json.dumps(meta | {key: value}).encode())
+    with pytest.raises(ValueError, match=f"meta in .*typed.rfds: {key} must be"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("change", ["trailing_bytes", "understated_rows"])
 def test_load_dataset_rejects_payload_size_mismatch(tmp_path, saved_dataset, change):
     """40 extra bytes, or a header claiming 2 rows fewer, which would read

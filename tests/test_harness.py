@@ -11,6 +11,7 @@ import rffcap.harness
 from rffcap.cli import main
 from rffcap.config import (
     ClassifierConfig,
+    ConfigError,
     EstimatorConfig,
     ScenarioConfig,
     SweepConfig,
@@ -85,6 +86,9 @@ def test_sweep_spec_validation():
         SweepSpec(axis="n_train_devices", values=[2.5, 4], fixed=base)
     with pytest.raises(ValueError, match="n_devices must be >= 2"):
         SweepSpec(axis="n_train_devices", values=[1, 4], fixed=base)
+    # a YAML boolean is not a value, though float(True) is 1.0
+    with pytest.raises(ConfigError, match=r"sweep: values must be numbers, not booleans: \[True"):
+        SweepSpec(axis="snr_db", values=[True, 30.0], fixed=base)
     # the pipeline's own limits, not narrower ones
     assert SweepSpec(axis="n_fft", values=[4096], fixed=base).values == [4096]
     assert SweepSpec(axis="fs_hz", values=[20e6], fixed=base).values == [20e6]

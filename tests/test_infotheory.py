@@ -240,7 +240,9 @@ def test_mi_report_to_csv(tmp_path):
     save_dataset(make_ds(x, y), data)
     rep = per_feature_mi(load_dataset(data), bins=16)
     path = tmp_path / "mi.csv"
-    assert main(["mi", "--data", str(data), "--bins", "16", "--out", str(path)]) == 0
+    config = tmp_path / "bins16.yaml"
+    config.write_text("estimator: {bins: 16}\n")
+    assert main(["mi", "--data", str(data), "--config", str(config), "--out", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_index,freq_hz,mi_bits"
     assert len(lines) == 5
@@ -255,5 +257,5 @@ def test_mi_report_to_csv(tmp_path):
     ds.meta.fs_hz = 0.0
     save_dataset(ds, data)
     bare = tmp_path / "bare.csv"
-    assert main(["mi", "--data", str(data), "--bins", "16", "--out", str(bare)]) == 0
+    assert main(["mi", "--data", str(data), "--config", str(config), "--out", str(bare)]) == 0
     assert bare.read_text().splitlines()[1].split(",")[1] == ""

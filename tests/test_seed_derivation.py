@@ -92,7 +92,8 @@ def test_draws_match_seed_sequence():
             want_noise = np.random.default_rng(noise_seed).standard_normal((2, n))
             rng = np.random.Generator(np.random.PCG64(_PresetState(children[d, k, 0])))
             assert rng.integers(lead_lo, lead_hi + 1) == want_lead
-            assert np.array_equal(_unit_noise(_PresetState(noise[d, k]), n), want_noise)
+            got_noise = _unit_noise(_PresetState(noise[d, k]), np.empty((2, n)))
+            assert np.array_equal(got_noise, want_noise)
 
 
 def test_preset_state_reads_strided_rows_correctly():
