@@ -1,0 +1,62 @@
+"""One reader, read_record, for the records rffcap reads back from files: the
+scenario YAML, sweep CSV/JSON rows and .rfds meta. It imports nothing from
+rffcap, so every module can use it."""
+
+from __future__ import annotations
+
+from dataclasses import MISSING, fields, is_dataclass
+
+# the Python types each word of an annotation takes; a bool is never a number
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None)}
+
+
+def read_record(cls, data, where: str | None):
+    """cls from a mapping of its fields, each value checked against its annotation.
+
+    Unknown keys are rejected and a field with no default is required. A
+    field whose default is a dataclass is read as a nested record, a tuple
+    default takes a [low, high] list of integers and a list field a list.
+    Otherwise each word of the annotation is one accepted type: int takes
+    only an integer, float an integer or a float (stored as float), bool
+    only true/false, str a string and None null. Errors name {where}.{field}
+    (where None is a file's top level), also for cls's own ValueError.
+    """
+    label = where or "top level"
+    if not isinstance(data, dict):
+        raise ValueError(f"{label}: expected a mapping, got {type(data).__name__}")
+    declared = {f.name: (f.type, f.default if f.default_factory is MISSING
+                         else f.default_factory()) for f in fields(cls)}
+    unknown = sorted(set(data) - set(declared))
+    if unknown:
+        raise ValueError(f"{label}: unknown keys {unknown}")
+    missing = [name for name, (_, default) in declared.items()
+               if default is MISSING and name not in data]
+    if missing:
+        raise ValueError(f"{label}: missing keys {missing}")
+    values = {}
+    for name, value in data.items():
+        key = f"{where}.{name}" if where else name
+        annotation, default = declared[name]
+        if is_dataclass(default):
+            value = read_record(type(default), value, key)
+        elif isinstance(default, tuple):
+            if not (isinstance(value, (list, tuple)) and len(value) == len(default)):
+                raise ValueError(f"{key}: expected [low, high]")
+            value = tuple(_typed("int", v, key) for v in value)
+        elif annotation == "list":
+            if not isinstance(value, list):
+                raise ValueError(f"{key}: expected a list, got {type(value).__name__}")
+        else:
+            value = _typed(annotation, value, key)
+        values[name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
+
+
+def _typed(annotation: str, value, key: str):
+    for word in annotation.split(" | "):
+        if isinstance(value, _TYPES[word]) and isinstance(value, bool) == (word == "bool"):
+            return float(value) if word == "float" else value
+    raise ValueError(f"{key}: expected {annotation}, got {value!r}")

@@ -68,14 +68,27 @@ class CapacityResult:
     trace: np.ndarray
 
 
+def _check_threshold(threshold: float) -> float:
+    if not 0.0 < threshold < 0.5:
+        raise ValueError(f"threshold must be in (0, 0.5): {threshold}")
+    return threshold
+
+
+def _check_emi(emi_bits: float) -> float:
+    if not np.isfinite(emi_bits):
+        raise ValueError(f"emi_bits must be finite: {emi_bits}")
+    return emi_bits
+
+
 def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> CapacityResult:
     """Largest N in [3, n_max] whose Fano error lower bound stays <= threshold.
 
     The scan evaluates (log2(N) - emi - H(threshold)) / log2(N-1) for every
-    candidate N and keeps the largest satisfying one.
+    candidate N and keeps the largest satisfying one. A NaN or infinite
+    emi_bits raises ValueError.
     """
-    if not 0.0 < threshold < 0.5:
-        raise ValueError(f"threshold must be in (0, 0.5): {threshold}")
+    _check_threshold(threshold)
+    _check_emi(emi_bits)
     if n_max < MIN_USERS:
         raise ValueError(f"n_max must be >= {MIN_USERS}: {n_max}")
     n = np.arange(MIN_USERS, n_max + 1)

@@ -8,10 +8,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .capacity import user_capacity
+from .capacity import _check_emi, _check_threshold, user_capacity
 from .classifier import error_rate_experiment
 from .config import ConfigError, ScenarioConfig, load_config
-from .fingerprint import build_dataset, feature_bin_frequencies, load_dataset, save_dataset
+from .fingerprint import (_check_count, build_dataset, feature_bin_frequencies, load_dataset,
+                          save_dataset)
 from .harness import (SweepSpec, read_sweep_rows, run_sweep, sweep_to_csv, sweep_to_json,
                       validate_bounds, write_table)
 from .infotheory import emi_kde, per_feature_mi
@@ -27,6 +28,16 @@ def _add_common(parser: argparse.ArgumentParser, fmt_choices=("csv", "json"),
     parser.add_argument("--out", type=Path, help="output file path")
     parser.add_argument("--format", choices=fmt_choices, default=fmt_choices[0],
                         help=f"output format (default {fmt_choices[0]})")
+
+
+def _usage_checked(convert):
+    """argparse type= running convert, whose ValueError becomes a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _scenario(args) -> ScenarioConfig:
@@ -105,8 +116,7 @@ def cmd_emi(args) -> int:
 
 def cmd_capacity(args) -> int:
     n_max = _scenario(args).capacity.n_max
-    results = {t: user_capacity(args.emi, t, n_max)
-               for t in map(float, args.thresholds.split(","))}
+    results = {t: user_capacity(args.emi, t, n_max) for t in args.thresholds}
     # the CSV row takes the thresholds in ascending order and sets a flag when
     # any threshold's result has it; the JSON keeps the order they were given in
     ascending = sorted(results)
@@ -204,8 +214,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("capacity", help="user capacity from an EMI value")
     _add_common(p, fmt_choices=("json", "csv"))
-    p.add_argument("--emi", type=float, required=True, help="EMI estimate in bits")
+    p.add_argument("--emi", type=_usage_checked(lambda text: _check_emi(float(text))),
+                   required=True, help="EMI estimate in bits")
     p.add_argument("--thresholds", default="0.01,0.10",
+                   type=_usage_checked(lambda text: [_check_threshold(float(t))
+                                                     for t in text.split(",")]),
                    help="comma-separated error thresholds (default 0.01,0.10)")
     p.set_defaults(func=cmd_capacity)
 
@@ -220,7 +233,8 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--with-classifier", action="store_true",
                    help="bracket each capacity with empirical error rates")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", default=1,
+                   type=_usage_checked(lambda text: _check_count("threads", int(text), 1)),
                    help="worker processes (default 1)")
     p.set_defaults(func=cmd_sweep)
 

@@ -9,11 +9,13 @@ frozen (use dataclasses.replace). See the README for the full schema.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+import re
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
+from ._records import read_record
 from .capacity import MIN_USERS
 from .fingerprint import PipelineConfig, _check_count
 from .infotheory import MAX_PROJECTED_DIM, MIN_BINS
@@ -93,71 +95,26 @@ class ScenarioConfig:
         _check_count("per_class", self.per_class, 2)
 
 
-_SCALARS = {"int": int, "float": float, "float | None": float}
-
-
-def _build(cls, data, path: str | None):
-    """cls from a mapping of its fields, recursing into nested dataclasses.
-
-    Missing fields keep cls's defaults. A nested dataclass field needs a
-    mapping, the lead_pad tuple a [low, high] pair and a list field a list;
-    fields annotated int (no fraction), float or float | None are converted to
-    that type, and a boolean is rejected there. path names the section in
-    errors (None for the top level).
-    """
-    where = path or "top level"
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    kinds = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(kinds)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    defaults = cls()
-    values = {}
-    for name, value in data.items():
-        key = f"{path}.{name}" if path else name
-        default = getattr(defaults, name)
-        if is_dataclass(default):
-            value = _build(type(default), value, key)
-        elif isinstance(default, tuple):
-            if not (isinstance(value, (list, tuple)) and len(value) == len(default)):
-                raise ConfigError(f"{key}: expected [low, high]")
-            value = tuple(_scalar("int", v, key) for v in value)
-        elif isinstance(default, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{key}: expected a list, got {type(value).__name__}")
-        elif kinds[name] in _SCALARS:
-            value = _scalar(kinds[name], value, key)
-        values[name] = value
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _scalar(annotation: str, value, key: str):
-    if value is None and annotation.endswith(" | None"):
-        return None
-    try:
-        if isinstance(value, bool):
-            raise TypeError  # YAML true/false is no number, though int() and float() take it
-        converted = _SCALARS[annotation](value)
-        if annotation == "int" and isinstance(value, float) and converted != value:
-            raise ValueError  # an int field rejects 2.5 rather than truncating it
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected {annotation}, got {value!r}") from None
-    return converted
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig; missing sections use defaults."""
-    return _build(ScenarioConfig, {} if data is None else data, None)
+    try:
+        return read_record(ScenarioConfig, {} if data is None else data, None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# PyYAML follows YAML 1.1, where a float needs a dot and a signed exponent;
+# this loader also reads 4.0e6 and 1e6 as floats, as YAML 1.2 does
+_Loader = type("_Loader", (yaml.SafeLoader,), {})
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     return scenario_from_dict(data)

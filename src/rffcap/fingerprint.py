@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
+from ._records import read_record
 from .signal_model import (
     NOISELESS,
     AdcConfig,
@@ -33,7 +34,6 @@ from .signal_model import (
 
 _DATASET_MAGIC = b"RFPD"
 _DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
-_REQUIRED_META = ("fs_hz", "n_fft", "snr_db", "q_bits", "class_ids")
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
 # feature rows converted at a time when a dataset is written or read
 _IO_ROWS = 1024
@@ -49,15 +49,22 @@ _MASK32 = 0xFFFFFFFF
 
 @dataclass
 class DatasetMeta:
-    fs_hz: float = 0.0
-    n_fft: int = 0
-    snr_db: float | str = 0.0
-    q_bits: int = 0
-    class_ids: list = field(default_factory=list)
+    fs_hz: float
+    n_fft: int
+    snr_db: float | str
+    q_bits: int
+    class_ids: list
     # acquisition and ADC statistics of a built dataset; None when unknown
     # (datasets assembled by hand or files written before they were recorded)
     onset_flagged_frac: float | None = None
     clip_frac: float | None = None
+
+    def __post_init__(self):  # what the annotations cannot say
+        if isinstance(self.snr_db, str) and self.snr_db != NOISELESS:
+            raise ValueError(f"snr_db must be a number or {NOISELESS!r}: {self.snr_db!r}")
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
+                   for c in self.class_ids):
+            raise ValueError(f"class_ids must be non-negative integers: {self.class_ids!r}")
 
     def to_dict(self) -> dict:
         """JSON-ready fields, as stored in the .rfds meta block."""
@@ -74,7 +81,7 @@ class FingerprintDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    meta: DatasetMeta = field(default_factory=DatasetMeta)
+    meta: DatasetMeta
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -228,9 +235,10 @@ def _validate_n_fft(n_fft: int) -> None:
         raise ValueError(f"n_fft must be a power of two in [64, 4096]: {n_fft}")
 
 
-def _check_count(name: str, value, low) -> None:
+def _check_count(name: str, value, low):
     if not (isinstance(value, (int, np.integer)) and value >= low):
         raise ValueError(f"{name} must be >= {low} and an integer: {value!r}")
+    return value
 
 
 def extract_spectral_feature(capture: IqCapture, n_fft: int) -> np.ndarray:
@@ -508,35 +516,14 @@ def save_dataset(ds: FingerprintDataset, path) -> None:
         fh.write(ds.labels.astype("<i4"))
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# what each .rfds meta key must hold, as a test and its description
-_META_TYPES = {
-    "fs_hz": (_is_number, "a number"),
-    "n_fft": (_is_integer, "an integer"),
-    "q_bits": (_is_integer, "an integer"),
-    "snr_db": (lambda v: _is_number(v) or v == NOISELESS, f"a number or {NOISELESS!r}"),
-    "class_ids": (lambda v: isinstance(v, list) and all(_is_integer(c) and c >= 0 for c in v),
-                  "a list of non-negative integers"),
-    "onset_flagged_frac": (lambda v: v is None or _is_number(v), "a number or null"),
-    "clip_frac": (lambda v: v is None or _is_number(v), "a number or null"),
-}
-
-
 def load_dataset(path) -> FingerprintDataset:
     """Read a dataset written by save_dataset; a malformed file raises ValueError.
 
-    Each meta value must have its field's type (a bool is not a number), the
-    payload must be exactly the float32 features and int32 labels the
-    header announces, and every label must index meta.class_ids. The
-    features are read _IO_ROWS rows at a time straight into the float64
-    matrix the dataset holds.
+    The meta block is read as a DatasetMeta by read_record, so each value
+    must have its field's type (a bool is not a number); the payload must be
+    exactly the float32 features and int32 labels the header announces, and
+    every label must index meta.class_ids. The features are read _IO_ROWS
+    rows at a time straight into the float64 matrix the dataset holds.
 
     Files written before the acquisition statistics were recorded load with
     meta.onset_flagged_frac and meta.clip_frac set to None.
@@ -557,14 +544,7 @@ def load_dataset(path) -> FingerprintDataset:
             meta_d = json.loads(fh.read(meta_len).decode())
         except ValueError as exc:  # invalid UTF-8 or JSON
             raise ValueError(f"malformed dataset meta in {path}: {exc}") from None
-        missing = [k for k in _REQUIRED_META
-                   if not isinstance(meta_d, dict) or k not in meta_d]
-        if missing:
-            raise ValueError(f"dataset meta in {path} lacks {missing}")
-        for key, (fits, kind) in _META_TYPES.items():
-            value = meta_d.get(key)
-            if not fits(value):
-                raise ValueError(f"dataset meta in {path}: {key} must be {kind}: {value!r}")
+        meta = read_record(DatasetMeta, meta_d, f"{path}: meta")
         if size - payload_at != 4 * n_rows * (n_bins + 1):
             raise ValueError(f"dataset payload size mismatch in {path}")
         features = np.empty((n_rows, n_bins))
@@ -575,12 +555,9 @@ def load_dataset(path) -> FingerprintDataset:
             _read_exactly(fh, rows, path)
             features[lo:lo + rows.shape[0]] = rows
         _read_exactly(fh, labels, path)
-    n_classes = len(meta_d["class_ids"])
+    n_classes = len(meta.class_ids)
     if n_rows and not (labels.min() >= 0 and labels.max() < n_classes):
         raise ValueError(f"dataset labels in {path} lie outside [0, {n_classes})")
-    meta = DatasetMeta(**{k: meta_d[k] for k in _REQUIRED_META},
-                       onset_flagged_frac=meta_d.get("onset_flagged_frac"),
-                       clip_frac=meta_d.get("clip_frac"))
     return FingerprintDataset(features, labels.astype(np.int64), meta)
 
 

@@ -13,12 +13,13 @@ import concurrent.futures
 import json
 import os
 import zlib
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from ._records import read_record
 from .capacity import (
     MIN_USERS,
     check_fano_consistency,
@@ -28,7 +29,7 @@ from .capacity import (
 )
 from .classifier import error_rate_experiment
 from .config import ConfigError, ScenarioConfig, SweepConfig
-from .fingerprint import build_dataset
+from .fingerprint import _check_count, build_dataset
 from .infotheory import emi_kde
 from .signal_model import sample_profiles
 
@@ -165,8 +166,7 @@ def _run_point(spec: SweepSpec, value, with_classifier: bool) -> SweepRow:
 def run_sweep(spec: SweepSpec, with_classifier: bool = False,
               threads: int = 1) -> SweepResult:
     """Evaluate every axis value; failed points are recorded, not fatal."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    _check_count("threads", threads, 1)
     result = SweepResult(spec_axis=spec.axis)
     outcomes: list = [None] * len(spec.values)
     if threads == 1 or len(spec.values) == 1:
@@ -247,59 +247,35 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-# per SweepRow field: its annotated type, CSV cell parser and accepted values
-_ROW_TYPES = {f.name: f.type for f in fields(SweepRow)}
 _PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
-_ROW_PARSERS = {name: _PARSERS[kind.split(" | ")[0]] for name, kind in _ROW_TYPES.items()}
-_VALUE_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
-_REQUIRED_ROW_KEYS = [f.name for f in fields(SweepRow) if f.default is MISSING]
-
-
-def _sweep_row(path, where: str, data: dict) -> SweepRow:
-    unknown = sorted(set(data) - set(_ROW_PARSERS))
-    if unknown:
-        raise ValueError(f"{path}: {where} has unknown keys {unknown}")
-    missing = [name for name in _REQUIRED_ROW_KEYS if name not in data]
-    if missing:
-        raise ValueError(f"{path}: {where} lacks keys {missing}")
-    for key, value in data.items():
-        kind, _, optional = _ROW_TYPES[key].partition(" | ")
-        if not (value is None and optional or isinstance(value, _VALUE_TYPES[kind])
-                and (kind == "bool") == isinstance(value, bool)):
-            raise ValueError(f"{path}: {where} {key} is not {_ROW_TYPES[key]}: {value!r}")
-    return SweepRow(**data)
-
-
-def _json_sweep_rows(path, payload: dict) -> list[SweepRow]:
-    if not isinstance(payload.get("rows"), list):
-        raise ValueError(f"{path}: no 'rows' list")
-    rows = []
-    for i, row in enumerate(payload["rows"]):
-        if not isinstance(row, dict):
-            raise ValueError(f"{path}: row {i} is not an object")
-        rows.append(_sweep_row(path, f"row {i}", row))
-    return rows
+# per SweepRow field, the parser of its CSV cells
+_ROW_PARSERS = {f.name: _PARSERS[f.type.split(" | ")[0]] for f in fields(SweepRow)}
 
 
 def read_sweep_rows(path) -> list[SweepRow]:
     """Load rows from a sweep CSV or JSON file."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        return _json_sweep_rows(path, json.loads(text))
-    rows = []
+        rows = json.loads(text).get("rows")
+        if not isinstance(rows, list):
+            raise ValueError(f"{path}: no 'rows' list")
+        return [read_record(SweepRow, row, f"{path}: rows[{i}]") for i, row in enumerate(rows)]
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
              if ln and not ln.startswith("#")]
-    if not lines:
-        return rows
-    header = lines[0][1].split(",")
+    header = lines[0][1].split(",") if lines else []
+    rows = []
     for number, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
                              f"the header has {len(header)}")
-        data = {col: None if cell == "" else _ROW_PARSERS.get(col, str)(cell)
-                for col, cell in zip(header, cells)}
-        rows.append(_sweep_row(path, f"line {number}", data))
+        data = {}
+        for column, cell in zip(header, cells):
+            try:
+                data[column] = None if cell == "" else _ROW_PARSERS.get(column, str)(cell)
+            except ValueError:  # kept as text, for read_record to reject
+                data[column] = cell
+        rows.append(read_record(SweepRow, data, f"{path}: line {number}"))
     return rows
 
 

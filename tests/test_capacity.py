@@ -98,6 +98,12 @@ def test_user_capacity_validation():
         user_capacity(3.5, 0.01, n_max=2)
 
 
+@pytest.mark.parametrize("emi_bits", [float("nan"), float("inf"), -float("inf")])
+def test_user_capacity_rejects_non_finite_emi(emi_bits):
+    with pytest.raises(ValueError, match="emi_bits must be finite"):
+        user_capacity(emi_bits, 0.01)
+
+
 def test_capacity_csv_row(tmp_path):
     path = tmp_path / "cap.csv"
     for emi in (2.0, 3.0, 3.5):

@@ -218,6 +218,27 @@ def test_each_subcommand_has_only_its_own_options(capsys):
         assert err.endswith(f"rffcap: error: unrecognized arguments: {option} 2\n"), command
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["capacity", "--emi", "nan"], "argument --emi: emi_bits must be finite: nan"),
+    (["capacity", "--emi", "inf"], "argument --emi: emi_bits must be finite: inf"),
+    (["capacity", "--emi", "3", "--thresholds", "abc"],
+     "argument --thresholds: could not convert string to float: 'abc'"),
+    (["capacity", "--emi", "3", "--thresholds", "0"],
+     "argument --thresholds: threshold must be in (0, 0.5): 0.0"),
+    (["capacity", "--emi", "3", "--thresholds", "0.01,,0.1"],
+     "argument --thresholds: could not convert string to float: ''"),
+    (["sweep", "--threads", "0"], "argument --threads: threads must be >= 1 and an integer: 0"),
+])
+def test_bad_option_value_is_a_usage_error(capsys, argv, message):
+    """A value the library would reject stops argument parsing: exit 2, no output."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"rffcap {argv[0]}: error: {message}"
+
+
 def test_rejected_scenario_is_one_error_line(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("pipeline: {n_fft: 96}\n")

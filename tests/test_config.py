@@ -80,7 +80,7 @@ def test_value_validation(tmp_path):
     with pytest.raises(ConfigError, match="bad.yaml"):
         load_config(bad_yaml)
     bad_yaml.write_text("pipeline: {snr_db: true}\n")
-    with pytest.raises(ConfigError, match="pipeline: snr_db must be a finite float"):
+    with pytest.raises(ConfigError, match=r"pipeline.snr_db: expected float \| str, got True"):
         load_config(bad_yaml)
     for data, message in [
         ({"pipeline": [1, 2]}, "pipeline: expected a mapping"),
@@ -108,8 +108,9 @@ def test_value_validation(tmp_path):
         ({"pipeline": {"tail_pad": -40}}, "pipeline: tail_pad must be >= 0"),
         ({"pipeline": {"lead_pad": [10, 5]}}, "pipeline: lead_pad high must be >= 10"),
         ({"pipeline": {"adc_backoff_db": -1e6}}, r"pipeline: adc_backoff_db must be in \[-1000"),
-        ({"n_devices": 4.0, "per_class": 1}, "top level: per_class must be >= 2"),
-        # an int field takes no fraction and no infinity
+        ({"n_devices": 4, "per_class": 1}, "top level: per_class must be >= 2"),
+        # an int field takes only an integer: no fraction, no infinity, not 4.0
+        ({"n_devices": 4.0}, "n_devices: expected int, got 4.0"),
         ({"pipeline": {"q_bits": 10.5}}, "pipeline.q_bits: expected int, got 10.5"),
         ({"n_devices": 2.5}, "n_devices: expected int, got 2.5"),
         ({"n_devices": float("inf")}, "n_devices: expected int, got inf"),
@@ -130,13 +131,20 @@ def test_value_validation(tmp_path):
         ({"pipeline": {"fs_hz": False}}, "pipeline.fs_hz: expected float, got False"),
         ({"classifier": {"ridge": True}}, r"classifier.ridge: expected float \| None, got True"),
         ({"pipeline": {"lead_pad": [True, 8]}}, "pipeline.lead_pad: expected int, got True"),
-        ({"pipeline": {"snr_db": True}},
-         "pipeline: snr_db must be a finite float or 'noiseless': True"),
+        ({"pipeline": {"snr_db": True}}, r"pipeline.snr_db: expected float \| str, got True"),
         ({"pipeline": {"snr_db": False, "snr_ref_fs_hz": 2e6}},
-         "pipeline: snr_db must be a finite float or 'noiseless': False"),
+         r"pipeline.snr_db: expected float \| str, got False"),
     ]:
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict(data)
+
+
+def test_yaml_exponent_without_a_dot_or_sign_is_a_float(tmp_path):
+    """YAML 1.1 reads 4.0e6 and 1e7 as strings; a float field reads them as floats."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text("pipeline: {fs_hz: 1e7, snr_db: 2.4e1, snr_ref_fs_hz: 4.0e6}\n")
+    pipeline = load_config(path).pipeline
+    assert (pipeline.fs_hz, pipeline.snr_db, pipeline.snr_ref_fs_hz) == (1e7, 24.0, 4e6)
 
 
 def test_section_limits_accept_their_bounds():

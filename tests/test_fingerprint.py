@@ -1,13 +1,16 @@
 """Acquisition, spectral features, dataset assembly, and dataset IO."""
 
 import json
+import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rffcap.cli import main
 from rffcap.fingerprint import (
+    DatasetMeta,
     FingerprintDataset,
     PipelineConfig,
     acquire,
@@ -300,7 +303,25 @@ def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
     _write_rfds(path, json.dumps(meta).encode())
     assert load_dataset(path).meta.class_ids == [3, 7]
     _write_rfds(path, json.dumps(meta | {key: value}).encode())
-    with pytest.raises(ValueError, match=f"meta in .*typed.rfds: {key} must be"):
+    annotation = {f.name: f.type for f in fields(DatasetMeta)}[key]
+    message = {  # what an annotation cannot say, checked by DatasetMeta itself
+        ("snr_db", "'loud'"): "meta: snr_db must be a number or 'noiseless': 'loud'",
+        ("class_ids", "['a', 'b']"): "meta: class_ids must be non-negative integers: ['a', 'b']",
+        ("class_ids", "[0, -1]"): "meta: class_ids must be non-negative integers: [0, -1]",
+        ("class_ids", "[0, 1.0]"): "meta: class_ids must be non-negative integers: [0, 1.0]",
+    }.get((key, repr(value)), f"meta.{key}: expected {annotation}, got {value!r}")
+    with pytest.raises(ValueError, match=re.escape(f"typed.rfds: {message}")):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"gain_db": 3.0}, "unknown keys ['gain_db']"),
+    ({"class_ids": [0, True]}, "class_ids must be non-negative integers: [0, True]")])
+def test_load_dataset_rejects_unknown_meta_key_and_boolean_class_id(tmp_path, change, message):
+    path = tmp_path / "extra.rfds"
+    meta = {"fs_hz": 4e6, "n_fft": 3, "snr_db": 24.0, "q_bits": 14, "class_ids": [0, 1]}
+    _write_rfds(path, json.dumps(meta | change).encode())
+    with pytest.raises(ValueError, match=re.escape(f"extra.rfds: meta: {message}")):
         load_dataset(path)
 
 

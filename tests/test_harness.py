@@ -211,11 +211,11 @@ def test_read_sweep_rows_rejects_unknown_and_missing_columns(tmp_path):
     sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0)]), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[1].replace("emi_bits,", "emi_nats,", 1), lines[2]]))
-    with pytest.raises(ValueError, match=r"sweep\.csv: line 2 has unknown keys \['emi_nats'\]"):
+    with pytest.raises(ValueError, match=r"sweep\.csv: line 2: unknown keys \['emi_nats'\]"):
         read_sweep_rows(path)
     header, row = lines[1].split(","), lines[2].split(",")
     path.write_text(",".join(header[1:]) + "\n" + ",".join(row[1:]) + "\n")
-    with pytest.raises(ValueError, match=r"sweep\.csv: line 2 lacks keys \['axis'\]"):
+    with pytest.raises(ValueError, match=r"sweep\.csv: line 2: missing keys \['axis'\]"):
         read_sweep_rows(path)
 
 
@@ -226,7 +226,22 @@ def test_read_sweep_rows_rejects_empty_required_cell(tmp_path):
     cells = lines[2].split(",")
     cells[3] = ""  # emi_bits
     path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
-    with pytest.raises(ValueError, match=r"sweep\.csv: line 3 emi_bits is not float: None"):
+    with pytest.raises(ValueError, match=r"sweep\.csv: line 3\.emi_bits: expected float, got None"):
+        read_sweep_rows(path)
+
+
+@pytest.mark.parametrize("column, cell, annotation", [
+    ("nc_1pct", "4.0", "int"), ("emi_bits", "x", "float"), ("saturated", "yes", "bool")])
+def test_read_sweep_rows_names_file_line_and_column_of_a_bad_cell(tmp_path, column, cell,
+                                                                  annotation):
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[_csv_row(10.0)]), path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[1].split(",").index(column)] = cell
+    path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"sweep.csv: line 3.{column}: expected {annotation}, got {cell!r}")):
         read_sweep_rows(path)
 
 
@@ -247,13 +262,13 @@ def test_read_sweep_rows_json_roundtrip(tmp_path):
 
 def test_read_sweep_rows_json_rejects_unknown_key(tmp_path):
     path = _json_sweep(tmp_path, lambda p: p["rows"][1].update(emi_nats=1.0))
-    with pytest.raises(ValueError, match=r"sweep\.json: row 1 has unknown keys \['emi_nats'\]"):
+    with pytest.raises(ValueError, match=r"sweep\.json: rows\[1\]: unknown keys \['emi_nats'\]"):
         read_sweep_rows(path)
 
 
 def test_read_sweep_rows_json_rejects_missing_key(tmp_path):
     path = _json_sweep(tmp_path, lambda p: p["rows"][0].pop("emi_bits"))
-    with pytest.raises(ValueError, match=r"sweep\.json: row 0 lacks keys \['emi_bits'\]"):
+    with pytest.raises(ValueError, match=r"sweep\.json: rows\[0\]: missing keys \['emi_bits'\]"):
         read_sweep_rows(path)
 
 
@@ -265,7 +280,7 @@ def test_read_sweep_rows_json_rejects_missing_rows(tmp_path):
 
 def test_read_sweep_rows_json_rejects_non_object_row(tmp_path):
     path = _json_sweep(tmp_path, lambda p: p["rows"].append([1, 2]))
-    with pytest.raises(ValueError, match=r"sweep\.json: row 2 is not an object"):
+    with pytest.raises(ValueError, match=r"sweep\.json: rows\[2\]: expected a mapping, got list"):
         read_sweep_rows(path)
 
 
@@ -283,7 +298,7 @@ def test_read_sweep_rows_json_rejects_non_object_row(tmp_path):
 def test_read_sweep_rows_json_rejects_wrongly_typed_value(tmp_path, key, value, annotation):
     path = _json_sweep(tmp_path, lambda p: p["rows"][1].update({key: value}))
     with pytest.raises(ValueError, match=re.escape(
-            f"sweep.json: row 1 {key} is not {annotation}: {value!r}")):
+            f"sweep.json: rows[1].{key}: expected {annotation}, got {value!r}")):
         read_sweep_rows(path)
 
 
