@@ -93,6 +93,7 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_count("n_devices", self.n_devices, 2)
         _check_count("per_class", self.per_class, 2)
+        _check_count("seed", self.seed, 0)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

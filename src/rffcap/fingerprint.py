@@ -37,6 +37,13 @@ _DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
 # feature rows converted at a time when a dataset is written or read
 _IO_ROWS = 1024
+# bytes of I/Q rails build_dataset runs through its receive chain at a time;
+# a block holds max(1, _SYNTH_BLOCK_BYTES // (width * 16)) rows: 71 at 4 MHz,
+# 33 at 10 MHz with the default padding. Sized by measurement (README
+# "Estimator notes"): 0.5-1 MiB blocks built within 5% of whole-device
+# batches, 256 KiB ones up to 17% slower, and 1 MiB ones raised snr_sweep's
+# peak RSS by ~1.4 MB over this size.
+_SYNTH_BLOCK_BYTES = 3 << 18
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx); NumPy's
 # stream-compatibility policy keeps its output fixed across releases
@@ -236,7 +243,9 @@ def _validate_n_fft(n_fft: int) -> None:
 
 
 def _check_count(name: str, value, low):
-    if not (isinstance(value, (int, np.integer)) and value >= low):
+    # a bool is an int to isinstance, but never a count
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low):
         raise ValueError(f"{name} must be >= {low} and an integer: {value!r}")
     return value
 
@@ -415,16 +424,20 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     arithmetic (`_spawned_states`, `_seeded_states`), equal to NumPy's bit for
     bit.
 
-    Batching: the per_class captures of one device go through the receive
-    chain together, as one zero-padded (per_class, longest capture, 2) float64
-    buffer of I/Q rails that every stage updates in place. The unit noise
-    draws are scaled into it and the burst is added to each row's slice; then
-    backoff, the finiteness check and quantization act on the whole buffer,
-    and acquisition and Welch run row-wise on its complex view through the
-    same kernels as `acquire` and `extract_spectral_feature`, counting only
-    each row's true length. The rails, the noise draws and the ideal
-    baseband are made once per build; only the lead-in and noise draws run
-    once per capture.
+    Batching: the rows, device by device, go through the receive chain in
+    fixed blocks of rows that may span devices, sized by _SYNTH_BLOCK_BYTES,
+    so the working set does not grow with per_class. A block is one
+    zero-padded (rows, longest capture, 2) float64 buffer of I/Q rails that
+    every stage updates in place. The unit noise draws are scaled into it
+    and each row's device burst is added to its slice; then backoff, the
+    finiteness check and quantization act on the whole block, and
+    acquisition and Welch run row-wise on its complex view through the same
+    kernels as `acquire` and `extract_spectral_feature`, counting only each
+    row's true length. Every stage acts row by row, so the block size does
+    not change any output bit. The rails and the noise draws are allocated
+    once per build and reused by every block, and each device's ideal
+    baseband is made once; only the lead-in and noise draws run once per
+    capture.
 
     The meta records the fraction of captures whose acquisition fell back to
     the max-energy window (onset_flagged_frac) and the mean over captures of
@@ -453,42 +466,47 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     clip = np.empty(n_rows)
 
     class_ids = [p.device_id for p in ordered]
-    # children[d, k, 0] seeds the lead-in draw; the first word of
-    # children[d, k, 1] is the noise seed
-    children = _spawned_states(master_seed, class_ids, per_class)
-    noise_states = _seeded_states(children[:, :, 1, 0])
-    # one device's batch: I/Q rails that every stage updates in place, their
-    # complex view, and the unit noise draws of its captures
-    rails = np.empty((per_class, width, 2))
-    x = _as_complex(rails)
-    draws = None if noise_std is None else np.zeros((per_class, 2, width))
-    leads = np.empty(per_class, dtype=np.intp)
-    for ci, prof in enumerate(ordered):
-        burst = generate_preamble(prof, pipeline.fs_hz, pipeline.n_symbols).samples
-        for k in range(per_class):
-            rng = np.random.default_rng(_PresetState(children[ci, k, 0]))
-            leads[k] = rng.integers(lead_lo, lead_hi + 1)
+    bursts = [generate_preamble(p, pipeline.fs_hz, pipeline.n_symbols).samples
+              for p in ordered]
+    # row r is capture r % per_class of device r // per_class: children[r, 0]
+    # seeds its lead-in draw and the first word of children[r, 1] its noise
+    children = _spawned_states(master_seed, class_ids, per_class).reshape(n_rows, 2, 4)
+    noise_states = _seeded_states(children[:, 1, 0])
+    # buffers of one block of rows, which may span devices, reused by every
+    # block: I/Q rails that every stage updates in place, the unit noise
+    # draws and the lead-in lengths
+    block = min(n_rows, max(1, _SYNTH_BLOCK_BYTES // (width * 16)))
+    rails_buf = np.empty((block, width, 2))
+    draws = None if noise_std is None else np.zeros((block, 2, width))
+    leads_buf = np.empty(block, dtype=np.intp)
+    for lo in range(0, n_rows, block):
+        rails, leads = rails_buf[:n_rows - lo], leads_buf[:n_rows - lo]
+        rows = slice(lo, lo + len(rails))
+        x = _as_complex(rails)
+        for j, (lead_state, noise_state) in enumerate(zip(children[rows, 0],
+                                                          noise_states[rows])):
+            rng = np.random.default_rng(_PresetState(lead_state))
+            leads[j] = rng.integers(lead_lo, lead_hi + 1)
             if draws is not None:
-                _unit_noise(_PresetState(noise_states[ci, k]),
-                            draws[k, :, :leads[k] + n_burst + pipeline.tail_pad])
+                _unit_noise(_PresetState(noise_state),
+                            draws[j, :, :leads[j] + n_burst + pipeline.tail_pad])
         lengths = leads + n_burst + pipeline.tail_pad
         if draws is None:
             rails[...] = 0.0
         else:
-            _scale_noise(draws, noise_std, out=rails)
-        for k, (lead, n) in enumerate(zip(leads.tolist(), lengths.tolist())):
-            rails[k, n:] = 0.0
-            x[k, lead:lead + n_burst] += burst
+            _scale_noise(draws[:len(rails)], noise_std, out=rails)
+        for j, (lead, n) in enumerate(zip(leads.tolist(), lengths.tolist())):
+            rails[j, n:] = 0.0
+            x[j, lead:lead + n_burst] += bursts[(lo + j) // per_class]
 
         rails *= backoff
         if not np.isfinite(rails).all():
             raise ValueError("samples must be finite")
         clipped = _quantise(rails, adc)
-        bursts, _, row_flagged = _acquire_rows(x, lengths, window,
-                                               pipeline.threshold_factor)
+        acquired, _, row_flagged = _acquire_rows(x, lengths, window,
+                                                 pipeline.threshold_factor)
 
-        rows = slice(ci * per_class, (ci + 1) * per_class)
-        features[rows] = _welch_db(bursts, pipeline.n_fft)
+        features[rows] = _welch_db(acquired, pipeline.n_fft)
         flagged[rows] = row_flagged
         clip[rows] = clipped.sum(axis=1) / lengths
 

@@ -108,6 +108,8 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
                           out=np.ones_like(joint), where=counts > 0)
         mi[cols] = np.maximum(0.0, (joint * np.log2(ratio)).sum(axis=(1, 2)))
         h_x[cols] = -(p_x * np.log2(np.where(p_x > 0, p_x, 1.0))).sum(axis=1)
+        # free this block's temporaries before the next block's idx is built
+        del idx, counts, joint, p_x, ratio
     return MiReport(per_bin_mi=mi, h_x=h_x, bins=bins)
 
 

@@ -126,6 +126,7 @@ def test_value_validation(tmp_path):
         ({"classifier": {"test_per_class": 1}}, "classifier: test_per_class must be >= 2"),
         ({"classifier": {"max_devices": 3}}, "classifier: max_devices must be >= 4"),
         ({"capacity": {"n_max": 2}}, "capacity: n_max must be >= 3"),
+        ({"seed": -1}, "top level: seed must be >= 0"),
         # a YAML boolean is no number, though int() and float() would take it
         ({"seed": True}, "seed: expected int, got True"),
         ({"pipeline": {"fs_hz": False}}, "pipeline.fs_hz: expected float, got False"),
@@ -137,6 +138,12 @@ def test_value_validation(tmp_path):
     ]:
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_scenario_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+        ScenarioConfig(seed=seed)
 
 
 def test_yaml_exponent_without_a_dot_or_sign_is_a_float(tmp_path):
@@ -155,6 +162,7 @@ def test_section_limits_accept_their_bounds():
         "capacity": {"n_max": 3}})
     assert (cfg.estimator.bins, cfg.classifier.ridge, cfg.capacity.n_max) == (2, 0.0, 3)
     assert scenario_from_dict({"estimator": {"projected_dim": 1}}).estimator.projected_dim == 1
+    assert ScenarioConfig(seed=0).seed == 0
 
 
 def test_config_error_is_value_error():

@@ -177,6 +177,16 @@ def test_effective_snr_db():
     assert noiseless.effective_snr_db() == "noiseless"
 
 
+@pytest.mark.parametrize("kwargs, name", [({"n_symbols": True}, "n_symbols"),
+                                          ({"lead_pad": (True, 5)}, "lead_pad low"),
+                                          ({"lead_pad": (0, False)}, "lead_pad high"),
+                                          ({"tail_pad": True}, "tail_pad")])
+def test_pipeline_counts_reject_bools(kwargs, name):
+    # a bool is an int to isinstance, but no count
+    with pytest.raises(ValueError, match=f"{name} must be >= .* and an integer: (True|False)"):
+        PipelineConfig(**kwargs)
+
+
 def test_dataset_io_roundtrip(tmp_path):
     profiles = sample_profiles(PopulationSpec(), 3, seed=4)
     ds = build_dataset(profiles, 4, PipelineConfig(n_fft=64), master_seed=2)

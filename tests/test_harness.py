@@ -144,6 +144,8 @@ def test_thread_count_does_not_change_results(tmp_path):
     assert strip_timestamp(p1.read_text()) == strip_timestamp(p2.read_text())
     with pytest.raises(ValueError):
         run_sweep(spec, threads=0)
+    with pytest.raises(ValueError, match="threads must be >= 1 and an integer: True"):
+        run_sweep(spec, threads=True)
 
 
 def test_aborted_point_is_isolated(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
-"""Memory the analysis path allocates beyond its input, and the in-place
-forms that keep it small against the plain forms they replaced.
+"""Memory the analysis path and dataset synthesis allocate beyond their
+input and output, and the in-place forms that keep it small against the
+plain forms they replaced.
 
 Peaks are traced with tracemalloc, to which NumPy reports its array
-buffers, on a synthetic 4,000 x 256 float64 dataset of 20 classes (8.2 MB).
+buffers, on a synthetic 4,000 x 256 float64 dataset of 20 classes (8.2 MB)
+unless a test says otherwise.
 The plain forms are kept here as oracles: fit_lda with its within-class
 deviations in a second n x m array and the ridge added through an identity
 matrix, the dataset file written from and read into whole arrays, and the
@@ -24,14 +26,18 @@ from rffcap.fingerprint import (
     _DATASET_MAGIC,
     _IO_ROWS,
     _POWER_FLOOR,
+    _SYNTH_BLOCK_BYTES,
     DatasetMeta,
     FingerprintDataset,
+    PipelineConfig,
     _hann,
     _welch_db,
+    build_dataset,
     load_dataset,
     save_dataset,
 )
-from rffcap.infotheory import emi_kde
+from rffcap.infotheory import emi_kde, per_feature_mi
+from rffcap.signal_model import PopulationSpec, sample_profiles
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +70,41 @@ def test_emi_kde_holds_one_kernel_block_beyond_its_input(dataset):
     # one, and a centered row block still alive in the kernel loop a quarter.
     kernel_block = infotheory._KDE_BLOCK * n * 8
     assert traced_peak(emi_kde, dataset, projected_dim=10) - kernel_block < 0.25 * nbytes
+
+
+@pytest.mark.parametrize("n_classes, bins", [(40, 64), (4, 16)])
+def test_per_feature_mi_holds_one_blocks_temporaries(n_classes, bins):
+    rng = np.random.default_rng(n_classes)
+    y = np.repeat(np.arange(n_classes), 4000 // n_classes)
+    x = rng.normal(size=(4000, 256)) + rng.normal(scale=0.5, size=(n_classes, 256))[y]
+    ds = FingerprintDataset(x, y, DatasetMeta(fs_hz=4e6, n_fft=256, snr_db=24.0, q_bits=14,
+                                              class_ids=list(range(n_classes))))
+    # one block's binning holds the cell offsets, the binned members and the
+    # float temporaries of binning them, about three n x _MI_BLOCK arrays,
+    # and its MI the counts, joint, ratio and log terms, four count-sized
+    # arrays; the previous block's idx, counts, joint and ratio still alive
+    # while the next block is binned passed this (40 classes: 6.2 MB traced)
+    column_block = x.shape[0] * infotheory._MI_BLOCK * 8
+    count_block = infotheory._MI_BLOCK * n_classes * bins * 8
+    assert traced_peak(per_feature_mi, ds, bins=bins) < 3.25 * column_block + 4 * count_block
+
+
+def test_build_dataset_working_set_does_not_grow_with_per_class():
+    profiles = sample_profiles(PopulationSpec(), 3, seed=3)
+    pipeline = PipelineConfig(fs_hz=10e6, n_fft=1024, snr_db=16.0, snr_ref_fs_hz=4e6)
+    transient = {}
+    for per_class in (100, 400):
+        n_rows = 3 * per_class
+        # beyond the returned features, as the dataset is built
+        transient[per_class] = (traced_peak(build_dataset, profiles, per_class, pipeline, 1)
+                                - n_rows * pipeline.n_fft * 8)
+    # the receive chain runs over fixed row blocks, so only the per-capture
+    # seed states, labels, flags and clip counts grow, by well under 256
+    # bytes a row; whole-device batches grew by 34 MB here
+    assert transient[400] - transient[100] < 256 * 3 * 300
+    # the block's rails and noise draws are one _SYNTH_BLOCK_BYTES each, and
+    # acquisition and Welch temporaries a few more
+    assert transient[400] < 8 * _SYNTH_BLOCK_BYTES
 
 
 def test_fit_lda_holds_one_within_class_buffer(dataset):

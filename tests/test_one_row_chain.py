@@ -7,11 +7,15 @@ front-end backoff, adc_sample, acquire and extract_spectral_feature. The
 batched build must give the same feature row bit for bit, and its meta
 fractions must equal the means of the one-row diagnostics. This keeps one
 implementation per stage checked without the frozen golden file.
+
+The batched build runs its rows in blocks that may span devices; the block
+size must not change any bit of the features or the meta.
 """
 
 import numpy as np
 import pytest
 
+from rffcap import fingerprint
 from rffcap.fingerprint import (
     PipelineConfig,
     acquire,
@@ -36,6 +40,9 @@ SCENARIOS = {
     # no noise, burst at sample 0
     "noiseless_lead0": (3, 6, 13, 7, PipelineConfig(n_fft=256, snr_db="noiseless",
                                                     lead_pad=(0, 0))),
+    # more rows than one default block: blocks of 71, 71 and 8 rows that
+    # start and end inside devices
+    "snr20_default_blocks": (3, 50, 14, 9, PipelineConfig(n_fft=64, snr_db=20.0)),
 }
 
 
@@ -78,3 +85,28 @@ def test_build_dataset_equals_one_row_chain(name):
     assert ds.meta.onset_flagged_frac == float(np.mean(flags))
     if name == "snr0_fallback":
         assert np.mean(flags) > 0.5 and np.mean(clips) > 0.0
+
+
+def build_in_blocks(monkeypatch, name, block_rows):
+    """build_dataset of a scenario with blocks of block_rows rows: an int,
+    "all" or "more" than the dataset's rows, or None for the default."""
+    n_devices, per_class, profile_seed, master_seed, pipeline = SCENARIOS[name]
+    if block_rows is not None:
+        n_rows = n_devices * per_class
+        rows = {"all": n_rows, "more": n_rows + 5}.get(block_rows, block_rows)
+        width = pipeline.lead_pad[1] + pipeline.window() + pipeline.tail_pad
+        monkeypatch.setattr(fingerprint, "_SYNTH_BLOCK_BYTES", rows * width * 16)
+    profiles = sample_profiles(PopulationSpec(), n_devices, seed=profile_seed)
+    return build_dataset(profiles, per_class, pipeline, master_seed=master_seed)
+
+
+@pytest.mark.parametrize("block_rows", [7, None, "all", "more"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_block_size_changes_no_bit(monkeypatch, name, block_rows):
+    # one-row blocks are the reference: every row goes through the chain alone
+    with monkeypatch.context() as patch:
+        want = build_in_blocks(patch, name, 1)
+    got = build_in_blocks(monkeypatch, name, block_rows)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.meta.to_dict() == want.meta.to_dict()
