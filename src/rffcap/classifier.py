@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .fingerprint import FingerprintDataset, PipelineConfig, build_dataset
+from .infotheory import _CENTER_BLOCK
 from .signal_model import DeviceProfile
 
 
@@ -47,6 +48,19 @@ class ClassificationReport:
     @property
     def n_test(self) -> int:
         return self.true_ids.size
+
+
+def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """x @ projection, one product per _CENTER_BLOCK rows into one output array.
+
+    NumPy allocates nothing for the products, but one product over a few
+    thousand rows grows the process by OpenBLAS work-buffer pages several
+    times larger than one over a block (README "Estimator notes").
+    """
+    z = np.empty((x.shape[0], projection.shape[1]))
+    for lo in range(0, x.shape[0], _CENTER_BLOCK):
+        np.matmul(x[lo:lo + _CENTER_BLOCK], projection, out=z[lo:lo + _CENTER_BLOCK])
+    return z
 
 
 def fit_lda(train: FingerprintDataset, kappa: int = 150,
@@ -84,12 +98,19 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     mean_all = x.mean(axis=0)
     means = np.vstack([x[y == c].mean(axis=0) for c in range(n_classes)])
 
-    # the within-class deviations overwrite their own means[y] buffer, the one
-    # n x m array fit_lda allocates, which is freed once sw is formed
-    within = means[y]
-    np.subtract(x, within, out=within)
-    sw = within.T @ within
-    del within
+    # the within-class scatter sums dev^T dev over blocks of _CENTER_BLOCK rows
+    # of the deviations x - means[y], each written over the previous one in
+    # one buffer; a training set of one block gets the single product's bits.
+    # mode="clip" has take write into dev directly (mode="raise" buffers its
+    # out array); y indexes means, so it clips nothing
+    sw = np.zeros((m, m))
+    dev_buf = np.empty((min(_CENTER_BLOCK, n), m))
+    for lo in range(0, n, _CENTER_BLOCK):
+        dev = dev_buf[:min(_CENTER_BLOCK, n - lo)]
+        np.take(means, y[lo:lo + dev.shape[0]], axis=0, out=dev, mode="clip")
+        np.subtract(x[lo:lo + dev.shape[0]], dev, out=dev)
+        sw += dev.T @ dev
+    del dev_buf, dev
     between = np.sqrt(counts)[:, None] * (means - mean_all)  # sb = between^T between
 
     if ridge is None:
@@ -121,7 +142,7 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     kappa_eff = min(kappa, n_classes - 1, rank)
     projection = np.linalg.solve(chol.T, u[:, :kappa_eff])
 
-    z = x @ projection
+    z = _project(x, projection)
     z_means = np.vstack([z[y == c].mean(axis=0) for c in range(n_classes)])
     zw = z - z_means[y]
     pooled = zw.T @ zw / max(n - n_classes, 1)
@@ -140,7 +161,7 @@ def classify(model: LdaModel, test: FingerprintDataset) -> ClassificationReport:
     """
     if test.n_bins != model.projection.shape[0]:
         raise ValueError("test feature length does not match the fitted model")
-    z = test.features @ model.projection
+    z = _project(test.features, model.projection)
     n_classes = model.class_means.shape[0]
     dist2 = np.empty((z.shape[0], n_classes))
     for c in range(n_classes):

@@ -255,14 +255,20 @@ _ROW_PARSERS = {f.name: _PARSERS[f.type.split(" | ")[0]] for f in fields(SweepRo
 def read_sweep_rows(path) -> list[SweepRow]:
     """Load rows from a sweep CSV or JSON file."""
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        rows = json.loads(text).get("rows")
+    if text.lstrip().startswith(("{", "[")):
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        rows = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(rows, list):
             raise ValueError(f"{path}: no 'rows' list")
         return [read_record(SweepRow, row, f"{path}: rows[{i}]") for i, row in enumerate(rows)]
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
              if ln and not ln.startswith("#")]
-    header = lines[0][1].split(",") if lines else []
+    if not lines:
+        raise ValueError(f"{path}: no header line")
+    header = lines[0][1].split(",")
     rows = []
     for number, line in lines[1:]:
         cells = line.split(",")

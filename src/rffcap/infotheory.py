@@ -118,9 +118,11 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
 # notes"): 64-row blocks were ~15% slower, and much taller ones slower too.
 _KDE_BLOCK = 128
 
-# rows of the centered features formed at a time in emi_kde. Sized by
-# measurement (README "Estimator notes"): the Gram matrix of 1,024-row
-# blocks is as fast as one product over all rows; 256-row blocks were slower.
+# rows of the centered features formed at a time in emi_kde, and of the
+# within-class deviations and projected rows in classifier.fit_lda and
+# classify. Sized by measurement (README "Estimator notes"): the Gram matrix
+# of 1,024-row blocks is as fast as one product over all rows; 256-row blocks
+# were slower.
 _CENTER_BLOCK = 1024
 
 

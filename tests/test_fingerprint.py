@@ -13,6 +13,7 @@ from rffcap.fingerprint import (
     DatasetMeta,
     FingerprintDataset,
     PipelineConfig,
+    _acquire_rows,
     acquire,
     build_dataset,
     extract_spectral_feature,
@@ -41,6 +42,23 @@ def test_acquire_exact_onset_noise_free():
     assert out.diagnostics["onset_index"] == 100
     assert not out.diagnostics["onset_flagged"]
     assert np.array_equal(out.samples, pre.samples)
+
+
+@pytest.mark.xfail(strict=True, reason="the onset is the last sample of the first full "
+                   "16-sample window above threshold, so lead-ins under 16 read 15 "
+                   "(ROADMAP item 7)")
+def test_acquire_rows_onset_equals_a_short_lead_in():
+    pre = generate_preamble(DeviceProfile(device_id=0), 4e6, 8).samples
+    leads = np.array([0, 5, 14, 15])
+    width = 16 + pre.size + 32
+    x = np.zeros((leads.size, width), dtype=complex)
+    for r, lead in enumerate(leads):
+        x[r, lead:lead + pre.size] = pre
+    rng = np.random.default_rng(5)
+    x += 1e-3 * (rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape))
+    _, onsets, flagged = _acquire_rows(x, np.full(leads.size, width), pre.size, 6.0)
+    assert not flagged.any()
+    assert np.array_equal(onsets, leads)
 
 
 def test_acquire_pure_noise_is_flagged():

@@ -280,6 +280,28 @@ def test_read_sweep_rows_json_rejects_missing_rows(tmp_path):
         read_sweep_rows(path)
 
 
+@pytest.mark.parametrize("name, text, message", [
+    # a JSON list is not read as a one-column CSV
+    ("sweep.json", "[]\n", r"sweep\.json: no 'rows' list"),
+    ("sweep.json", '[\n  {"axis": "snr_db"}\n]\n', r"sweep\.json: no 'rows' list"),
+    ("sweep.json", '{"rows": [}\n', r"sweep\.json: invalid JSON: "),
+    ("sweep.csv", "", r"sweep\.csv: no header line"),
+    ("sweep.csv", "# timestamp: 0\n\n", r"sweep\.csv: no header line"),
+])
+def test_read_sweep_rows_rejects_a_malformed_file(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_sweep_rows(path)
+
+
+def test_read_sweep_rows_reads_a_header_only_csv_as_no_rows(tmp_path):
+    # every point aborted: comments and a header, no rows
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[]), path)
+    assert read_sweep_rows(path) == []
+
+
 def test_read_sweep_rows_json_rejects_non_object_row(tmp_path):
     path = _json_sweep(tmp_path, lambda p: p["rows"].append([1, 2]))
     with pytest.raises(ValueError, match=r"sweep\.json: rows\[2\]: expected a mapping, got list"):

@@ -9,7 +9,9 @@ The plain forms are kept here as oracles: fit_lda with its within-class
 deviations in a second n x m array and the ridge added through an identity
 matrix, the dataset file written from and read into whole arrays, and the
 Welch kernel with a fresh array per step. The in-place forms must give the
-same bits.
+same bits. fit_lda and classify sum and project over row blocks, which
+reorders the float sums for more than one block; the oracle takes the block
+as a parameter, and the single-product form bounds the rounding.
 """
 
 import json
@@ -36,7 +38,7 @@ from rffcap.fingerprint import (
     load_dataset,
     save_dataset,
 )
-from rffcap.infotheory import emi_kde, per_feature_mi
+from rffcap.infotheory import _CENTER_BLOCK, emi_kde, per_feature_mi
 from rffcap.signal_model import PopulationSpec, sample_profiles
 
 
@@ -109,10 +111,26 @@ def test_build_dataset_working_set_does_not_grow_with_per_class():
 
 def test_fit_lda_holds_one_within_class_buffer(dataset):
     nbytes = dataset.features.nbytes
-    # the within-class deviations are one n x m array, the size of the input;
-    # what fit_lda holds beside them (the m x m scatter and its factor, the
-    # projected training set) stays below half of it
+    # the within-class deviations take one _CENTER_BLOCK-row buffer, a quarter
+    # of the input here; with the m x m scatter and its factor and the
+    # projected training set, fit_lda stays below half of the input
     assert traced_peak(fit_lda, dataset) - nbytes < 0.5 * nbytes
+
+
+def test_fit_lda_working_set_does_not_grow_with_training_rows(dataset):
+    m, n_classes = dataset.n_bins, 20
+    peak = {}
+    for step in (2, 1):  # 2,000 and 4,000 training rows, both past one block
+        train = FingerprintDataset(dataset.features[::step], dataset.labels[::step],
+                                   dataset.meta)
+        peak[train.n_samples] = traced_peak(fit_lda, train)
+    kappa_eff = n_classes - 1
+    # per training row: the label indices and np.unique's sort of them (four
+    # int64), and the projected rows with their class means and deviations
+    # (three kappa_eff float64); an n x m deviation array alone grew by m * 8
+    per_row = 4 * 8 + 3 * kappa_eff * 8
+    assert per_row < 0.25 * m * 8
+    assert peak[4000] - peak[2000] < per_row * 2000
 
 
 def test_dataset_io_holds_one_row_block(dataset, tmp_path):
@@ -124,9 +142,11 @@ def test_dataset_io_holds_one_row_block(dataset, tmp_path):
     assert traced_peak(load_dataset, path) - nbytes < 0.25 * nbytes
 
 
-def out_of_place_fit_lda(train, kappa=150):
-    """fit_lda at the default ridge as it was written before it reused the
-    means[y] buffer and added the ridge in place."""
+def out_of_place_fit_lda(train, kappa=150, block=_CENTER_BLOCK):
+    """fit_lda at the default ridge with whole-array within-class deviations
+    and the ridge added through an identity matrix. The scatter is summed and
+    the training set projected over row blocks of `block` rows; block=None
+    gives one product each, as fit_lda computed them before it blocked them."""
     classes, y = np.unique(train.labels, return_inverse=True)
     n_classes, counts = classes.size, np.bincount(y)
     x = train.features
@@ -134,7 +154,9 @@ def out_of_place_fit_lda(train, kappa=150):
     mean_all = x.mean(axis=0)
     means = np.vstack([x[y == c].mean(axis=0) for c in range(n_classes)])
     within = x - means[y]
-    sw = within.T @ within
+    block = block or n
+    starts = range(0, n, block)
+    sw = sum(within[lo:lo + block].T @ within[lo:lo + block] for lo in starts)
     between = np.sqrt(counts)[:, None] * (means - mean_all)
     ridge = 1e-6 * np.trace(sw) / m
     chol = np.linalg.cholesky(sw + ridge * np.eye(m))
@@ -142,7 +164,7 @@ def out_of_place_fit_lda(train, kappa=150):
     eigvals = s * s
     kappa_eff = min(kappa, n_classes - 1, int(np.sum(eigvals > eigvals[0] * 1e-9)))
     projection = np.linalg.solve(chol.T, u[:, :kappa_eff])
-    z = x @ projection
+    z = np.concatenate([x[lo:lo + block] @ projection for lo in starts])
     z_means = np.vstack([z[y == c].mean(axis=0) for c in range(n_classes)])
     zw = z - z_means[y]
     pooled = zw.T @ zw / max(n - n_classes, 1)
@@ -164,6 +186,46 @@ def test_fit_lda_and_classify_equal_the_out_of_place_form(dataset):
     for name in ("min_distance_scores", "assigned_ids", "confusion", "per_class_errors"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.pe == want.pe
+
+
+def single_product_classify(model, test):
+    """classify's assignments and minimum distances as it computed them from
+    one product over the whole test set."""
+    z = test.features @ model.projection
+    dist2 = np.empty((z.shape[0], model.class_means.shape[0]))
+    for c, mean in enumerate(model.class_means):
+        dz = z - mean
+        dist2[:, c] = np.einsum("ij,ij->i", dz @ model.pooled_cov_inv, dz)
+    idx = np.argmin(dist2, axis=1)
+    return model.class_ids[idx], np.sqrt(np.maximum(dist2[np.arange(z.shape[0]), idx], 0.0))
+
+
+def test_one_block_gets_the_bits_of_the_single_product_form(dataset):
+    # 1,000 rows each, strided; fit_lda and classify run one block
+    train = FingerprintDataset(dataset.features[0:2000:2], dataset.labels[0:2000:2],
+                               dataset.meta)
+    test = FingerprintDataset(dataset.features[1:2000:2], dataset.labels[1:2000:2],
+                              dataset.meta)
+    assert train.n_samples <= _CENTER_BLOCK and test.n_samples <= _CENTER_BLOCK
+    got, want = fit_lda(train, kappa=12), out_of_place_fit_lda(train, kappa=12, block=None)
+    for name in ("projection", "class_means", "pooled_cov_inv", "class_ids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    report = classify(got, test)
+    assigned_ids, min_dist = single_product_classify(want, test)
+    assert np.array_equal(report.assigned_ids, assigned_ids)
+    assert np.array_equal(report.min_distance_scores, min_dist)
+
+
+def test_blocks_stay_within_rounding_of_the_single_product_form(dataset):
+    # 2,000 rows each, two blocks: the sums run in another order
+    train = FingerprintDataset(dataset.features[0::2], dataset.labels[0::2], dataset.meta)
+    test = FingerprintDataset(dataset.features[1::2], dataset.labels[1::2], dataset.meta)
+    assert train.n_samples > _CENTER_BLOCK and test.n_samples > _CENTER_BLOCK
+    report = classify(fit_lda(train, kappa=12), test)
+    assigned_ids, min_dist = single_product_classify(
+        out_of_place_fit_lda(train, kappa=12, block=None), test)
+    assert np.array_equal(report.assigned_ids, assigned_ids)
+    np.testing.assert_allclose(report.min_distance_scores, min_dist, rtol=1e-9, atol=0)
 
 
 def whole_array_bytes(ds):
