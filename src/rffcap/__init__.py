@@ -56,11 +56,9 @@ from .signal_model import (
     adc_sample,
     apply_awgn,
     generate_preamble,
-    load_capture,
     preamble_length,
     quantization_error_bound,
     sample_profiles,
-    save_capture,
 )
 
 __all__ = [
@@ -82,6 +80,6 @@ __all__ = [
     "per_feature_mi",
     # signal_model
     "AdcConfig", "ChannelConfig", "DeviceProfile", "IqCapture", "ParamDist",
-    "PopulationSpec", "adc_sample", "apply_awgn", "generate_preamble", "load_capture",
-    "preamble_length", "quantization_error_bound", "sample_profiles", "save_capture",
+    "PopulationSpec", "adc_sample", "apply_awgn", "generate_preamble", "preamble_length",
+    "quantization_error_bound", "sample_profiles",
 ]

@@ -12,9 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fingerprint import FingerprintDataset, PipelineConfig, build_dataset
-from .infotheory import _CENTER_BLOCK
-from .signal_model import DeviceProfile
+from .fingerprint import _ROW_BLOCK, FingerprintDataset, PipelineConfig, build_dataset
+from .signal_model import DeviceProfile, _is_count
 
 
 @dataclass
@@ -51,15 +50,15 @@ class ClassificationReport:
 
 
 def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
-    """x @ projection, one product per _CENTER_BLOCK rows into one output array.
+    """x @ projection, one product per _ROW_BLOCK rows into one output array.
 
     NumPy allocates nothing for the products, but one product over a few
     thousand rows grows the process by OpenBLAS work-buffer pages several
     times larger than one over a block (README "Estimator notes").
     """
     z = np.empty((x.shape[0], projection.shape[1]))
-    for lo in range(0, x.shape[0], _CENTER_BLOCK):
-        np.matmul(x[lo:lo + _CENTER_BLOCK], projection, out=z[lo:lo + _CENTER_BLOCK])
+    for lo in range(0, x.shape[0], _ROW_BLOCK):
+        np.matmul(x[lo:lo + _ROW_BLOCK], projection, out=z[lo:lo + _ROW_BLOCK])
     return z
 
 
@@ -83,6 +82,8 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     the Cholesky reduction LAPACK's sygvd applies, without its n_bins x
     n_bins eigensolve of a matrix of rank C-1.
     """
+    if not _is_count(kappa):
+        raise ValueError(f"kappa must be an integer: {kappa!r}")
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1: {kappa}")
     classes, y = np.unique(train.labels, return_inverse=True)
@@ -98,15 +99,15 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     mean_all = x.mean(axis=0)
     means = np.vstack([x[y == c].mean(axis=0) for c in range(n_classes)])
 
-    # the within-class scatter sums dev^T dev over blocks of _CENTER_BLOCK rows
+    # the within-class scatter sums dev^T dev over blocks of _ROW_BLOCK rows
     # of the deviations x - means[y], each written over the previous one in
     # one buffer; a training set of one block gets the single product's bits.
     # mode="clip" has take write into dev directly (mode="raise" buffers its
     # out array); y indexes means, so it clips nothing
     sw = np.zeros((m, m))
-    dev_buf = np.empty((min(_CENTER_BLOCK, n), m))
-    for lo in range(0, n, _CENTER_BLOCK):
-        dev = dev_buf[:min(_CENTER_BLOCK, n - lo)]
+    dev_buf = np.empty((min(_ROW_BLOCK, n), m))
+    for lo in range(0, n, _ROW_BLOCK):
+        dev = dev_buf[:min(_ROW_BLOCK, n - lo)]
         np.take(means, y[lo:lo + dev.shape[0]], axis=0, out=dev, mode="clip")
         np.subtract(x[lo:lo + dev.shape[0]], dev, out=dev)
         sw += dev.T @ dev

@@ -24,6 +24,7 @@ from .signal_model import (
     DeviceProfile,
     IqCapture,
     _as_complex,
+    _is_count,
     _noise_std,
     _quantise,
     _scale_noise,
@@ -35,8 +36,12 @@ from .signal_model import (
 _DATASET_MAGIC = b"RFPD"
 _DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
-# feature rows converted at a time when a dataset is written or read
-_IO_ROWS = 1024
+# rows processed at a time: feature rows converted when a dataset is written
+# or read, centered rows in infotheory.emi_kde, and within-class deviations
+# and projected rows in classifier.fit_lda and classify. Sized by measurement
+# (README "Estimator notes"): the Gram matrix of 1,024-row blocks is as fast
+# as one product over all rows; 256-row blocks were slower.
+_ROW_BLOCK = 1024
 # bytes of I/Q rails build_dataset runs through its receive chain at a time;
 # a block holds max(1, _SYNTH_BLOCK_BYTES // (width * 16)) rows: 71 at 4 MHz,
 # 33 at 10 MHz with the default padding. Sized by measurement (README
@@ -243,9 +248,7 @@ def _validate_n_fft(n_fft: int) -> None:
 
 
 def _check_count(name: str, value, low):
-    # a bool is an int to isinstance, but never a count
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= low):
+    if not (_is_count(value) and value >= low):
         raise ValueError(f"{name} must be >= {low} and an integer: {value!r}")
     return value
 
@@ -448,6 +451,8 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     ids = [p.device_id for p in profiles]
     if len(set(ids)) != len(ids):
         raise ValueError("device_id values must be unique")
+    if not _is_count(per_class):
+        raise ValueError(f"per_class must be an integer: {per_class!r}")
     if per_class < 2:
         raise ValueError("per_class must be >= 2")
 
@@ -466,8 +471,7 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     clip = np.empty(n_rows)
 
     class_ids = [p.device_id for p in ordered]
-    bursts = [generate_preamble(p, pipeline.fs_hz, pipeline.n_symbols).samples
-              for p in ordered]
+    bursts = [generate_preamble(p, pipeline.fs_hz, pipeline.n_symbols) for p in ordered]
     # row r is capture r % per_class of device r // per_class: children[r, 0]
     # seeds its lead-in draw and the first word of children[r, 1] its noise
     children = _spawned_states(master_seed, class_ids, per_class).reshape(n_rows, 2, 4)
@@ -521,16 +525,20 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
 def save_dataset(ds: FingerprintDataset, path) -> None:
     """Binary dataset container: header (n_rows, n_bins, meta) + float32 rows + labels.
 
-    The rows are converted and written _IO_ROWS at a time, so no float32
+    Every label must index meta.class_ids, as load_dataset requires; otherwise
+    ValueError is raised before the file is opened.
+
+    The rows are converted and written _ROW_BLOCK at a time, so no float32
     copy of the whole feature matrix is made.
     """
+    _check_labels(ds.labels, ds.meta, path)
     meta_json = json.dumps(ds.meta.to_dict()).encode()
     with open(path, "wb") as fh:
         fh.write(_DATASET_MAGIC)
         fh.write(_DATASET_HEADER.pack(ds.n_samples, ds.n_bins, len(meta_json)))
         fh.write(meta_json)
-        for lo in range(0, ds.n_samples, _IO_ROWS):
-            fh.write(ds.features[lo:lo + _IO_ROWS].astype("<f4", order="C"))
+        for lo in range(0, ds.n_samples, _ROW_BLOCK):
+            fh.write(ds.features[lo:lo + _ROW_BLOCK].astype("<f4", order="C"))
         fh.write(ds.labels.astype("<i4"))
 
 
@@ -540,7 +548,7 @@ def load_dataset(path) -> FingerprintDataset:
     The meta block is read as a DatasetMeta by read_record, so each value
     must have its field's type (a bool is not a number); the payload must be
     exactly the float32 features and int32 labels the header announces, and
-    every label must index meta.class_ids. The features are read _IO_ROWS
+    every label must index meta.class_ids. The features are read _ROW_BLOCK
     rows at a time straight into the float64 matrix the dataset holds.
 
     Files written before the acquisition statistics were recorded load with
@@ -566,17 +574,22 @@ def load_dataset(path) -> FingerprintDataset:
         if size - payload_at != 4 * n_rows * (n_bins + 1):
             raise ValueError(f"dataset payload size mismatch in {path}")
         features = np.empty((n_rows, n_bins))
-        block = np.empty((min(_IO_ROWS, n_rows), n_bins), dtype="<f4")
+        block = np.empty((min(_ROW_BLOCK, n_rows), n_bins), dtype="<f4")
         labels = np.empty(n_rows, dtype="<i4")
-        for lo in range(0, n_rows, _IO_ROWS):
-            rows = block[:min(_IO_ROWS, n_rows - lo)]
+        for lo in range(0, n_rows, _ROW_BLOCK):
+            rows = block[:min(_ROW_BLOCK, n_rows - lo)]
             _read_exactly(fh, rows, path)
             features[lo:lo + rows.shape[0]] = rows
         _read_exactly(fh, labels, path)
-    n_classes = len(meta.class_ids)
-    if n_rows and not (labels.min() >= 0 and labels.max() < n_classes):
-        raise ValueError(f"dataset labels in {path} lie outside [0, {n_classes})")
+    _check_labels(labels, meta, path)
     return FingerprintDataset(features, labels.astype(np.int64), meta)
+
+
+def _check_labels(labels: np.ndarray, meta: DatasetMeta, path) -> None:
+    """Raise ValueError naming path unless every label indexes meta.class_ids."""
+    n_classes = len(meta.class_ids)
+    if labels.size and not (labels.min() >= 0 and labels.max() < n_classes):
+        raise ValueError(f"dataset labels in {path} lie outside [0, {n_classes})")
 
 
 def _read_exactly(fh, out: np.ndarray, path) -> None:

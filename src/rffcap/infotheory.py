@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fingerprint import FingerprintDataset
+from .fingerprint import _ROW_BLOCK, FingerprintDataset
+from .signal_model import _is_count
 
 # estimator limits; EstimatorConfig checks a loaded scenario against them too
 MIN_BINS = 2
@@ -77,6 +78,8 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
     pooled min/max; MI is computed from the joint (bin, label) counts in
     base-2. A constant member yields zero MI.
     """
+    if not _is_count(bins):
+        raise ValueError(f"bins must be an integer: {bins!r}")
     if bins < MIN_BINS:
         raise ValueError(f"bins must be >= {MIN_BINS}")
     y, n_classes = _contiguous_labels(dataset.labels)
@@ -118,21 +121,14 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
 # notes"): 64-row blocks were ~15% slower, and much taller ones slower too.
 _KDE_BLOCK = 128
 
-# rows of the centered features formed at a time in emi_kde, and of the
-# within-class deviations and projected rows in classifier.fit_lda and
-# classify. Sized by measurement (README "Estimator notes"): the Gram matrix
-# of 1,024-row blocks is as fast as one product over all rows; 256-row blocks
-# were slower.
-_CENTER_BLOCK = 1024
-
 
 def _centered_blocks(x: np.ndarray, mean: np.ndarray):
     """Yield (first row, x[rows] - mean) for successive blocks of
-    _CENTER_BLOCK rows, each written over the previous one in one buffer."""
+    _ROW_BLOCK rows, each written over the previous one in one buffer."""
     n = x.shape[0]
-    buf = np.empty((min(_CENTER_BLOCK, n), x.shape[1]))
-    for lo in range(0, n, _CENTER_BLOCK):
-        rows = min(_CENTER_BLOCK, n - lo)
+    buf = np.empty((min(_ROW_BLOCK, n), x.shape[1]))
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, n - lo)
         yield lo, np.subtract(x[lo:lo + rows], mean, out=buf[:rows])
 
 
@@ -167,6 +163,8 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     keeping the self-match inflates the estimate for indistinguishable
     classes. Raw and [0, log2 C]-clamped values are both reported.
     """
+    if not _is_count(projected_dim):
+        raise ValueError(f"projected_dim must be an integer: {projected_dim!r}")
     if not 1 <= projected_dim <= MAX_PROJECTED_DIM:
         raise ValueError(
             f"projected_dim must be in [1, {MAX_PROJECTED_DIM}]: {projected_dim}")

@@ -8,10 +8,8 @@ the receive side as an AWGN channel followed by a clipping mid-tread ADC.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -24,12 +22,17 @@ _SYMBOL0_CHIPS = np.array(
     [1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1,
      0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0], dtype=np.int8)
 
-_CAPTURE_MAGIC = b"RFIQ"
+
+def _is_count(value) -> bool:
+    # a bool is an int to isinstance, but never a count
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class DeviceProfile:
     """Impairment parameter set that defines one transmitter identity.
+
+    Every parameter must be finite; construction raises ValueError otherwise.
 
     Parameters
     ----------
@@ -70,6 +73,10 @@ class DeviceProfile:
             raise ValueError(f"iq_gain_db out of range [-3, 3]: {self.iq_gain_db}")
         if abs(self.pa_alpha3) >= 1.0:
             raise ValueError(f"pa_alpha3 must satisfy |a3| < 1: {self.pa_alpha3}")
+        # a NaN passes the range checks above, and three fields have none
+        for name in ("cfo_hz", "iq_phase_deg", "clock_jitter_ppm", "pa_alpha3", "dc_offset"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,8 @@ class IqCapture:
 
 @dataclass(frozen=True)
 class ParamDist:
-    """Normal distribution (mean, std) for one impairment parameter."""
+    """Normal distribution (mean, std) for one impairment parameter; both
+    must be finite, and std non-negative."""
 
     mean: float = 0.0
     std: float = 0.0
@@ -149,6 +157,9 @@ class ParamDist:
     def __post_init__(self):
         if self.std < 0:
             raise ValueError("std must be non-negative")
+        for name in ("mean", "std"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,8 @@ class PopulationSpec:
 
 def sample_profiles(spec: PopulationSpec, n_devices: int, seed=0) -> list[DeviceProfile]:
     """Draw n_devices profiles from the population, deterministically per seed."""
+    if not _is_count(n_devices):
+        raise ValueError(f"n_devices must be an integer: {n_devices!r}")
     if n_devices < 1:
         raise ValueError("n_devices must be >= 1")
     rng = np.random.default_rng(seed)
@@ -237,8 +250,9 @@ def _oqpsk_baseband(fs_hz: float, n_symbols: int) -> np.ndarray:
     return s
 
 
-def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) -> IqCapture:
-    """Synthesize the device's impaired sync preamble.
+def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) -> np.ndarray:
+    """Synthesize the device's impaired sync preamble, as a new complex128 array
+    of preamble_length(fs_hz, n_symbols) samples.
 
     The ideal waveform has unit mean power; impairments are then applied in
     transmit-chain order: DC offset, I/Q imbalance, PA nonlinearity, CFO
@@ -256,6 +270,8 @@ def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) 
     """
     if fs_hz < CHIP_RATE_HZ:
         raise ValueError(f"fs_hz below chip-rate minimum {CHIP_RATE_HZ:g}: {fs_hz}")
+    if not _is_count(n_symbols):
+        raise ValueError(f"n_symbols must be an integer: {n_symbols!r}")
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
 
@@ -285,7 +301,7 @@ def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) 
         grid = np.arange(n, dtype=float)
         s = np.interp(idx, grid, s.real) + 1j * np.interp(idx, grid, s.imag)
 
-    return IqCapture(samples=s, fs_hz=fs_hz, true_id=profile.device_id)
+    return s
 
 
 def apply_awgn(capture: IqCapture, channel: ChannelConfig,
@@ -392,36 +408,3 @@ def _quantise(rails: np.ndarray, adc: AdcConfig) -> np.ndarray:
 def quantization_error_bound(adc: AdcConfig) -> float:
     """Documented ceiling on per-rail quantization error: 2**-q_bits * full scale."""
     return 2.0 ** (-adc.q_bits) * adc.full_scale_vpp
-
-
-def save_capture(capture: IqCapture, path) -> None:
-    """Write a capture as little-endian interleaved float32 I/Q.
-
-    Header layout: magic "RFIQ", fs_hz float64, sample count uint64,
-    true_id int64 (-1 when absent).
-    """
-    tid = -1 if capture.true_id is None else int(capture.true_id)
-    header = struct.pack("<4sdQq", _CAPTURE_MAGIC, float(capture.fs_hz),
-                         capture.samples.size, tid)
-    inter = np.empty(2 * capture.samples.size, dtype="<f4")
-    inter[0::2] = capture.samples.real
-    inter[1::2] = capture.samples.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(inter.tobytes())
-
-
-def load_capture(path) -> IqCapture:
-    """Read a capture written by save_capture; a malformed file raises ValueError."""
-    raw = Path(path).read_bytes()
-    head_len = struct.calcsize("<4sdQq")
-    if len(raw) < head_len:
-        raise ValueError(f"truncated capture file: {path}")
-    magic, fs_hz, count, tid = struct.unpack("<4sdQq", raw[:head_len])
-    if magic != _CAPTURE_MAGIC:
-        raise ValueError(f"not a capture file (bad magic): {path}")
-    if len(raw) - head_len != 8 * count:  # count float32 I/Q pairs
-        raise ValueError(f"capture payload size mismatch in {path}")
-    inter = np.frombuffer(raw, dtype="<f4", offset=head_len)
-    s = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
-    return IqCapture(s, fs_hz, None if tid < 0 else int(tid))

@@ -262,3 +262,13 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
     proc = run_cli(["emi", "--data", "missing.rfds"], tmp_path)
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr
+
+
+def test_non_finite_population_value_is_one_error_line(tmp_path):
+    # a NaN std passed construction and failed in the build with a traceback
+    bad = tmp_path / "nan.yaml"
+    bad.write_text("population: {cfo_hz: {std: .nan}}\n")
+    proc = run_cli(["simulate", "--config", str(bad), "--out", "nan.rfds"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        2, "rffcap: error: population.cfo_hz: std must be finite: nan\n")
+    assert not (tmp_path / "nan.rfds").exists()

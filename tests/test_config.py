@@ -88,6 +88,8 @@ def test_value_validation(tmp_path):
         ({"sweep": {"values": 5}}, "sweep.values: expected a list"),
         ({"population": {"cfo_hz": {"mean": "x"}}}, "population.cfo_hz.mean: expected float"),
         ({"population": {"cfo_hz": {"std": -1.0}}}, "population.cfo_hz: std must be"),
+        ({"population": {"pa_alpha3": {"mean": float("inf")}}},
+         "population.pa_alpha3: mean must be finite: inf"),
         ({"n_devices": [4]}, "n_devices: expected int"),
         ({"pipeline": {"lead_pad": ["a", 2]}}, "pipeline.lead_pad: expected int"),
         ({"estimator": {"bins": {}}}, "estimator.bins: expected int"),

@@ -35,20 +35,20 @@ from rffcap.signal_model import (
 
 def test_acquire_exact_onset_noise_free():
     pre = generate_preamble(DeviceProfile(device_id=0), 4e6, 8)
-    padded = np.concatenate([np.zeros(100, dtype=complex), pre.samples,
+    padded = np.concatenate([np.zeros(100, dtype=complex), pre,
                              np.zeros(40, dtype=complex)])
     cap = IqCapture(padded, 4e6)
-    out = acquire(cap, window=pre.samples.size)
+    out = acquire(cap, window=pre.size)
     assert out.diagnostics["onset_index"] == 100
     assert not out.diagnostics["onset_flagged"]
-    assert np.array_equal(out.samples, pre.samples)
+    assert np.array_equal(out.samples, pre)
 
 
 @pytest.mark.xfail(strict=True, reason="the onset is the last sample of the first full "
                    "16-sample window above threshold, so lead-ins under 16 read 15 "
                    "(ROADMAP item 7)")
 def test_acquire_rows_onset_equals_a_short_lead_in():
-    pre = generate_preamble(DeviceProfile(device_id=0), 4e6, 8).samples
+    pre = generate_preamble(DeviceProfile(device_id=0), 4e6, 8)
     leads = np.array([0, 5, 14, 15])
     width = 16 + pre.size + 32
     x = np.zeros((leads.size, width), dtype=complex)
@@ -76,12 +76,12 @@ def test_acquire_onset_accuracy_under_noise():
     trials = 300
     for k in range(trials):
         lead = 16 + (k * 7) % 129  # spread onsets over [16, 144]
-        padded = np.concatenate([np.zeros(lead, dtype=complex), pre.samples,
+        padded = np.concatenate([np.zeros(lead, dtype=complex), pre,
                                  np.zeros(32, dtype=complex)])
         noisy = apply_awgn(IqCapture(padded, 4e6),
                            ChannelConfig(snr_db=20.0, rng_seed=9000 + k),
                            signal_power=1.0)
-        got = acquire(noisy, window=pre.samples.size)
+        got = acquire(noisy, window=pre.size)
         if abs(got.diagnostics["onset_index"] - lead) <= 4:
             hits += 1
     assert hits / trials >= 0.99
@@ -220,6 +220,17 @@ def test_dataset_io_roundtrip(tmp_path):
     assert isinstance(back, FingerprintDataset)
 
 
+@pytest.mark.parametrize("label", [-1, 3, 2**32])
+def test_save_dataset_rejects_labels_load_dataset_would_not_read(tmp_path, label):
+    # 2**32 wrapped to 0 in the int32 payload and loaded back without error
+    meta = DatasetMeta(fs_hz=4e6, n_fft=64, snr_db=24.0, q_bits=14, class_ids=[4, 7, 9])
+    ds = FingerprintDataset(np.zeros((3, 64)), [0, 1, label], meta)
+    path = tmp_path / "bad.rfds"
+    with pytest.raises(ValueError, match=r"bad\.rfds lie outside \[0, 3\)"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
 def test_dataset_csv_header_and_body(tmp_path):
     config = tmp_path / "scenario.yaml"
     config.write_text("pipeline: {n_fft: 64}\nn_devices: 2\nper_class: 2\nseed: 4\n")
@@ -247,6 +258,12 @@ def test_build_dataset_validation():
         build_dataset([], 5, PipelineConfig())
     with pytest.raises(ValueError):
         build_dataset(profiles, 0, PipelineConfig())
+    with pytest.raises(ValueError, match="^per_class must be >= 2$"):
+        build_dataset(profiles, 1, PipelineConfig())
+    # a fraction ended in NumPy's TypeError; a bool is no count
+    for per_class in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="per_class must be an integer"):
+            build_dataset(profiles, per_class, PipelineConfig())
 
 
 def test_dataset_meta_reports_acquisition_statistics(tmp_path):

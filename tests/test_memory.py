@@ -26,8 +26,8 @@ from rffcap.classifier import LdaModel, classify, fit_lda
 from rffcap.fingerprint import (
     _DATASET_HEADER,
     _DATASET_MAGIC,
-    _IO_ROWS,
     _POWER_FLOOR,
+    _ROW_BLOCK,
     _SYNTH_BLOCK_BYTES,
     DatasetMeta,
     FingerprintDataset,
@@ -38,7 +38,7 @@ from rffcap.fingerprint import (
     load_dataset,
     save_dataset,
 )
-from rffcap.infotheory import _CENTER_BLOCK, emi_kde, per_feature_mi
+from rffcap.infotheory import emi_kde, per_feature_mi
 from rffcap.signal_model import PopulationSpec, sample_profiles
 
 
@@ -111,7 +111,7 @@ def test_build_dataset_working_set_does_not_grow_with_per_class():
 
 def test_fit_lda_holds_one_within_class_buffer(dataset):
     nbytes = dataset.features.nbytes
-    # the within-class deviations take one _CENTER_BLOCK-row buffer, a quarter
+    # the within-class deviations take one _ROW_BLOCK-row buffer, a quarter
     # of the input here; with the m x m scatter and its factor and the
     # projected training set, fit_lda stays below half of the input
     assert traced_peak(fit_lda, dataset) - nbytes < 0.5 * nbytes
@@ -142,7 +142,7 @@ def test_dataset_io_holds_one_row_block(dataset, tmp_path):
     assert traced_peak(load_dataset, path) - nbytes < 0.25 * nbytes
 
 
-def out_of_place_fit_lda(train, kappa=150, block=_CENTER_BLOCK):
+def out_of_place_fit_lda(train, kappa=150, block=_ROW_BLOCK):
     """fit_lda at the default ridge with whole-array within-class deviations
     and the ridge added through an identity matrix. The scatter is summed and
     the training set projected over row blocks of `block` rows; block=None
@@ -206,7 +206,7 @@ def test_one_block_gets_the_bits_of_the_single_product_form(dataset):
                                dataset.meta)
     test = FingerprintDataset(dataset.features[1:2000:2], dataset.labels[1:2000:2],
                               dataset.meta)
-    assert train.n_samples <= _CENTER_BLOCK and test.n_samples <= _CENTER_BLOCK
+    assert train.n_samples <= _ROW_BLOCK and test.n_samples <= _ROW_BLOCK
     got, want = fit_lda(train, kappa=12), out_of_place_fit_lda(train, kappa=12, block=None)
     for name in ("projection", "class_means", "pooled_cov_inv", "class_ids"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -220,7 +220,7 @@ def test_blocks_stay_within_rounding_of_the_single_product_form(dataset):
     # 2,000 rows each, two blocks: the sums run in another order
     train = FingerprintDataset(dataset.features[0::2], dataset.labels[0::2], dataset.meta)
     test = FingerprintDataset(dataset.features[1::2], dataset.labels[1::2], dataset.meta)
-    assert train.n_samples > _CENTER_BLOCK and test.n_samples > _CENTER_BLOCK
+    assert train.n_samples > _ROW_BLOCK and test.n_samples > _ROW_BLOCK
     report = classify(fit_lda(train, kappa=12), test)
     assigned_ids, min_dist = single_product_classify(
         out_of_place_fit_lda(train, kappa=12, block=None), test)
@@ -236,7 +236,7 @@ def whole_array_bytes(ds):
             + ds.labels.astype("<i4").tobytes())
 
 
-@pytest.mark.parametrize("rows", [0, 1, _IO_ROWS, _IO_ROWS + 1, 4000])
+@pytest.mark.parametrize("rows", [0, 1, _ROW_BLOCK, _ROW_BLOCK + 1, 4000])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_rfds_bytes_and_loaded_arrays_equal_the_whole_array_forms(dataset, tmp_path,
                                                                    rows, order):

@@ -53,7 +53,7 @@ def one_row_chain(profile, k, pipeline, master_seed):
                           for child in (0, 1))
     lead_lo, lead_hi = pipeline.lead_pad
     lead = np.random.default_rng(pad_seq).integers(lead_lo, lead_hi + 1)
-    burst = generate_preamble(profile, pipeline.fs_hz, pipeline.n_symbols).samples
+    burst = generate_preamble(profile, pipeline.fs_hz, pipeline.n_symbols)
     padded = np.concatenate([np.zeros(lead, dtype=complex), burst,
                              np.zeros(pipeline.tail_pad, dtype=complex)])
     noise_seed = int(noise_seq.generate_state(1, np.uint64)[0])

@@ -3,11 +3,11 @@
 The quantizer reproduces any in-range sample within half a step and is a
 no-op on its own output; acquisition returns exactly `window` samples from
 an onset inside each record, whatever the record lengths, the window and
-the threshold; a dataset written by save_dataset and a capture written by
-save_capture read back as their float32 images, and a scenario written by
-save_config reads back equal; a PipelineConfig either fails construction
-with ValueError or builds finite features. The examples are derandomized so
-the suite runs the same inputs every time.
+the threshold; a dataset written by save_dataset reads back as its float32
+image, and a scenario written by save_config reads back equal; a
+PipelineConfig either fails construction with ValueError or builds finite
+features. The examples are derandomized so the suite runs the same inputs
+every time.
 """
 
 import numpy as np
@@ -45,15 +45,12 @@ from rffcap.harness import (  # noqa: E402
 )
 from rffcap.signal_model import (  # noqa: E402
     AdcConfig,
-    IqCapture,
     ParamDist,
     PopulationSpec,
     _as_complex,
     _as_rails,
     _quantise,
-    load_capture,
     sample_profiles,
-    save_capture,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -129,20 +126,6 @@ def test_dataset_save_load_round_trip(tmp_path_factory, seed, n_rows, n_bins,
     assert np.array_equal(back.features, features.astype(np.float32).astype(np.float64))
     assert np.array_equal(back.labels, labels)
     assert back.meta == meta
-
-
-@PROPERTY_SETTINGS
-@given(seeds, st.integers(1, 200), st.floats(1e-3, 1e12),
-       st.one_of(st.none(), st.integers(0, 2**63 - 1)))
-def test_capture_save_load_round_trip(tmp_path_factory, seed, n, fs_hz, true_id):
-    rng = np.random.default_rng(seed)
-    samples = rng.normal(scale=100.0, size=n) + 1j * rng.normal(scale=1e-3, size=n)
-    path = tmp_path_factory.mktemp("rfiq") / "cap.rfiq"
-    save_capture(IqCapture(samples, fs_hz, true_id), path)
-    back = load_capture(path)
-    assert np.array_equal(back.samples, samples.astype(np.complex64).astype(np.complex128))
-    assert back.fs_hz == fs_hz
-    assert back.true_id == true_id
 
 
 finite = st.floats(-1e6, 1e6)

@@ -1,7 +1,6 @@
-"""Waveform synthesis, impairment chain, channel, ADC, and capture IO."""
+"""Waveform synthesis, impairment chain, channel and ADC."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -17,11 +16,9 @@ from rffcap.signal_model import (
     adc_sample,
     apply_awgn,
     generate_preamble,
-    load_capture,
     preamble_length,
     quantization_error_bound,
     sample_profiles,
-    save_capture,
 )
 
 SYMBOL0 = "11011001110000110101001000101110"
@@ -65,23 +62,24 @@ def test_ideal_waveform_matches_scalar_oracle():
     for fs, n_sym in ((2e6, 1), (4e6, 2), (5e6, 1)):
         cap = generate_preamble(DeviceProfile(device_id=0), fs, n_sym)
         ref = oracle_oqpsk(fs, n_sym)
-        assert cap.samples.shape == ref.shape
-        assert np.max(np.abs(cap.samples - ref)) < 1e-9
+        assert cap.shape == ref.shape
+        assert np.max(np.abs(cap - ref)) < 1e-9
 
 
 def test_ideal_waveform_unit_power_and_energetic_start():
     cap = generate_preamble(DeviceProfile(device_id=3), 4e6, 8)
-    assert abs(np.mean(np.abs(cap.samples) ** 2) - 1.0) < 1e-12
-    assert abs(cap.samples[0]) > 0.1  # onset detection relies on this
-    assert cap.true_id == 3
-    assert cap.fs_hz == 4e6
+    assert abs(np.mean(np.abs(cap) ** 2) - 1.0) < 1e-12
+    assert abs(cap[0]) > 0.1  # onset detection relies on this
+    # a new writable array, not the cached ideal waveform
+    assert type(cap) is np.ndarray and cap.dtype == np.complex128 and cap.flags.writeable
+    assert cap.shape == (preamble_length(4e6, 8),)
 
 
 def test_q_rail_silent_before_first_odd_chip():
     # Q is delayed one chip interval; samples earlier than tc carry no Q power
     cap = generate_preamble(DeviceProfile(device_id=0), 4e6, 1)
-    assert np.all(cap.samples.imag[:2] == 0.0)
-    assert np.any(cap.samples.imag[2:] != 0.0)
+    assert np.all(cap.imag[:2] == 0.0)
+    assert np.any(cap.imag[2:] != 0.0)
 
 
 def test_generation_is_deterministic():
@@ -89,14 +87,14 @@ def test_generation_is_deterministic():
                       clock_jitter_ppm=30.0)
     a = generate_preamble(p, 4e6, 4)
     b = generate_preamble(p, 4e6, 4)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 def test_dc_offset_stage_is_exact_addition():
     clean = generate_preamble(DeviceProfile(device_id=0), 4e6, 2)
     shifted = generate_preamble(
         DeviceProfile(device_id=0, dc_offset=0.03 - 0.01j), 4e6, 2)
-    assert np.allclose(shifted.samples, clean.samples + (0.03 - 0.01j),
+    assert np.allclose(shifted, clean + (0.03 - 0.01j),
                        rtol=0, atol=1e-15)
 
 
@@ -105,25 +103,25 @@ def test_gain_imbalance_scales_only_q_rail():
     g_db = 1.2
     out = generate_preamble(DeviceProfile(device_id=0, iq_gain_db=g_db), 4e6, 2)
     g = 10.0 ** (g_db / 20.0)
-    assert np.allclose(out.samples.real, clean.samples.real, rtol=0, atol=1e-12)
-    assert np.allclose(out.samples.imag, g * clean.samples.imag, rtol=0, atol=1e-12)
+    assert np.allclose(out.real, clean.real, rtol=0, atol=1e-12)
+    assert np.allclose(out.imag, g * clean.imag, rtol=0, atol=1e-12)
 
 
 def test_pa_stage_matches_memoryless_cubic():
     clean = generate_preamble(DeviceProfile(device_id=0), 4e6, 2)
     a3 = -0.15
     out = generate_preamble(DeviceProfile(device_id=0, pa_alpha3=a3), 4e6, 2)
-    expect = clean.samples * (1.0 + a3 * np.abs(clean.samples) ** 2)
-    assert np.allclose(out.samples, expect, rtol=0, atol=1e-15)
+    expect = clean * (1.0 + a3 * np.abs(clean) ** 2)
+    assert np.allclose(out, expect, rtol=0, atol=1e-15)
 
 
 def test_cfo_stage_is_exact_rotation():
     clean = generate_preamble(DeviceProfile(device_id=0), 4e6, 2)
     f = 50e3
     out = generate_preamble(DeviceProfile(device_id=0, cfo_hz=f), 4e6, 2)
-    n = np.arange(clean.samples.size)
-    expect = clean.samples * np.exp(2j * np.pi * f * n / 4e6)
-    assert np.allclose(out.samples, expect, rtol=0, atol=1e-12)
+    n = np.arange(clean.size)
+    expect = clean * np.exp(2j * np.pi * f * n / 4e6)
+    assert np.allclose(out, expect, rtol=0, atol=1e-12)
 
 
 def test_clock_skew_stage_matches_interp():
@@ -131,13 +129,13 @@ def test_clock_skew_stage_matches_interp():
     ppm = 80.0
     out = generate_preamble(DeviceProfile(device_id=0, clock_jitter_ppm=ppm),
                             4e6, 2)
-    n = clean.samples.size
+    n = clean.size
     idx = np.arange(n) * (1.0 + ppm * 1e-6)
     grid = np.arange(n, dtype=float)
-    expect = (np.interp(idx, grid, clean.samples.real)
-              + 1j * np.interp(idx, grid, clean.samples.imag))
-    assert np.allclose(out.samples, expect, rtol=0, atol=1e-15)
-    assert not np.array_equal(out.samples, clean.samples)
+    expect = (np.interp(idx, grid, clean.real)
+              + 1j * np.interp(idx, grid, clean.imag))
+    assert np.allclose(out, expect, rtol=0, atol=1e-15)
+    assert not np.array_equal(out, clean)
 
 
 def test_awgn_power_tracks_snr():
@@ -228,59 +226,6 @@ def test_quantization_error_bound_values():
     assert quantization_error_bound(AdcConfig(q_bits=14, full_scale_vpp=2.0)) == 2.0 ** -13
 
 
-def test_capture_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    s = rng.normal(size=300) + 1j * rng.normal(size=300)
-    cap = IqCapture(s, fs_hz=5e6, true_id=17)
-    path = tmp_path / "one.rfiq"
-    save_capture(cap, path)
-    back = load_capture(path)
-    assert back.fs_hz == 5e6
-    assert back.true_id == 17
-    # storage is float32 interleaved
-    assert np.array_equal(back.samples.real, s.real.astype(np.float32).astype(np.float64))
-    assert np.array_equal(back.samples.imag, s.imag.astype(np.float32).astype(np.float64))
-
-
-def test_capture_roundtrip_anonymous(tmp_path):
-    cap = IqCapture(np.array([1 + 1j, 2 - 2j]), 2e6)
-    path = tmp_path / "anon.rfiq"
-    save_capture(cap, path)
-    assert load_capture(path).true_id is None
-
-
-def test_capture_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.rfiq"
-    bad.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ValueError):
-        load_capture(bad)
-    short = tmp_path / "short.rfiq"
-    short.write_bytes(b"RF")
-    with pytest.raises(ValueError):
-        load_capture(short)
-
-
-def test_capture_load_rejects_partial_iq_pair(tmp_path):
-    path = tmp_path / "odd.rfiq"
-    save_capture(IqCapture(np.array([1 + 1j, 2 - 2j]), 2e6), path)
-    raw = path.read_bytes()
-    # 3 extra bytes: not a whole float32; 4: a lone I value without its Q
-    for extra in (b"\x00" * 3, b"\x00" * 4):
-        path.write_bytes(raw + extra)
-        with pytest.raises(ValueError, match="odd.rfiq"):
-            load_capture(path)
-
-
-def test_capture_load_rejects_non_finite_rate(tmp_path):
-    path = tmp_path / "nan_rate.rfiq"
-    save_capture(IqCapture(np.array([1 + 1j, 2 - 2j]), 2e6), path)
-    raw = bytearray(path.read_bytes())
-    raw[4:12] = struct.pack("<d", float("nan"))  # fs_hz follows the magic
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="fs_hz"):
-        load_capture(path)
-
-
 def test_profile_validation():
     with pytest.raises(ValueError):
         DeviceProfile(device_id=0, cfo_hz=250e3)
@@ -288,6 +233,26 @@ def test_profile_validation():
         DeviceProfile(device_id=0, iq_gain_db=3.5)
     with pytest.raises(ValueError):
         DeviceProfile(device_id=0, pa_alpha3=1.0)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["cfo_hz", "iq_gain_db", "iq_phase_deg",
+                                  "clock_jitter_ppm", "pa_alpha3", "dc_offset"])
+def test_profile_rejects_non_finite_values(name, value):
+    values = [complex(value, 0.0), complex(0.0, value)] if name == "dc_offset" else [value]
+    for v in values:
+        with pytest.raises(ValueError, match=name):
+            DeviceProfile(device_id=0, **{name: v})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["mean", "std"])
+def test_param_dist_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        ParamDist(**{name: value})
 
 
 def test_adc_and_channel_validation():
@@ -322,8 +287,11 @@ def test_capture_validation():
 def test_generate_preamble_validation():
     with pytest.raises(ValueError):
         generate_preamble(DeviceProfile(device_id=0), 1e6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_symbols must be >= 1$"):
         generate_preamble(DeviceProfile(device_id=0), 4e6, 0)
+    for n_symbols in (2.5, True):
+        with pytest.raises(ValueError, match="n_symbols must be an integer"):
+            generate_preamble(DeviceProfile(device_id=0), 4e6, n_symbols)
 
 
 def test_sample_profiles_deterministic_and_in_range():
@@ -333,7 +301,11 @@ def test_sample_profiles_deterministic_and_in_range():
     assert [p.cfo_hz for p in a] == [p.cfo_hz for p in b]
     assert [p.device_id for p in a] == list(range(8))
     assert all(abs(p.cfo_hz) <= 200e3 for p in a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_devices must be >= 1$"):
         sample_profiles(spec, 0)
+    # True drew one profile; a fraction raised NumPy's TypeError
+    for n_devices in (2.5, True):
+        with pytest.raises(ValueError, match="n_devices must be an integer"):
+            sample_profiles(spec, n_devices)
     with pytest.raises(ValueError):
         ParamDist(0.0, -1.0)
