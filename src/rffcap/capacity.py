@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .infotheory import binary_entropy
+from .signal_model import _is_count
 
 # the smallest population the capacity scan evaluates
 MIN_USERS = 3
@@ -85,10 +86,13 @@ def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> Cap
 
     The scan evaluates (log2(N) - emi - H(threshold)) / log2(N-1) for every
     candidate N and keeps the largest satisfying one. A NaN or infinite
-    emi_bits raises ValueError.
+    emi_bits, and an n_max that is not an integer (a bool included), raise
+    ValueError.
     """
     _check_threshold(threshold)
     _check_emi(emi_bits)
+    if not _is_count(n_max):
+        raise ValueError(f"n_max must be an integer: {n_max!r}")
     if n_max < MIN_USERS:
         raise ValueError(f"n_max must be >= {MIN_USERS}: {n_max}")
     n = np.arange(MIN_USERS, n_max + 1)

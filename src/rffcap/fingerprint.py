@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import signal
 import struct
+import sys
+import threading
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,6 +54,11 @@ _ROW_BLOCK = 1024
 # batches, 256 KiB ones up to 17% slower, and 1 MiB ones raised snr_sweep's
 # peak RSS by ~1.4 MB over this size.
 _SYNTH_BLOCK_BYTES = 3 << 18
+# the fewest blocks of rows build_dataset forks for. Measured (README "Dataset
+# synthesis"): a fork, its pipe and its exit cost about what 2-3 blocks take
+# to build, and 8 blocks was the smallest build that two processes made
+# faster by 20% or more at both 4 and 10 MHz (6 blocks: 7-19%)
+_FORK_MIN_BLOCKS = 8
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx); NumPy's
 # stream-compatibility policy keeps its output fixed across releases
@@ -438,9 +448,16 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     kernels as `acquire` and `extract_spectral_feature`, counting only each
     row's true length. Every stage acts row by row, so the block size does
     not change any output bit. The rails and the noise draws are allocated
-    once per build and reused by every block, and each device's ideal
+    once per process and reused by every block, and each device's ideal
     baseband is made once; only the lead-in and noise draws run once per
     capture.
+
+    Two processes: when the rows fill at least _FORK_MIN_BLOCKS blocks and
+    `_may_fork` allows it, the build forks once. The child runs the rows
+    from the block boundary nearest the middle and sends them back through a
+    pipe, straight into the arrays this process returns, while this process
+    runs the rows before it. Rows are seeded one by one, so the split changes no output
+    bit either.
 
     The meta records the fraction of captures whose acquisition fell back to
     the max-energy window (onset_flagged_frac) and the mean over captures of
@@ -476,43 +493,53 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     # seeds its lead-in draw and the first word of children[r, 1] its noise
     children = _spawned_states(master_seed, class_ids, per_class).reshape(n_rows, 2, 4)
     noise_states = _seeded_states(children[:, 1, 0])
-    # buffers of one block of rows, which may span devices, reused by every
-    # block: I/Q rails that every stage updates in place, the unit noise
-    # draws and the lead-in lengths
     block = min(n_rows, max(1, _SYNTH_BLOCK_BYTES // (width * 16)))
-    rails_buf = np.empty((block, width, 2))
-    draws = None if noise_std is None else np.zeros((block, 2, width))
-    leads_buf = np.empty(block, dtype=np.intp)
-    for lo in range(0, n_rows, block):
-        rails, leads = rails_buf[:n_rows - lo], leads_buf[:n_rows - lo]
-        rows = slice(lo, lo + len(rails))
-        x = _as_complex(rails)
-        for j, (lead_state, noise_state) in enumerate(zip(children[rows, 0],
-                                                          noise_states[rows])):
-            rng = np.random.default_rng(_PresetState(lead_state))
-            leads[j] = rng.integers(lead_lo, lead_hi + 1)
-            if draws is not None:
-                _unit_noise(_PresetState(noise_state),
-                            draws[j, :, :leads[j] + n_burst + pipeline.tail_pad])
-        lengths = leads + n_burst + pipeline.tail_pad
-        if draws is None:
-            rails[...] = 0.0
-        else:
-            _scale_noise(draws[:len(rails)], noise_std, out=rails)
-        for j, (lead, n) in enumerate(zip(leads.tolist(), lengths.tolist())):
-            rails[j, n:] = 0.0
-            x[j, lead:lead + n_burst] += bursts[(lo + j) // per_class]
 
-        rails *= backoff
-        if not np.isfinite(rails).all():
-            raise ValueError("samples must be finite")
-        clipped = _quantise(rails, adc)
-        acquired, _, row_flagged = _acquire_rows(x, lengths, window,
-                                                 pipeline.threshold_factor)
+    def fill(first: int, last: int) -> None:
+        """Rows [first, last) of features, flagged and clip, block by block."""
+        # buffers of one block of rows, which may span devices, reused by
+        # every block: I/Q rails that every stage updates in place, the unit
+        # noise draws and the lead-in lengths
+        rails_buf = np.empty((min(block, last - first), width, 2))
+        draws = None if noise_std is None else np.zeros((len(rails_buf), 2, width))
+        leads_buf = np.empty(len(rails_buf), dtype=np.intp)
+        for lo in range(first, last, block):
+            rails, leads = rails_buf[:last - lo], leads_buf[:last - lo]
+            rows = slice(lo, lo + len(rails))
+            x = _as_complex(rails)
+            for j, (lead_state, noise_state) in enumerate(zip(children[rows, 0],
+                                                              noise_states[rows])):
+                rng = np.random.default_rng(_PresetState(lead_state))
+                leads[j] = rng.integers(lead_lo, lead_hi + 1)
+                if draws is not None:
+                    _unit_noise(_PresetState(noise_state),
+                                draws[j, :, :leads[j] + n_burst + pipeline.tail_pad])
+            lengths = leads + n_burst + pipeline.tail_pad
+            if draws is None:
+                rails[...] = 0.0
+            else:
+                _scale_noise(draws[:len(rails)], noise_std, out=rails)
+            for j, (lead, n) in enumerate(zip(leads.tolist(), lengths.tolist())):
+                rails[j, n:] = 0.0
+                x[j, lead:lead + n_burst] += bursts[(lo + j) // per_class]
 
-        features[rows] = _welch_db(acquired, pipeline.n_fft)
-        flagged[rows] = row_flagged
-        clip[rows] = clipped.sum(axis=1) / lengths
+            rails *= backoff
+            if not np.isfinite(rails).all():
+                raise ValueError("samples must be finite")
+            clipped = _quantise(rails, adc)
+            acquired, _, row_flagged = _acquire_rows(x, lengths, window,
+                                                     pipeline.threshold_factor)
+
+            features[rows] = _welch_db(acquired, pipeline.n_fft)
+            flagged[rows] = row_flagged
+            clip[rows] = clipped.sum(axis=1) / lengths
+
+    if n_rows >= _FORK_MIN_BLOCKS * block and _may_fork():
+        # split at the block boundary nearest the middle
+        _fill_forked(fill, block * round(n_rows / (2 * block)), n_rows,
+                     (features, flagged, clip))
+    else:
+        fill(0, n_rows)
 
     meta = DatasetMeta(fs_hz=pipeline.fs_hz, n_fft=pipeline.n_fft,
                        snr_db=channel.snr_db, q_bits=pipeline.q_bits,
@@ -520,6 +547,92 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
                        onset_flagged_frac=float(flagged.mean()),
                        clip_frac=float(clip.mean()))
     return FingerprintDataset(features, labels, meta)
+
+
+def _may_fork() -> bool:
+    """Whether build_dataset may run part of its rows in a forked child.
+
+    Only on Linux with a second CPU to run the child; only when no other
+    Python thread exists, since a fork copies the calling thread alone and a
+    lock another thread held would stay held in the child; and not in a
+    process multiprocessing started, such as a run_sweep pool worker: with
+    two workers on two CPUs, forking in each made an 8-point sweep 1.12x
+    slower (README "Dataset synthesis"). Such a process has imported
+    multiprocessing, so a process that has not is none; importing it only
+    to ask would add ~0.3 MB to every process that builds.
+    """
+    mp = sys.modules.get("multiprocessing")
+    return (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1
+            and (mp is None or mp.parent_process() is None))
+
+
+# the byte a forked child sends ahead of its rows, or of its pickled exception
+_CHILD_DONE, _CHILD_RAISED = b"\x00", b"\x01"
+
+
+def _fill_forked(fill, split: int, n_rows: int, outputs: tuple) -> None:
+    """Run fill(0, split) here and fill(split, n_rows) in a forked child.
+
+    The child writes its rows of every output array to a pipe as raw bytes,
+    behind a status byte, and this process reads them into its own arrays,
+    so they stay the only copy of the result. An exception raised in the
+    child is pickled through the pipe and raised here; a child that ends
+    without reporting raises RuntimeError naming its wait status. The child
+    is reaped on every path, and killed first if this process's half raised.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns when a process with more than one OS thread
+            # forks; OpenBLAS's idle workers always count. They are harmless
+            # here: the child calls no BLAS, and _may_fork admitted no other
+            # Python thread.
+            warnings.filterwarnings("ignore", r".*multi-threaded.*fork", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    fill(split, n_rows)
+                except Exception as exc:  # noqa: BLE001 - the parent raises it
+                    pipe.write(_CHILD_RAISED + pickle.dumps(exc))
+                else:
+                    pipe.write(_CHILD_DONE)
+                    for out in outputs:
+                        pipe.write(out[split:n_rows])
+            code = 0
+        finally:
+            os._exit(code)  # never the parent's exit handlers or buffers
+
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            try:
+                fill(0, split)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            status = pipe.read(1)
+            if status == _CHILD_RAISED:
+                # unpickles only what the child above wrote
+                raise pickle.loads(pipe.read())
+            complete = status == _CHILD_DONE and all(
+                pipe.readinto(out[split:n_rows]) == out[split:n_rows].nbytes
+                for out in outputs)
+    finally:
+        wait_status = os.waitpid(pid, 0)[1]
+    if not complete or wait_status != 0:
+        how = (f"killed by {signal.Signals(os.WTERMSIG(wait_status)).name}"
+               if os.WIFSIGNALED(wait_status) else f"exit code {os.WEXITSTATUS(wait_status)}")
+        raise RuntimeError(f"build_dataset's forked child ended without its rows "
+                           f"(wait status {wait_status}: {how})")
 
 
 def save_dataset(ds: FingerprintDataset, path) -> None:

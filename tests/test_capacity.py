@@ -98,6 +98,21 @@ def test_user_capacity_validation():
         user_capacity(3.5, 0.01, n_max=2)
 
 
+@pytest.mark.parametrize("n_max", [100.5, True, 100.0, "100"])
+def test_user_capacity_rejects_a_non_integer_n_max(n_max):
+    # 100.5 once scanned N up to 101 and returned n_c 101, unsaturated
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        user_capacity(20.0, 0.01, n_max=n_max)
+
+
+def test_user_capacity_takes_a_numpy_integer_n_max():
+    got = user_capacity(20.0, 0.01, n_max=np.int64(100))
+    assert (got.n_c, got.saturated) == (100, True)
+    assert np.array_equal(got.trace, user_capacity(20.0, 0.01, n_max=100).trace)
+    with pytest.raises(ValueError, match=r"n_max must be >= 3: 2"):
+        user_capacity(20.0, 0.01, n_max=np.int64(2))
+
+
 @pytest.mark.parametrize("emi_bits", [float("nan"), float("inf"), -float("inf")])
 def test_user_capacity_rejects_non_finite_emi(emi_bits):
     with pytest.raises(ValueError, match="emi_bits must be finite"):

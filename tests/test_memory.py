@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from rffcap import infotheory
+from rffcap import fingerprint, infotheory
 from rffcap.classifier import LdaModel, classify, fit_lda
 from rffcap.fingerprint import (
     _DATASET_HEADER,
@@ -91,21 +91,42 @@ def test_per_feature_mi_holds_one_blocks_temporaries(n_classes, bins):
     assert traced_peak(per_feature_mi, ds, bins=bins) < 3.25 * column_block + 4 * count_block
 
 
-def test_build_dataset_working_set_does_not_grow_with_per_class():
-    profiles = sample_profiles(PopulationSpec(), 3, seed=3)
-    pipeline = PipelineConfig(fs_hz=10e6, n_fft=1024, snr_db=16.0, snr_ref_fs_hz=4e6)
+def build_transients(profiles, pipeline):
+    """Bytes build_dataset allocates beyond the features it returns, at 100
+    and 400 rows per class, in the process that calls it."""
     transient = {}
     for per_class in (100, 400):
-        n_rows = 3 * per_class
-        # beyond the returned features, as the dataset is built
+        n_rows = len(profiles) * per_class
         transient[per_class] = (traced_peak(build_dataset, profiles, per_class, pipeline, 1)
                                 - n_rows * pipeline.n_fft * 8)
+    return transient
+
+
+def test_build_dataset_working_set_does_not_grow_with_per_class(monkeypatch):
+    # the whole build in this one process
+    monkeypatch.setattr(fingerprint, "_may_fork", lambda: False)
+    profiles = sample_profiles(PopulationSpec(), 3, seed=3)
+    pipeline = PipelineConfig(fs_hz=10e6, n_fft=1024, snr_db=16.0, snr_ref_fs_hz=4e6)
+    transient = build_transients(profiles, pipeline)
     # the receive chain runs over fixed row blocks, so only the per-capture
     # seed states, labels, flags and clip counts grow, by well under 256
     # bytes a row; whole-device batches grew by 34 MB here
     assert transient[400] - transient[100] < 256 * 3 * 300
     # the block's rails and noise draws are one _SYNTH_BLOCK_BYTES each, and
     # acquisition and Welch temporaries a few more
+    assert transient[400] < 8 * _SYNTH_BLOCK_BYTES
+
+
+def test_forked_build_holds_one_block_in_the_parent(monkeypatch, forks):
+    monkeypatch.setattr(fingerprint, "_may_fork", lambda: True)
+    profiles = sample_profiles(PopulationSpec(), 3, seed=3)
+    pipeline = PipelineConfig(fs_hz=10e6, n_fft=1024, snr_db=16.0, snr_ref_fs_hz=4e6)
+    transient = build_transients(profiles, pipeline)
+    assert len(forks) == 2
+    # the child's rows are read straight into the returned features, so the
+    # parent holds what a one-process build holds: one block's rails, noise
+    # draws and kernel temporaries, and per-row state
+    assert transient[400] - transient[100] < 256 * 3 * 300
     assert transient[400] < 8 * _SYNTH_BLOCK_BYTES
 
 

@@ -9,7 +9,8 @@ fractions must equal the means of the one-row diagnostics. This keeps one
 implementation per stage checked without the frozen golden file.
 
 The batched build runs its rows in blocks that may span devices; the block
-size must not change any bit of the features or the meta.
+size must not change any bit of the features or the meta, and neither must
+splitting the rows between two processes.
 """
 
 import numpy as np
@@ -107,6 +108,28 @@ def test_block_size_changes_no_bit(monkeypatch, name, block_rows):
     with monkeypatch.context() as patch:
         want = build_in_blocks(patch, name, 1)
     got = build_in_blocks(monkeypatch, name, block_rows)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.meta.to_dict() == want.meta.to_dict()
+
+
+@pytest.mark.parametrize("block_rows", [7, None])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_forked_build_equals_one_process(monkeypatch, forks, name, block_rows):
+    # forking from two blocks up, 7-row blocks put the split at row 14 of
+    # 24, 7 of 18 and 77 of 150, inside the second device each time; default
+    # blocks fork only the 150-row scenario, at row 71, inside the second
+    # device too
+    monkeypatch.setattr(fingerprint, "_FORK_MIN_BLOCKS", 2)
+    monkeypatch.setattr(fingerprint, "_may_fork", lambda: False)
+    with monkeypatch.context() as patch:
+        want = build_in_blocks(patch, name, block_rows)
+    monkeypatch.setattr(fingerprint, "_may_fork", lambda: True)
+    got = build_in_blocks(monkeypatch, name, block_rows)
+    n_devices, per_class, _, _, pipeline = SCENARIOS[name]
+    width = pipeline.lead_pad[1] + pipeline.window() + pipeline.tail_pad
+    default_block = fingerprint._SYNTH_BLOCK_BYTES // (width * 16)
+    assert len(forks) == (block_rows == 7 or n_devices * per_class >= 2 * default_block)
     assert np.array_equal(got.features, want.features)
     assert np.array_equal(got.labels, want.labels)
     assert got.meta.to_dict() == want.meta.to_dict()
