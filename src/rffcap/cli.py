@@ -200,6 +200,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="build a labeled fingerprint dataset")
     _add_common(p, fmt_choices=("bin", "csv", "json"))
+    p.add_argument("--data", type=Path, help="existing dataset file (.rfds) to convert")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("mi", help="per-feature-bin mutual information")

@@ -184,7 +184,7 @@ def test_explicit_zero_override_is_not_replaced_by_the_config(config_file):
 # each subcommand's options: inputs, outputs and analysis settings that have no
 # scenario field; every scenario value comes from --config alone
 OPTIONS = {
-    "simulate": {"--config", "--out", "--format"},
+    "simulate": {"--config", "--data", "--out", "--format"},
     "mi": {"--config", "--data", "--out", "--format"},
     "emi": {"--config", "--data", "--out", "--format"},
     "capacity": {"--config", "--emi", "--thresholds", "--out", "--format"},
@@ -207,7 +207,7 @@ def test_each_subcommand_has_only_its_own_options(capsys):
             main([command, "--help"])
         usage = capsys.readouterr().out.split("\n\n")[0]
         assert set(re.findall(r"--[a-z-]+", usage)) == options, command
-    assert sum(map(len, OPTIONS.values())) == 30
+    assert sum(map(len, OPTIONS.values())) == 31
     assert len(REMOVED) == 17
     required = {"capacity": ["--emi", "1"], "validate": ["--rows", "rows.csv"]}
     for command, option in REMOVED:

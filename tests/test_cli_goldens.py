@@ -66,6 +66,10 @@ CASES = [
     ("simulate_csv", "simulate --config scenario.yaml --format csv", 0, ["dataset.csv"]),
     ("simulate_json", "simulate --config scenario.yaml --format json --out ds.json", 0,
      ["ds.json"]),
+    ("simulate_data_csv", "simulate --data ds.rfds --format csv --out data.csv", 0,
+     ["data.csv"]),
+    ("simulate_data_json", "simulate --data ds.rfds --format json --out data.json", 0,
+     ["data.json"]),
     ("mi_csv", "mi --data ds.rfds", 0, ["mi_report.csv"]),
     ("mi_json", "mi --config bins6.yaml --format json --out mi.json", 0, ["mi.json"]),
     ("emi_json_stdout", "emi --data ds.rfds --config scenario.yaml", 0, []),
