@@ -55,10 +55,22 @@ def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
     NumPy allocates nothing for the products, but one product over a few
     thousand rows grows the process by OpenBLAS work-buffer pages several
     times larger than one over a block (README "Estimator notes").
+
+    Every product runs on C-ordered float64 rows: rows of another dtype or
+    layout are cast, a block at a time, into one reused buffer. float32 rows
+    then project exactly as their float64 upcast does, and F-ordered rows as
+    their C-ordered copy (BLAS rounds a transposed operand differently).
     """
-    z = np.empty((x.shape[0], projection.shape[1]))
-    for lo in range(0, x.shape[0], _ROW_BLOCK):
-        np.matmul(x[lo:lo + _ROW_BLOCK], projection, out=z[lo:lo + _ROW_BLOCK])
+    n = x.shape[0]
+    z = np.empty((n, projection.shape[1]))
+    direct = x.dtype == np.float64 and x.flags.c_contiguous
+    buf = None if direct else np.empty((min(_ROW_BLOCK, n), x.shape[1]))
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = x[lo:lo + _ROW_BLOCK]
+        if buf is not None:
+            buf[:rows.shape[0]] = rows
+            rows = buf[:rows.shape[0]]
+        np.matmul(rows, projection, out=z[lo:lo + _ROW_BLOCK])
     return z
 
 
@@ -96,8 +108,9 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
 
     x = train.features
     n, m = x.shape
-    mean_all = x.mean(axis=0)
-    means = np.vstack([x[y == c].mean(axis=0) for c in range(n_classes)])
+    # float64 sums whatever the storage dtype
+    mean_all = x.mean(axis=0, dtype=np.float64)
+    means = np.vstack([x[y == c].mean(axis=0, dtype=np.float64) for c in range(n_classes)])
 
     # the within-class scatter sums dev^T dev over blocks of _ROW_BLOCK rows
     # of the deviations x - means[y], each written over the previous one in

@@ -41,8 +41,8 @@ from .signal_model import (
 _DATASET_MAGIC = b"RFPD"
 _DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
-# rows processed at a time: feature rows converted when a dataset is written
-# or read, centered rows in infotheory.emi_kde, and within-class deviations
+# rows processed at a time: float64 feature rows converted when a dataset is
+# written, centered rows in infotheory.emi_kde, and within-class deviations
 # and projected rows in classifier.fit_lda and classify. Sized by measurement
 # (README "Estimator notes"): the Gram matrix of 1,024-row blocks is as fast
 # as one product over all rows; 256-row blocks were slower.
@@ -99,6 +99,13 @@ class FingerprintDataset:
 
     Labels are contiguous class indices 0..C-1; meta.class_ids maps each index
     back to the originating device_id.
+
+    A float32 feature array is kept as it is, without a copy: load_dataset
+    returns the float32 values the file stores, at half the memory of their
+    float64 form. Features of any other dtype become float64, so every
+    dataset build_dataset makes is float64. The estimators and the
+    classifier compute in float64 either way, and give the same bits on
+    float32 features as on their float64 upcast.
     """
 
     features: np.ndarray
@@ -106,7 +113,9 @@ class FingerprintDataset:
     meta: DatasetMeta
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
+        self.features = (features if features.dtype == np.float32
+                         else features.astype(np.float64, copy=False))
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError("features must be 2-D (n_samples x n_bins)")
@@ -641,8 +650,10 @@ def save_dataset(ds: FingerprintDataset, path) -> None:
     Every label must index meta.class_ids, as load_dataset requires; otherwise
     ValueError is raised before the file is opened.
 
-    The rows are converted and written _ROW_BLOCK at a time, so no float32
-    copy of the whole feature matrix is made.
+    C-contiguous float32 features are written as they are; other features
+    are converted and written _ROW_BLOCK rows at a time, so no float32 copy
+    of the whole feature matrix is made. Either way the file holds the same
+    bytes.
     """
     _check_labels(ds.labels, ds.meta, path)
     meta_json = json.dumps(ds.meta.to_dict()).encode()
@@ -651,7 +662,7 @@ def save_dataset(ds: FingerprintDataset, path) -> None:
         fh.write(_DATASET_HEADER.pack(ds.n_samples, ds.n_bins, len(meta_json)))
         fh.write(meta_json)
         for lo in range(0, ds.n_samples, _ROW_BLOCK):
-            fh.write(ds.features[lo:lo + _ROW_BLOCK].astype("<f4", order="C"))
+            fh.write(ds.features[lo:lo + _ROW_BLOCK].astype("<f4", order="C", copy=False))
         fh.write(ds.labels.astype("<i4"))
 
 
@@ -661,8 +672,9 @@ def load_dataset(path) -> FingerprintDataset:
     The meta block is read as a DatasetMeta by read_record, so each value
     must have its field's type (a bool is not a number); the payload must be
     exactly the float32 features and int32 labels the header announces, and
-    every label must index meta.class_ids. The features are read _ROW_BLOCK
-    rows at a time straight into the float64 matrix the dataset holds.
+    every label must index meta.class_ids. The features are read with one
+    readinto straight into the C-contiguous float32 matrix the dataset holds,
+    so the dataset's features have dtype float32.
 
     Files written before the acquisition statistics were recorded load with
     meta.onset_flagged_frac and meta.clip_frac set to None.
@@ -686,13 +698,9 @@ def load_dataset(path) -> FingerprintDataset:
         meta = read_record(DatasetMeta, meta_d, f"{path}: meta")
         if size - payload_at != 4 * n_rows * (n_bins + 1):
             raise ValueError(f"dataset payload size mismatch in {path}")
-        features = np.empty((n_rows, n_bins))
-        block = np.empty((min(_ROW_BLOCK, n_rows), n_bins), dtype="<f4")
+        features = np.empty((n_rows, n_bins), dtype="<f4")
         labels = np.empty(n_rows, dtype="<i4")
-        for lo in range(0, n_rows, _ROW_BLOCK):
-            rows = block[:min(_ROW_BLOCK, n_rows - lo)]
-            _read_exactly(fh, rows, path)
-            features[lo:lo + rows.shape[0]] = rows
+        _read_exactly(fh, features, path)
         _read_exactly(fh, labels, path)
     _check_labels(labels, meta, path)
     return FingerprintDataset(features, labels.astype(np.int64), meta)

@@ -88,8 +88,10 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
 
     x = dataset.features
     n, m = x.shape
-    mins = x.min(axis=0)
-    widths = x.max(axis=0) - mins
+    # in float64 whatever the storage dtype, so float32 features bin exactly
+    # as their float64 upcast does
+    mins = x.min(axis=0).astype(np.float64, copy=False)
+    widths = x.max(axis=0).astype(np.float64, copy=False) - mins
     safe_w = np.where(widths > 0, widths, 1.0)
     p_y = np.bincount(y, minlength=n_classes) / n
     # cell of each sample in a block's (member, label, bin) counts
@@ -181,7 +183,7 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
 
     x = dataset.features
     n, m = x.shape
-    mean = x.mean(axis=0)
+    mean = x.mean(axis=0, dtype=np.float64)
     # principal directions from the m x m Gram matrix, largest first. The
     # singular values of the rank test are measured as column norms of the
     # projection, because sqrt of a Gram eigenvalue is only good to ~1e-8 *
