@@ -27,28 +27,50 @@ class BoundValue(NamedTuple):
     raw: float
 
 
+def _check_emi(emi_bits: float) -> float:
+    if not np.isfinite(emi_bits):
+        raise ValueError(f"emi_bits must be finite: {emi_bits}")
+    return emi_bits
+
+
+def _check_bound_inputs(emi_bits: float, n_users: int, least: int) -> None:
+    """Reject what would make a Fano bound meaningless: a NaN or infinite
+    emi_bits (max(0.0, nan) is 0.0, so a NaN bound would read as met), an
+    n_users that is not an integer (a bool included) or one below least."""
+    _check_emi(emi_bits)
+    if not _is_count(n_users):
+        raise ValueError(f"n_users must be an integer: {n_users!r}")
+    if n_users < least:
+        raise ValueError(f"n_users must be >= {least}: {n_users}")
+
+
 def fano_lower_bound(emi_bits: float, n_users: int, pe: float) -> BoundValue:
     """Fano lower bound on identification error probability.
 
     raw = (log2(n) - emi - H(pe)) / log2(n - 1); value clamps negatives to 0.
-    Only defined for three or more users (log2(n-1) must be positive).
+    Only defined for three or more users (log2(n-1) must be positive); a
+    non-finite emi_bits or a non-integer n_users raises ValueError.
     """
-    if n_users < 3:
-        raise ValueError(f"n_users must be >= 3: {n_users}")
+    _check_bound_inputs(emi_bits, n_users, 3)
     raw = (np.log2(n_users) - emi_bits - binary_entropy(pe)) / np.log2(n_users - 1)
     return BoundValue(value=max(0.0, float(raw)), raw=float(raw))
 
 
 def fano_upper_bound(emi_bits: float, n_users: int) -> BoundValue:
-    """Upper bound pe <= (log2(n) - emi) / 2; value clamped into [0, 1]."""
-    if n_users < 2:
-        raise ValueError(f"n_users must be >= 2: {n_users}")
+    """Upper bound pe <= (log2(n) - emi) / 2; value clamped into [0, 1].
+
+    A non-finite emi_bits or a non-integer n_users raises ValueError.
+    """
+    _check_bound_inputs(emi_bits, n_users, 2)
     raw = 0.5 * (np.log2(n_users) - emi_bits)
     return BoundValue(value=float(np.clip(raw, 0.0, 1.0)), raw=float(raw))
 
 
 def check_fano_consistency(emi_bits: float, n_users: int, observed_pe: float) -> bool:
-    """True when the observed error rate is not below its Fano lower bound."""
+    """True when the observed error rate is not below its Fano lower bound.
+
+    Raises ValueError for the inputs fano_lower_bound rejects.
+    """
     return fano_lower_bound(emi_bits, n_users, observed_pe).value <= observed_pe
 
 
@@ -73,12 +95,6 @@ def _check_threshold(threshold: float) -> float:
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must be in (0, 0.5): {threshold}")
     return threshold
-
-
-def _check_emi(emi_bits: float) -> float:
-    if not np.isfinite(emi_bits):
-        raise ValueError(f"emi_bits must be finite: {emi_bits}")
-    return emi_bits
 
 
 def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> CapacityResult:

@@ -13,8 +13,8 @@ from .classifier import error_rate_experiment
 from .config import ConfigError, ScenarioConfig, load_config
 from .fingerprint import (_check_count, build_dataset, feature_bin_frequencies, load_dataset,
                           save_dataset)
-from .harness import (SweepSpec, read_sweep_rows, run_sweep, sweep_to_csv, sweep_to_json,
-                      validate_bounds, write_table)
+from .harness import (SweepSpec, _check_slack, read_sweep_rows, run_sweep, sweep_to_csv,
+                      sweep_to_json, validate_bounds, write_table)
 from .infotheory import emi_kde, per_feature_mi
 from .signal_model import sample_profiles
 
@@ -242,7 +242,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate", help="check sweep rows against error bounds")
     _add_common(p, scenario=False)
     p.add_argument("--rows", type=Path, required=True, help="sweep CSV/JSON file")
-    p.add_argument("--slack", type=float, default=0.2,
+    p.add_argument("--slack", default=0.2,
+                   type=_usage_checked(lambda text: _check_slack(float(text))),
                    help="EMI slack in bits (default 0.2)")
     p.set_defaults(func=cmd_validate)
 

@@ -296,14 +296,22 @@ class BoundCheck:
     passed: bool
 
 
+def _check_slack(slack: float) -> float:
+    if not np.isfinite(slack):
+        raise ValueError(f"slack must be finite: {slack}")
+    return slack
+
+
 def validate_bounds(rows, slack: float = 0.2) -> list[BoundCheck]:
     """Check every empirical row against its slack-adjusted error lower bound.
 
     For each row with an empirical error rate, requires
     fano_lower(emi + slack, n, pe) <= pe, using the EMI measured on the
     classifier's own training set when available. The margin is pe minus the
-    slacked bound (negative margin = failure).
+    slacked bound (negative margin = failure). A non-finite slack, and a row
+    whose EMI is not finite, raise ValueError rather than pass.
     """
+    _check_slack(slack)
     checks = []
     for row in rows:
         if row.pe_empirical is None or row.n_classes_tested is None:

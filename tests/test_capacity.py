@@ -53,6 +53,34 @@ def test_check_fano_consistency():
     assert check_fano_consistency(0.0, 8, 0.875)
 
 
+BOUNDS = [
+    lambda emi, n: fano_lower_bound(emi, n, 0.1),
+    lambda emi, n: fano_upper_bound(emi, n),
+    lambda emi, n: check_fano_consistency(emi, n, 0.1),
+]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("emi", [float("nan"), float("inf"), -float("inf"), np.nan])
+def test_fano_bounds_reject_a_non_finite_emi(bound, emi):
+    # max(0.0, nan) is 0.0: a NaN EMI read as a met bound, so
+    # check_fano_consistency(nan, 10, 0.1) was True
+    with pytest.raises(ValueError, match="emi_bits must be finite"):
+        bound(emi, 10)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("n_users", [10.5, 10.0, True, "10"])
+def test_fano_bounds_reject_a_non_integer_n_users(bound, n_users):
+    with pytest.raises(ValueError, match="n_users must be an integer"):
+        bound(2.0, n_users)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_fano_bounds_take_a_numpy_integer_n_users(bound):
+    assert bound(2.0, np.int64(10)) == bound(2.0, 10)
+
+
 def test_user_capacity_boundary_is_exact():
     res = user_capacity(3.5, 0.01)
     assert res.n_c == 12

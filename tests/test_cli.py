@@ -176,6 +176,22 @@ def test_validate_command(tmp_path):
     assert "0/1 bound checks passed" in res.stdout
 
 
+def test_validate_never_passes_a_nan_emi(tmp_path):
+    # the row printed "pass ... bound=0.0000" and the command exited 0
+    nan_row = SweepRow(axis="snr_db", value=1.0, seed=0, emi_bits=1.0,
+                       emi_bits_clamped=1.0, nc_1pct=3, nc_10pct=3, saturated=False,
+                       below_min=False, n_classes_tested=8, pe_empirical=0.0,
+                       emi_bits_classifier=float("nan"))
+    rows = tmp_path / "nan.csv"
+    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[nan_row]), rows)
+    assert ",nan," in rows.read_text()
+    res = run_cli(["validate", "--rows", str(rows), "--out", "checks.csv"], tmp_path)
+    assert res.returncode == 1
+    assert "pass" not in res.stdout
+    assert "ValueError: emi_bits must be finite: nan" in res.stderr
+    assert not (tmp_path / "checks.csv").exists()
+
+
 def test_explicit_zero_override_is_not_replaced_by_the_config(config_file):
     with pytest.raises(ValueError, match="n_classes must be >= 3"):
         main(["classify", "--n-classes", "0", "--config", str(config_file)])
@@ -228,6 +244,12 @@ def test_each_subcommand_has_only_its_own_options(capsys):
     (["capacity", "--emi", "3", "--thresholds", "0.01,,0.1"],
      "argument --thresholds: could not convert string to float: ''"),
     (["sweep", "--threads", "0"], "argument --threads: threads must be >= 1 and an integer: 0"),
+    (["validate", "--rows", "rows.csv", "--slack", "nan"],
+     "argument --slack: slack must be finite: nan"),
+    (["validate", "--rows", "rows.csv", "--slack", "inf"],
+     "argument --slack: slack must be finite: inf"),
+    (["validate", "--rows", "rows.csv", "--slack", "abc"],
+     "argument --slack: could not convert string to float: 'abc'"),
 ])
 def test_bad_option_value_is_a_usage_error(capsys, argv, message):
     """A value the library would reject stops argument parsing: exit 2, no output."""

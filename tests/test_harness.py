@@ -439,6 +439,27 @@ def test_validate_bounds_and_csv(tmp_path):
         validate_bounds([skipped])
 
 
+@pytest.mark.parametrize("emi", [float("nan"), float("inf")])
+def test_validate_bounds_rejects_a_non_finite_emi(emi):
+    # a NaN EMI gave a NaN bound, which max(0.0, nan) turned into a pass
+    row = SweepRow(axis="snr_db", value=1.0, seed=0, emi_bits=1.0,
+                   emi_bits_clamped=1.0, nc_1pct=3, nc_10pct=3, saturated=False,
+                   below_min=False, n_classes_tested=8, pe_empirical=0.01,
+                   emi_bits_classifier=emi)
+    with pytest.raises(ValueError, match="emi_bits must be finite"):
+        validate_bounds([row])
+
+
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), -float("inf")])
+def test_validate_bounds_rejects_a_non_finite_slack(slack):
+    row = SweepRow(axis="snr_db", value=1.0, seed=0, emi_bits=0.0,
+                   emi_bits_clamped=0.0, nc_1pct=3, nc_10pct=3, saturated=False,
+                   below_min=False, n_classes_tested=8, pe_empirical=0.0,
+                   emi_bits_classifier=0.0)
+    with pytest.raises(ValueError, match="slack must be finite"):
+        validate_bounds([row], slack=slack)
+
+
 def test_validate_bounds_falls_back_to_ensemble_emi():
     fallback = SweepRow(axis="snr_db", value=1.0, seed=0, emi_bits=3.1,
                         emi_bits_clamped=3.0, nc_1pct=3, nc_10pct=3,
