@@ -170,6 +170,18 @@ def test_dataset_io_holds_one_row_block(dataset, tmp_path):
     assert traced_peak(save_dataset, back, path) < staging
 
 
+def test_float32_features_are_never_widened_whole(dataset):
+    # the estimators compute in float64 on float32 features, but a block at a
+    # time: beyond what they hold on the float64 features, at most one
+    # _ROW_BLOCK-row float64 buffer (a quarter of the float64 input here)
+    f32 = FingerprintDataset(dataset.features.astype(np.float32), dataset.labels,
+                             dataset.meta)
+    block = _ROW_BLOCK * dataset.n_bins * 8
+    model = fit_lda(dataset)
+    for fn in (per_feature_mi, emi_kde, fit_lda, lambda ds: classify(model, ds)):
+        assert traced_peak(fn, f32) < traced_peak(fn, dataset) + block, fn
+
+
 def out_of_place_fit_lda(train, kappa=150, block=_ROW_BLOCK):
     """fit_lda at the default ridge with whole-array within-class deviations
     and the ridge added through an identity matrix. The scatter is summed and
