@@ -145,7 +145,7 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
                 "within-class scatter is singular; rerun with a positive ridge") from exc
         raise ValueError(
             "within-class scatter is numerically singular; increase ridge") from exc
-    del sw  # only its factor is used from here on, beside _project's block buffer
+    del sw  # only its factor is used from here on; freed before _project's block buffer
 
     # NumPy has no triangular solve; solve() on a triangular factor is an LU
     # solve, cheap at these n_bins x C and n_bins x kappa_eff right-hand sides
