@@ -1,10 +1,12 @@
-"""One reader, read_record, for the records rffcap reads back from files: the
-scenario YAML, sweep CSV/JSON rows and .rfds meta. It imports nothing from
-rffcap, so every module can use it."""
+"""read_record, for the records rffcap reads back from files (scenario YAML,
+sweep CSV/JSON rows, .rfds meta), and _check_count, for every count a config
+section or a library function takes. It imports nothing from rffcap."""
 
 from __future__ import annotations
 
 from dataclasses import MISSING, fields, is_dataclass
+
+import numpy as np
 
 # the Python types each word of an annotation takes; a bool is never a number
 _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None)}
@@ -60,3 +62,13 @@ def _typed(annotation: str, value, key: str):
         if isinstance(value, _TYPES[word]) and isinstance(value, bool) == (word == "bool"):
             return float(value) if word == "float" else value
     raise ValueError(f"{key}: expected {annotation}, got {value!r}")
+
+
+def _check_count(name: str, value, low: int, high: int | None = None):
+    """value if it is an integer in [low, high] (no upper limit when high is
+    None), else ValueError. A bool is an int to isinstance, but never a count."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        upper = "" if high is None else f", <= {high}"
+        raise ValueError(f"{name} must be >= {low}{upper} and an integer: {value!r}")
+    return value

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._records import _check_count
 from .infotheory import binary_entropy
-from .signal_model import _is_count
 
 # the smallest population the capacity scan evaluates
 MIN_USERS = 3
@@ -28,20 +28,10 @@ class BoundValue(NamedTuple):
 
 
 def _check_emi(emi_bits: float) -> float:
+    """emi_bits if finite: max(0.0, nan) is 0.0, so a NaN bound would read as met."""
     if not np.isfinite(emi_bits):
         raise ValueError(f"emi_bits must be finite: {emi_bits}")
     return emi_bits
-
-
-def _check_bound_inputs(emi_bits: float, n_users: int, least: int) -> None:
-    """Reject what would make a Fano bound meaningless: a NaN or infinite
-    emi_bits (max(0.0, nan) is 0.0, so a NaN bound would read as met), an
-    n_users that is not an integer (a bool included) or one below least."""
-    _check_emi(emi_bits)
-    if not _is_count(n_users):
-        raise ValueError(f"n_users must be an integer: {n_users!r}")
-    if n_users < least:
-        raise ValueError(f"n_users must be >= {least}: {n_users}")
 
 
 def fano_lower_bound(emi_bits: float, n_users: int, pe: float) -> BoundValue:
@@ -51,7 +41,8 @@ def fano_lower_bound(emi_bits: float, n_users: int, pe: float) -> BoundValue:
     Only defined for three or more users (log2(n-1) must be positive); a
     non-finite emi_bits or a non-integer n_users raises ValueError.
     """
-    _check_bound_inputs(emi_bits, n_users, 3)
+    _check_emi(emi_bits)
+    _check_count("n_users", n_users, MIN_USERS)
     raw = (np.log2(n_users) - emi_bits - binary_entropy(pe)) / np.log2(n_users - 1)
     return BoundValue(value=max(0.0, float(raw)), raw=float(raw))
 
@@ -61,7 +52,8 @@ def fano_upper_bound(emi_bits: float, n_users: int) -> BoundValue:
 
     A non-finite emi_bits or a non-integer n_users raises ValueError.
     """
-    _check_bound_inputs(emi_bits, n_users, 2)
+    _check_emi(emi_bits)
+    _check_count("n_users", n_users, 2)
     raw = 0.5 * (np.log2(n_users) - emi_bits)
     return BoundValue(value=float(np.clip(raw, 0.0, 1.0)), raw=float(raw))
 
@@ -107,10 +99,7 @@ def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> Cap
     """
     _check_threshold(threshold)
     _check_emi(emi_bits)
-    if not _is_count(n_max):
-        raise ValueError(f"n_max must be an integer: {n_max!r}")
-    if n_max < MIN_USERS:
-        raise ValueError(f"n_max must be >= {MIN_USERS}: {n_max}")
+    _check_count("n_max", n_max, MIN_USERS)
     n = np.arange(MIN_USERS, n_max + 1)
     ratio = (np.log2(n) - emi_bits - binary_entropy(threshold)) / np.log2(n - 1)
     ok = np.flatnonzero(ratio <= threshold)

@@ -12,8 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._records import _check_count
 from .fingerprint import _ROW_BLOCK, FingerprintDataset, PipelineConfig, build_dataset
-from .signal_model import DeviceProfile, _is_count
+from .signal_model import DeviceProfile
 
 
 @dataclass
@@ -74,6 +75,11 @@ def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
     return z
 
 
+def _check_ridge(ridge: float | None) -> None:
+    if ridge is not None and (isinstance(ridge, bool) or not 0.0 <= ridge < np.inf):
+        raise ValueError(f"ridge must be None or finite and >= 0: {ridge}")
+
+
 def fit_lda(train: FingerprintDataset, kappa: int = 150,
             ridge: float | None = None) -> LdaModel:
     """Fit the discriminant projection and Mahalanobis scoring model.
@@ -94,10 +100,8 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     the Cholesky reduction LAPACK's sygvd applies, without its n_bins x
     n_bins eigensolve of a matrix of rank C-1.
     """
-    if not _is_count(kappa):
-        raise ValueError(f"kappa must be an integer: {kappa!r}")
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1: {kappa}")
+    _check_count("kappa", kappa, 1)
+    _check_ridge(ridge)
     classes, y = np.unique(train.labels, return_inverse=True)
     n_classes = classes.size
     if n_classes < 3:
@@ -134,8 +138,6 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
         if scale <= 0:
             raise ValueError("training features are all identical")
         ridge = 1e-6 * scale
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
     sw[np.diag_indices(m)] += ridge
     try:
         chol = np.linalg.cholesky(sw)
@@ -229,8 +231,7 @@ def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
     shuffle_train_labels destroys the feature/identity association (seeded)
     to measure chance-level behavior.
     """
-    if n_classes < 3:
-        raise ValueError(f"n_classes must be >= 3: {n_classes}")
+    _check_count("n_classes", n_classes, 3)
     if n_classes > len(profiles):
         raise ValueError(f"only {len(profiles)} profiles for n_classes={n_classes}")
     train, test, shuffle_seq = _experiment_datasets(

@@ -11,8 +11,8 @@ from . import __version__
 from .capacity import _check_emi, _check_threshold, user_capacity
 from .classifier import error_rate_experiment
 from .config import ConfigError, ScenarioConfig, load_config
-from .fingerprint import (_check_count, build_dataset, feature_bin_frequencies, load_dataset,
-                          save_dataset)
+from ._records import _check_count
+from .fingerprint import build_dataset, feature_bin_frequencies, load_dataset, save_dataset
 from .harness import (SweepSpec, _check_slack, read_sweep_rows, run_sweep, sweep_to_csv,
                       sweep_to_json, validate_bounds, write_table)
 from .infotheory import emi_kde, per_feature_mi
@@ -175,8 +175,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    rows = read_sweep_rows(args.rows)
-    checks = validate_bounds(rows, slack=args.slack)
+    try:
+        rows = read_sweep_rows(args.rows)
+    except ValueError as exc:  # its message names the file
+        raise ConfigError(str(exc)) from None
+    try:
+        checks = validate_bounds(rows, slack=args.slack)
+    except ValueError as exc:
+        raise ConfigError(f"{args.rows}: {exc}") from None
     if args.out:
         emit(args, list(vars(checks[0])), (vars(c).values() for c in checks),
              {"slack": args.slack, "checks": [vars(c) for c in checks]})
@@ -251,7 +257,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        # a rejected scenario is the user's input, not a fault: one line, like argparse
+        # a rejected scenario or rows file is user input, not a fault: one line
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

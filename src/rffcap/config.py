@@ -8,16 +8,17 @@ frozen (use dataclasses.replace). See the README for the full schema.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from ._records import read_record
+from ._records import _check_count, read_record
 from .capacity import MIN_USERS
-from .fingerprint import PipelineConfig, _check_count
+from .classifier import _check_ridge
+from .fingerprint import PipelineConfig
 from .infotheory import MAX_PROJECTED_DIM, MIN_BINS
 from .signal_model import PopulationSpec
 
@@ -35,10 +36,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_count("bins", self.bins, MIN_BINS)
-        _check_count("projected_dim", self.projected_dim, 1)
-        if self.projected_dim > MAX_PROJECTED_DIM:
-            raise ValueError(
-                f"projected_dim must be <= {MAX_PROJECTED_DIM}: {self.projected_dim}")
+        _check_count("projected_dim", self.projected_dim, 1, MAX_PROJECTED_DIM)
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ class ClassifierConfig:
 
     def __post_init__(self):
         _check_count("kappa", self.kappa, 1)
-        if self.ridge is not None and not 0.0 <= self.ridge < math.inf:
-            raise ValueError(f"ridge must be None or finite and >= 0: {self.ridge}")
+        _check_ridge(self.ridge)
         _check_count("train_per_class", self.train_per_class, 2)
         _check_count("test_per_class", self.test_per_class, 2)
         _check_count("max_devices", self.max_devices, MIN_USERS + 1)
@@ -74,6 +71,14 @@ class SweepConfig:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}: {self.axis}")
+        if not self.values:
+            raise ValueError("values must be non-empty")
+        if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                   for v in self.values):
+            raise ValueError(f"values must be numbers, not booleans: {self.values}")
+        pairs = list(zip(self.values, self.values[1:]))  # exact, even past float range
+        if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
+            raise ValueError(f"values must be strictly ordered: {self.values}")
 
 
 @dataclass(frozen=True)

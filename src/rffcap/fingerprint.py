@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
-from ._records import read_record
+from ._records import _check_count, read_record
 from .signal_model import (
     NOISELESS,
     AdcConfig,
@@ -29,7 +29,7 @@ from .signal_model import (
     DeviceProfile,
     IqCapture,
     _as_complex,
-    _is_count,
+    _check_fs_hz,
     _noise_std,
     _quantise,
     _scale_noise,
@@ -84,9 +84,8 @@ class DatasetMeta:
     def __post_init__(self):  # what the annotations cannot say
         if isinstance(self.snr_db, str) and self.snr_db != NOISELESS:
             raise ValueError(f"snr_db must be a number or {NOISELESS!r}: {self.snr_db!r}")
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
-                   for c in self.class_ids):
-            raise ValueError(f"class_ids must be non-negative integers: {self.class_ids!r}")
+        for c in self.class_ids:
+            _check_count("class_ids", c, 0)
 
     def to_dict(self) -> dict:
         """JSON-ready fields, as stored in the .rfds meta block."""
@@ -159,13 +158,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         _validate_n_fft(self.n_fft)
-        self.adc()  # q_bits, full_scale_vpp and fs_hz
+        self.adc()  # q_bits and full_scale_vpp
+        _check_fs_hz(self.fs_hz)
         if self.snr_ref_fs_hz is not None and not 0.0 < self.snr_ref_fs_hz < np.inf:
             raise ValueError(f"snr_ref_fs_hz must be None or finite and > 0: {self.snr_ref_fs_hz}")
         ChannelConfig(self.effective_snr_db())
         _check_count("n_symbols", self.n_symbols, 1)
-        if not 0.0 < self.threshold_factor < np.inf:
-            raise ValueError(f"threshold_factor must be finite and > 0: {self.threshold_factor}")
+        _check_threshold_factor(self.threshold_factor)
         lead_lo, lead_hi = self.lead_pad
         _check_count("lead_pad low", lead_lo, 0)
         _check_count("lead_pad high", lead_hi, lead_lo)
@@ -186,8 +185,7 @@ class PipelineConfig:
         return float(self.snr_db) - 10.0 * np.log10(self.fs_hz / self.snr_ref_fs_hz)
 
     def adc(self) -> AdcConfig:
-        return AdcConfig(q_bits=self.q_bits, full_scale_vpp=self.full_scale_vpp,
-                         fs_hz=self.fs_hz)
+        return AdcConfig(q_bits=self.q_bits, full_scale_vpp=self.full_scale_vpp)
 
     def window(self) -> int:
         return preamble_length(self.fs_hz, self.n_symbols)
@@ -202,6 +200,8 @@ def acquire(capture: IqCapture, window: int, threshold_factor: float = 6.0) -> I
     most of the record). If no crossing occurs the maximum-energy window is
     returned instead and diagnostics["onset_flagged"] is set.
     """
+    _check_count("window", window, 1, len(capture))
+    _check_threshold_factor(threshold_factor)
     bursts, onsets, flagged = _acquire_rows(
         capture.samples[np.newaxis], np.array([len(capture)]), window, threshold_factor)
     diags = dict(capture.diagnostics)
@@ -218,13 +218,8 @@ def _acquire_rows(x: np.ndarray, lengths: np.ndarray, window: int,
     blocks, short-term windows and fallback energy windows that lie inside
     the record count. Returns the (rows, window) acquired bursts, the onset
     index of each row and whether each row fell back to the max-energy window.
+    window and threshold_factor come checked, by acquire or PipelineConfig.
     """
-    n_min = int(lengths.min())
-    if not 1 <= window <= n_min:
-        raise ValueError(f"window must be in [1, {n_min}]: {window}")
-    if threshold_factor <= 0:
-        raise ValueError("threshold_factor must be positive")
-
     rows, width = x.shape
     power = np.abs(x)
     power **= 2
@@ -266,10 +261,9 @@ def _validate_n_fft(n_fft: int) -> None:
         raise ValueError(f"n_fft must be a power of two in [64, 4096]: {n_fft}")
 
 
-def _check_count(name: str, value, low):
-    if not (_is_count(value) and value >= low):
-        raise ValueError(f"{name} must be >= {low} and an integer: {value!r}")
-    return value
+def _check_threshold_factor(threshold_factor: float) -> None:
+    if isinstance(threshold_factor, bool) or not 0.0 < threshold_factor < np.inf:
+        raise ValueError(f"threshold_factor must be finite and > 0: {threshold_factor}")
 
 
 def extract_spectral_feature(capture: IqCapture, n_fft: int) -> np.ndarray:
@@ -477,10 +471,7 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     ids = [p.device_id for p in profiles]
     if len(set(ids)) != len(ids):
         raise ValueError("device_id values must be unique")
-    if not _is_count(per_class):
-        raise ValueError(f"per_class must be an integer: {per_class!r}")
-    if per_class < 2:
-        raise ValueError("per_class must be >= 2")
+    _check_count("per_class", per_class, 2)
 
     ordered = sorted(profiles, key=lambda p: p.device_id)
     n_burst = window = pipeline.window()

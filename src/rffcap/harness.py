@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._records import read_record
+from ._records import _check_count, read_record
 from .capacity import (
     MIN_USERS,
     check_fano_consistency,
@@ -29,7 +29,7 @@ from .capacity import (
 )
 from .classifier import error_rate_experiment
 from .config import ConfigError, ScenarioConfig, SweepConfig
-from .fingerprint import _check_count, build_dataset
+from .fingerprint import build_dataset
 from .infotheory import emi_kde
 from .signal_model import sample_profiles
 
@@ -48,15 +48,8 @@ class SweepSpec:
         """A rejected axis, value list or point raises ConfigError naming the sweep."""
         vals = list(self.values)
         try:
-            SweepConfig(self.axis)  # checks the axis
-            if not vals:
-                raise ValueError("values must be non-empty")
-            if any(isinstance(v, (bool, np.bool_)) for v in vals):
-                raise ValueError(f"values must be numbers, not booleans: {vals}")
-            diffs = np.diff(np.asarray(vals, dtype=float))
-            if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ValueError(f"values must be strictly ordered: {vals}")
-        except (TypeError, ValueError) as exc:
+            SweepConfig(self.axis, vals)
+        except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from None
         for v in vals:
             try:
@@ -309,18 +302,21 @@ def validate_bounds(rows, slack: float = 0.2) -> list[BoundCheck]:
     fano_lower(emi + slack, n, pe) <= pe, using the EMI measured on the
     classifier's own training set when available. The margin is pe minus the
     slacked bound (negative margin = failure). A non-finite slack, and a row
-    whose EMI is not finite, raise ValueError rather than pass.
+    whose EMI is not finite (named as rows[i]), raise ValueError rather than pass.
     """
     _check_slack(slack)
     checks = []
-    for row in rows:
+    for i, row in enumerate(rows):
         if row.pe_empirical is None or row.n_classes_tested is None:
             continue
         emi = row.emi_bits_classifier
         if emi is None:
             emi = row.emi_bits_clamped
-        bound = fano_lower_bound(emi + slack, row.n_classes_tested,
-                                 row.pe_empirical).value
+        try:
+            bound = fano_lower_bound(emi + slack, row.n_classes_tested,
+                                     row.pe_empirical).value
+        except ValueError as exc:
+            raise ValueError(f"rows[{i}] (value={row.value!r}): {exc}") from None
         checks.append(BoundCheck(
             value=row.value, n_classes=row.n_classes_tested, pe=row.pe_empirical,
             emi_bits=emi, slacked_lower=bound, margin=row.pe_empirical - bound,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import _check_count
 from .fingerprint import _ROW_BLOCK, FingerprintDataset
-from .signal_model import _is_count
 
 # estimator limits; EstimatorConfig checks a loaded scenario against them too
 MIN_BINS = 2
@@ -68,6 +68,8 @@ _MI_BLOCK = 32
 
 def _contiguous_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     classes, y = np.unique(labels, return_inverse=True)
+    if classes.size < 2:
+        raise ValueError("need at least 2 distinct labels")
     return y, classes.size
 
 
@@ -78,13 +80,8 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
     pooled min/max; MI is computed from the joint (bin, label) counts in
     base-2. A constant member yields zero MI.
     """
-    if not _is_count(bins):
-        raise ValueError(f"bins must be an integer: {bins!r}")
-    if bins < MIN_BINS:
-        raise ValueError(f"bins must be >= {MIN_BINS}")
+    _check_count("bins", bins, MIN_BINS)
     y, n_classes = _contiguous_labels(dataset.labels)
-    if n_classes < 2:
-        raise ValueError("need at least 2 distinct labels")
 
     x = dataset.features
     n, m = x.shape
@@ -165,17 +162,9 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     keeping the self-match inflates the estimate for indistinguishable
     classes. Raw and [0, log2 C]-clamped values are both reported.
     """
-    if not _is_count(projected_dim):
-        raise ValueError(f"projected_dim must be an integer: {projected_dim!r}")
-    if not 1 <= projected_dim <= MAX_PROJECTED_DIM:
-        raise ValueError(
-            f"projected_dim must be in [1, {MAX_PROJECTED_DIM}]: {projected_dim}")
+    _check_count("projected_dim", projected_dim, 1, MAX_PROJECTED_DIM)
     y, n_classes = _contiguous_labels(dataset.labels)
-    if n_classes < 2:
-        raise ValueError("need at least 2 distinct labels")
     class_counts = np.bincount(y, minlength=n_classes)
-    if class_counts.min() < 2:
-        raise ValueError("every class needs at least 2 samples")
     if class_counts.min() < 10 * projected_dim:
         raise ValueError(
             f"every class needs >= 10*projected_dim = {10 * projected_dim} samples "

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._records import _check_count
+
 CHIP_RATE_HZ = 2.0e6
 CHIPS_PER_SYMBOL = 32
 
@@ -23,9 +25,9 @@ _SYMBOL0_CHIPS = np.array(
      0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0], dtype=np.int8)
 
 
-def _is_count(value) -> bool:
-    # a bool is an int to isinstance, but never a count
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_fs_hz(fs_hz: float) -> None:
+    if isinstance(fs_hz, bool) or not CHIP_RATE_HZ <= fs_hz < np.inf:
+        raise ValueError(f"fs_hz must be finite and >= 2e6: {fs_hz}")
 
 
 @dataclass(frozen=True)
@@ -84,21 +86,16 @@ class AdcConfig:
     """Uniform clipping quantizer settings.
 
     q_bits resolution over a full-scale span of full_scale_vpp volts
-    (each rail clips to +/- full_scale_vpp / 2); fs_hz is the configured
-    acquisition rate.
+    (each rail clips to +/- full_scale_vpp / 2).
     """
 
     q_bits: int
     full_scale_vpp: float = 2.0
-    fs_hz: float = 4.0e6
 
     def __post_init__(self):
-        if not (isinstance(self.q_bits, (int, np.integer)) and 4 <= self.q_bits <= 24):
-            raise ValueError(f"q_bits must be an integer in [4, 24]: {self.q_bits}")
+        _check_count("q_bits", self.q_bits, 4, 24)
         if not 0.0 < self.full_scale_vpp / 2.0 ** self.q_bits < np.inf:
             raise ValueError(f"full_scale_vpp must be finite, its step > 0: {self.full_scale_vpp}")
-        if not 2.0e6 <= self.fs_hz < np.inf:
-            raise ValueError(f"fs_hz must be finite and >= 2e6: {self.fs_hz}")
 
 
 NOISELESS = "noiseless"
@@ -181,10 +178,7 @@ class PopulationSpec:
 
 def sample_profiles(spec: PopulationSpec, n_devices: int, seed=0) -> list[DeviceProfile]:
     """Draw n_devices profiles from the population, deterministically per seed."""
-    if not _is_count(n_devices):
-        raise ValueError(f"n_devices must be an integer: {n_devices!r}")
-    if n_devices < 1:
-        raise ValueError("n_devices must be >= 1")
+    _check_count("n_devices", n_devices, 1)
     rng = np.random.default_rng(seed)
 
     def draw(dist: ParamDist, lo, hi):
@@ -263,17 +257,13 @@ def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) 
     ----------
     profile : DeviceProfile
     fs_hz : float
-        Sampling rate; must be at least the chip rate (2 MHz) so the chip
-        stream is represented without dropping chips.
+        Sampling rate; must be finite and at least the chip rate (2 MHz) so
+        the chip stream is represented without dropping chips.
     n_symbols : int
         Number of 32-chip sync symbols, >= 1.
     """
-    if fs_hz < CHIP_RATE_HZ:
-        raise ValueError(f"fs_hz below chip-rate minimum {CHIP_RATE_HZ:g}: {fs_hz}")
-    if not _is_count(n_symbols):
-        raise ValueError(f"n_symbols must be an integer: {n_symbols!r}")
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
+    _check_fs_hz(fs_hz)
+    _check_count("n_symbols", n_symbols, 1)
 
     s = _oqpsk_baseband(fs_hz, n_symbols).copy()
     n = s.size

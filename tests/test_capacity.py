@@ -72,7 +72,7 @@ def test_fano_bounds_reject_a_non_finite_emi(bound, emi):
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("n_users", [10.5, 10.0, True, "10"])
 def test_fano_bounds_reject_a_non_integer_n_users(bound, n_users):
-    with pytest.raises(ValueError, match="n_users must be an integer"):
+    with pytest.raises(ValueError, match=rf"^n_users must be >= [23] and an integer: {n_users!r}$"):
         bound(2.0, n_users)
 
 
@@ -129,7 +129,7 @@ def test_user_capacity_validation():
 @pytest.mark.parametrize("n_max", [100.5, True, 100.0, "100"])
 def test_user_capacity_rejects_a_non_integer_n_max(n_max):
     # 100.5 once scanned N up to 101 and returned n_c 101, unsaturated
-    with pytest.raises(ValueError, match="n_max must be an integer"):
+    with pytest.raises(ValueError, match=rf"^n_max must be >= 3 and an integer: {n_max!r}$"):
         user_capacity(20.0, 0.01, n_max=n_max)
 
 
@@ -137,7 +137,7 @@ def test_user_capacity_takes_a_numpy_integer_n_max():
     got = user_capacity(20.0, 0.01, n_max=np.int64(100))
     assert (got.n_c, got.saturated) == (100, True)
     assert np.array_equal(got.trace, user_capacity(20.0, 0.01, n_max=100).trace)
-    with pytest.raises(ValueError, match=r"n_max must be >= 3: 2"):
+    with pytest.raises(ValueError, match=r"^n_max must be >= 3 and an integer: np.int64\(2\)$"):
         user_capacity(20.0, 0.01, n_max=np.int64(2))
 
 

@@ -171,11 +171,11 @@ def test_confusion_accounts_for_every_trained_sample():
 def test_fit_lda_validation():
     rng = np.random.default_rng(28)
     good = gaussian_blobs(rng, [[0, 0], [5, 0], [0, 5]], 50)
-    with pytest.raises(ValueError, match="^kappa must be >= 1: 0$"):
+    with pytest.raises(ValueError, match="^kappa must be >= 1 and an integer: 0$"):
         fit_lda(good, kappa=0)
     # a fraction failed in NumPy's slicing after the scatter was built
     for kappa in (1.5, True):
-        with pytest.raises(ValueError, match="kappa must be an integer"):
+        with pytest.raises(ValueError, match=rf"^kappa must be >= 1 and an integer: {kappa}$"):
             fit_lda(good, kappa=kappa)
     with pytest.raises(ValueError):
         fit_lda(good, ridge=-1.0)

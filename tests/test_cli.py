@@ -12,7 +12,7 @@ import pytest
 import rffcap
 from rffcap.cli import main
 from rffcap.fingerprint import load_dataset
-from rffcap.harness import SweepResult, SweepRow, sweep_to_csv
+from rffcap.harness import SweepResult, SweepRow, sweep_to_csv, sweep_to_json
 
 CONFIG_YAML = """\
 population:
@@ -186,10 +186,27 @@ def test_validate_never_passes_a_nan_emi(tmp_path):
     sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[nan_row]), rows)
     assert ",nan," in rows.read_text()
     res = run_cli(["validate", "--rows", str(rows), "--out", "checks.csv"], tmp_path)
-    assert res.returncode == 1
-    assert "pass" not in res.stdout
-    assert "ValueError: emi_bits must be finite: nan" in res.stderr
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == [
+        f"rffcap: error: {rows}: rows[0] (value=1.0): emi_bits must be finite: nan"]
     assert not (tmp_path / "checks.csv").exists()
+
+
+def test_validate_rejects_a_malformed_or_classifier_less_file_in_one_line(tmp_path):
+    # both ended in a traceback and exit 1
+    cells = tmp_path / "cells.csv"
+    cells.write_text("axis,value\nsnr_db,1.0,2\n")
+    no_classifier = tmp_path / "sweep.json"
+    sweep_to_json(SweepResult(spec_axis="snr_db", rows=[SweepRow(
+        axis="snr_db", value=1.0, seed=0, emi_bits=1.0, emi_bits_clamped=1.0, nc_1pct=3,
+        nc_10pct=3, saturated=False, below_min=False)]), no_classifier)
+    for rows, message in [
+            (cells, f"{cells}: line 2 has 3 cells, the header has 2"),
+            (no_classifier, f"{no_classifier}: no rows carry an empirical error rate to validate")]:
+        res = run_cli(["validate", "--rows", str(rows), "--out", "checks.csv"], tmp_path)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.splitlines() == [f"rffcap: error: {message}"]
+        assert not (tmp_path / "checks.csv").exists()
 
 
 def test_explicit_zero_override_is_not_replaced_by_the_config(config_file):
@@ -272,7 +289,7 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
     bad.write_text("estimator: {projected_dim: 0}\n")
     proc = run_cli(["emi", "--config", str(bad)], tmp_path)
     assert (proc.returncode, proc.stderr) == (
-        2, "rffcap: error: estimator: projected_dim must be >= 1 and an integer: 0\n")
+        2, "rffcap: error: estimator: projected_dim must be >= 1, <= 20 and an integer: 0\n")
     # a sweep value is checked against the scenario it makes, before any point runs
     bad.write_text("sweep: {axis: n_train_devices, values: [1, 4]}\n")
     proc = run_cli(["sweep", "--config", str(bad), "--out", "bad.csv"], tmp_path)

@@ -2,14 +2,35 @@
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from rffcap.capacity import user_capacity
+from rffcap.classifier import error_rate_experiment, fit_lda
 from rffcap.config import (
+    CapacityConfig,
+    ClassifierConfig,
     ConfigError,
+    EstimatorConfig,
     ScenarioConfig,
     load_config,
     save_config,
     scenario_from_dict,
+)
+from rffcap.fingerprint import (
+    DatasetMeta,
+    FingerprintDataset,
+    PipelineConfig,
+    acquire,
+    build_dataset,
+)
+from rffcap.infotheory import emi_kde, per_feature_mi
+from rffcap.signal_model import (
+    DeviceProfile,
+    IqCapture,
+    PopulationSpec,
+    generate_preamble,
+    sample_profiles,
 )
 
 
@@ -97,6 +118,11 @@ def test_value_validation(tmp_path):
         ({"n_devices": 1}, "n_devices must be >= 2"),
         ({"per_class": 1}, "per_class must be >= 2"),
         ({"sweep": {"axis": "bandwidth"}}, "sweep: axis must be one of"),
+        # the value list is checked at load, not first when a sweep is built
+        ({"sweep": {"values": []}}, "sweep: values must be non-empty"),
+        ({"sweep": {"values": [10.0, True]}}, "sweep: values must be numbers, not booleans"),
+        ({"sweep": {"values": ["10"]}}, "sweep: values must be numbers"),
+        ({"sweep": {"values": [10.0, 20.0, 20.0]}}, "sweep: values must be strictly ordered"),
         ({"pipeline": {"lead_pad": [1, 2, 3]}}, r"pipeline.lead_pad: expected \[low, high\]"),
         ({"population": {"cfo_hz": 5.0}}, "population.cfo_hz: expected a mapping"),
         ("not a mapping", "top level: expected a mapping"),
@@ -119,7 +145,7 @@ def test_value_validation(tmp_path):
         # the estimator, classifier and capacity limits, met before any run
         ({"estimator": {"bins": 1}}, "estimator: bins must be >= 2"),
         ({"estimator": {"projected_dim": 0}}, "estimator: projected_dim must be >= 1"),
-        ({"estimator": {"projected_dim": 21}}, "estimator: projected_dim must be <= 20"),
+        ({"estimator": {"projected_dim": 21}}, "estimator: projected_dim must be >= 1, <= 20"),
         ({"classifier": {"kappa": 0}}, "classifier: kappa must be >= 1"),
         ({"classifier": {"ridge": -1e-3}}, "classifier: ridge must be None or finite and >= 0"),
         ({"classifier": {"ridge": float("nan")}}, "classifier: ridge must be None or finite"),
@@ -169,3 +195,57 @@ def test_section_limits_accept_their_bounds():
 
 def test_config_error_is_value_error():
     assert issubclass(ConfigError, ValueError)
+
+
+# three classes of 30 rows: enough for every estimator and for fit_lda, so each
+# library call below fails on its limit and nothing else
+DATASET = FingerprintDataset(
+    np.random.default_rng(0).normal(size=(90, 4)), np.repeat(np.arange(3), 30),
+    DatasetMeta(fs_hz=4e6, n_fft=4, snr_db=24.0, q_bits=14, class_ids=[0, 1, 2]))
+PROFILES = sample_profiles(PopulationSpec(), 2, seed=1)
+CAPTURE = IqCapture(np.ones(64, dtype=complex), 4e6)
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+# each limit that a config section and a library function both enforce: the
+# section built with a value, the function called with it, and bad values (a
+# bool, a fraction or non-finite values, below the low limit, above the high one)
+SHARED_LIMITS = {
+    "bins": (lambda v: EstimatorConfig(bins=v),
+             lambda v: per_feature_mi(DATASET, bins=v), [True, 2.5, 1]),
+    "projected_dim": (lambda v: EstimatorConfig(projected_dim=v),
+                      lambda v: emi_kde(DATASET, projected_dim=v), [True, 2.5, 0, 21]),
+    "kappa": (lambda v: ClassifierConfig(kappa=v),
+              lambda v: fit_lda(DATASET, kappa=v), [True, 2.5, 0]),
+    "ridge": (lambda v: ClassifierConfig(ridge=v),
+              lambda v: fit_lda(DATASET, ridge=v), [True, *NON_FINITE, -1.0]),
+    "n_max": (lambda v: CapacityConfig(n_max=v),
+              lambda v: user_capacity(3.0, 0.01, n_max=v), [True, 2.5, 2]),
+    "per_class": (lambda v: ScenarioConfig(per_class=v),
+                  lambda v: build_dataset(PROFILES, v, PipelineConfig()), [True, 2.5, 1]),
+    "n_symbols": (lambda v: PipelineConfig(n_symbols=v),
+                  lambda v: generate_preamble(DeviceProfile(device_id=0), 4e6, v),
+                  [True, 2.5, 0]),
+    "fs_hz": (lambda v: PipelineConfig(fs_hz=v),
+              lambda v: generate_preamble(DeviceProfile(device_id=0), v),
+              [True, *NON_FINITE, -1.0, 1e6]),
+    "threshold_factor": (lambda v: PipelineConfig(threshold_factor=v),
+                         lambda v: acquire(CAPTURE, 32, v), [True, *NON_FINITE, -1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad) for name, (_, _, values) in SHARED_LIMITS.items()
+                                       for bad in values])
+def test_config_and_library_reject_a_bad_value_with_one_message(name, bad):
+    section, library, _ = SHARED_LIMITS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be ") as from_section:
+        section(bad)
+    with pytest.raises(ValueError) as from_library:
+        library(bad)
+    assert str(from_library.value) == str(from_section.value)
+
+
+def test_error_rate_experiment_rejects_a_fractional_class_count():
+    # a fraction ended in a TypeError from slicing the profiles
+    with pytest.raises(ValueError, match=r"^n_classes must be >= 3 and an integer: 3\.5$"):
+        error_rate_experiment(sample_profiles(PopulationSpec(), 4, seed=1), 3.5,
+                              PipelineConfig(n_fft=64))

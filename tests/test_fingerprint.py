@@ -258,11 +258,11 @@ def test_build_dataset_validation():
         build_dataset([], 5, PipelineConfig())
     with pytest.raises(ValueError):
         build_dataset(profiles, 0, PipelineConfig())
-    with pytest.raises(ValueError, match="^per_class must be >= 2$"):
+    with pytest.raises(ValueError, match="^per_class must be >= 2 and an integer: 1$"):
         build_dataset(profiles, 1, PipelineConfig())
     # a fraction ended in NumPy's TypeError; a bool is no count
     for per_class in (2.5, True, "3"):
-        with pytest.raises(ValueError, match="per_class must be an integer"):
+        with pytest.raises(ValueError, match=rf"^per_class must be >= 2 and an integer: {per_class!r}$"):
             build_dataset(profiles, per_class, PipelineConfig())
 
 
@@ -351,9 +351,9 @@ def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
     annotation = {f.name: f.type for f in fields(DatasetMeta)}[key]
     message = {  # what an annotation cannot say, checked by DatasetMeta itself
         ("snr_db", "'loud'"): "meta: snr_db must be a number or 'noiseless': 'loud'",
-        ("class_ids", "['a', 'b']"): "meta: class_ids must be non-negative integers: ['a', 'b']",
-        ("class_ids", "[0, -1]"): "meta: class_ids must be non-negative integers: [0, -1]",
-        ("class_ids", "[0, 1.0]"): "meta: class_ids must be non-negative integers: [0, 1.0]",
+        ("class_ids", "['a', 'b']"): "meta: class_ids must be >= 0 and an integer: 'a'",
+        ("class_ids", "[0, -1]"): "meta: class_ids must be >= 0 and an integer: -1",
+        ("class_ids", "[0, 1.0]"): "meta: class_ids must be >= 0 and an integer: 1.0",
     }.get((key, repr(value)), f"meta.{key}: expected {annotation}, got {value!r}")
     with pytest.raises(ValueError, match=re.escape(f"typed.rfds: {message}")):
         load_dataset(path)
@@ -361,7 +361,7 @@ def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
 
 @pytest.mark.parametrize("change, message", [
     ({"gain_db": 3.0}, "unknown keys ['gain_db']"),
-    ({"class_ids": [0, True]}, "class_ids must be non-negative integers: [0, True]")])
+    ({"class_ids": [0, True]}, "class_ids must be >= 0 and an integer: True")])
 def test_load_dataset_rejects_unknown_meta_key_and_boolean_class_id(tmp_path, change, message):
     path = tmp_path / "extra.rfds"
     meta = {"fs_hz": 4e6, "n_fft": 3, "snr_db": 24.0, "q_bits": 14, "class_ids": [0, 1]}

@@ -80,7 +80,7 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(axis="n_train_devices", values=[0, 4], fixed=base)
     # an integer axis is never truncated: a fraction reaches the config and fails
-    with pytest.raises(ValueError, match="q_bits must be an integer"):
+    with pytest.raises(ValueError, match=r"q_bits must be >= 4, <= 24 and an integer: 10\.5"):
         SweepSpec(axis="q_bits", values=[8, 10.5], fixed=base)
     with pytest.raises(ValueError, match="n_devices must be >= 2 and an integer: 2.5"):
         SweepSpec(axis="n_train_devices", values=[2.5, 4], fixed=base)

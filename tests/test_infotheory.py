@@ -129,11 +129,11 @@ def test_per_feature_mi_bounds_and_validation():
     assert np.all(rep.per_bin_mi <= rep.h_x + 1e-9)
     assert np.all(rep.per_bin_mi <= np.log2(3) + 1e-9)
     assert np.all(rep.per_bin_mi >= 0.0)
-    with pytest.raises(ValueError, match="^bins must be >= 2$"):
+    with pytest.raises(ValueError, match="^bins must be >= 2 and an integer: 1$"):
         per_feature_mi(make_ds(x, y), bins=1)
     # a fraction ended in NumPy's casting TypeError; a bool is no count
     for bins in (3.5, True, "8"):
-        with pytest.raises(ValueError, match="bins must be an integer"):
+        with pytest.raises(ValueError, match=rf"^bins must be >= 2 and an integer: {bins!r}$"):
             per_feature_mi(make_ds(x, y), bins=bins)
     with pytest.raises(ValueError):
         per_feature_mi(make_ds(x, np.zeros(900, dtype=int)))
@@ -199,7 +199,8 @@ def test_emi_kde_validation():
     with pytest.raises(ValueError):
         emi_kde(make_ds(x, y), projected_dim=21)
     for dim in (1.5, True):
-        with pytest.raises(ValueError, match="projected_dim must be an integer"):
+        with pytest.raises(ValueError,
+                           match=rf"^projected_dim must be >= 1, <= 20 and an integer: {dim}$"):
             emi_kde(make_ds(x, y), projected_dim=dim)
     with pytest.raises(ValueError):
         emi_kde(make_ds(x, np.zeros(300, dtype=int)))

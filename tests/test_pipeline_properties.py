@@ -157,7 +157,9 @@ def scenarios(draw):
                                   projected_dim=draw(st.integers(1, 20))),
         classifier=classifier, capacity=CapacityConfig(n_max=draw(st.integers(3, 10**6))),
         sweep=SweepConfig(axis=draw(st.sampled_from(SWEEP_AXES)),
-                          values=draw(st.lists(finite, min_size=1, max_size=5))),
+                          # strictly ordered, as SweepConfig requires
+                          values=sorted(draw(st.lists(finite, min_size=1, max_size=5,
+                                                      unique=True)))),
         seed=draw(st.integers(0, 2**63 - 1)))
 
 

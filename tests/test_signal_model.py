@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rffcap.fingerprint import PipelineConfig
 from rffcap.signal_model import (
     CHIP_RATE_HZ,
     AdcConfig,
@@ -262,8 +263,11 @@ def test_adc_and_channel_validation():
         AdcConfig(q_bits=25)
     with pytest.raises(ValueError):
         AdcConfig(q_bits=8, full_scale_vpp=0.0)
-    with pytest.raises(ValueError):
-        AdcConfig(q_bits=8, fs_hz=1e6)
+    # the sampling-rate limit is one check, made by PipelineConfig and generate_preamble
+    for build in (lambda: PipelineConfig(fs_hz=1e6),
+                  lambda: generate_preamble(DeviceProfile(device_id=0), 1e6)):
+        with pytest.raises(ValueError, match=r"^fs_hz must be finite and >= 2e6: 1000000\.0$"):
+            build()
     with pytest.raises(ValueError):
         ChannelConfig(snr_db="quiet")
     with pytest.raises(ValueError):
@@ -287,10 +291,10 @@ def test_capture_validation():
 def test_generate_preamble_validation():
     with pytest.raises(ValueError):
         generate_preamble(DeviceProfile(device_id=0), 1e6)
-    with pytest.raises(ValueError, match="^n_symbols must be >= 1$"):
+    with pytest.raises(ValueError, match="^n_symbols must be >= 1 and an integer: 0$"):
         generate_preamble(DeviceProfile(device_id=0), 4e6, 0)
     for n_symbols in (2.5, True):
-        with pytest.raises(ValueError, match="n_symbols must be an integer"):
+        with pytest.raises(ValueError, match=rf"^n_symbols must be >= 1 and an integer: {n_symbols}$"):
             generate_preamble(DeviceProfile(device_id=0), 4e6, n_symbols)
 
 
@@ -301,11 +305,11 @@ def test_sample_profiles_deterministic_and_in_range():
     assert [p.cfo_hz for p in a] == [p.cfo_hz for p in b]
     assert [p.device_id for p in a] == list(range(8))
     assert all(abs(p.cfo_hz) <= 200e3 for p in a)
-    with pytest.raises(ValueError, match="^n_devices must be >= 1$"):
+    with pytest.raises(ValueError, match="^n_devices must be >= 1 and an integer: 0$"):
         sample_profiles(spec, 0)
     # True drew one profile; a fraction raised NumPy's TypeError
     for n_devices in (2.5, True):
-        with pytest.raises(ValueError, match="n_devices must be an integer"):
+        with pytest.raises(ValueError, match=rf"^n_devices must be >= 1 and an integer: {n_devices}$"):
             sample_profiles(spec, n_devices)
     with pytest.raises(ValueError):
         ParamDist(0.0, -1.0)
