@@ -48,9 +48,7 @@ from .infotheory import (
 )
 from .signal_model import (
     AdcConfig,
-    ChannelConfig,
     DeviceProfile,
-    IqCapture,
     ParamDist,
     PopulationSpec,
     adc_sample,
@@ -79,7 +77,7 @@ __all__ = [
     "EmiEstimate", "MiReport", "binary_entropy", "emi_kde", "entropy_discrete",
     "per_feature_mi",
     # signal_model
-    "AdcConfig", "ChannelConfig", "DeviceProfile", "IqCapture", "ParamDist",
-    "PopulationSpec", "adc_sample", "apply_awgn", "generate_preamble", "preamble_length",
-    "quantization_error_bound", "sample_profiles",
+    "AdcConfig", "DeviceProfile", "ParamDist", "PopulationSpec", "adc_sample",
+    "apply_awgn", "generate_preamble", "preamble_length", "quantization_error_bound",
+    "sample_profiles",
 ]

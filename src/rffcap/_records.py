@@ -1,10 +1,12 @@
 """read_record, for the records rffcap reads back from files (scenario YAML,
-sweep CSV/JSON rows, .rfds meta), and _check_count, for every count a config
-section or a library function takes. It imports nothing from rffcap."""
+sweep CSV/JSON rows, .rfds meta), _check_count, for every count a config
+section or a library function takes, and _is_real, for every real-valued
+limit. It imports nothing from rffcap."""
 
 from __future__ import annotations
 
 from dataclasses import MISSING, fields, is_dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -72,3 +74,8 @@ def _check_count(name: str, value, low: int, high: int | None = None):
         upper = "" if high is None else f", <= {high}"
         raise ValueError(f"{name} must be >= {low}{upper} and an integer: {value!r}")
     return value
+
+
+def _is_real(value) -> bool:
+    """Whether a limit can be compared with value; never for a string or a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)

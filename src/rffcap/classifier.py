@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._records import _check_count
+from ._records import _check_count, _is_real
 from .fingerprint import _ROW_BLOCK, FingerprintDataset, PipelineConfig, build_dataset
 from .signal_model import DeviceProfile
 
@@ -76,7 +76,7 @@ def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
 
 
 def _check_ridge(ridge: float | None) -> None:
-    if ridge is not None and (isinstance(ridge, bool) or not 0.0 <= ridge < np.inf):
+    if ridge is not None and not (_is_real(ridge) and 0.0 <= ridge < np.inf):
         raise ValueError(f"ridge must be None or finite and >= 0: {ridge}")
 
 

@@ -21,15 +21,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
-from ._records import _check_count, read_record
+from ._records import _check_count, _is_real, read_record
 from .signal_model import (
-    NOISELESS,
     AdcConfig,
-    ChannelConfig,
     DeviceProfile,
-    IqCapture,
     _as_complex,
     _check_fs_hz,
+    _check_samples,
+    _check_snr_db,
     _noise_std,
     _quantise,
     _scale_noise,
@@ -82,8 +81,7 @@ class DatasetMeta:
     clip_frac: float | None = None
 
     def __post_init__(self):  # what the annotations cannot say
-        if isinstance(self.snr_db, str) and self.snr_db != NOISELESS:
-            raise ValueError(f"snr_db must be a number or {NOISELESS!r}: {self.snr_db!r}")
+        _check_snr_db(self.snr_db)
         for c in self.class_ids:
             _check_count("class_ids", c, 0)
 
@@ -160,9 +158,10 @@ class PipelineConfig:
         _validate_n_fft(self.n_fft)
         self.adc()  # q_bits and full_scale_vpp
         _check_fs_hz(self.fs_hz)
-        if self.snr_ref_fs_hz is not None and not 0.0 < self.snr_ref_fs_hz < np.inf:
+        if self.snr_ref_fs_hz is not None and not (_is_real(self.snr_ref_fs_hz)
+                                                   and 0.0 < self.snr_ref_fs_hz < np.inf):
             raise ValueError(f"snr_ref_fs_hz must be None or finite and > 0: {self.snr_ref_fs_hz}")
-        ChannelConfig(self.effective_snr_db())
+        _check_snr_db(self.effective_snr_db())
         _check_count("n_symbols", self.n_symbols, 1)
         _check_threshold_factor(self.threshold_factor)
         lead_lo, lead_hi = self.lead_pad
@@ -170,7 +169,7 @@ class PipelineConfig:
         _check_count("lead_pad high", lead_hi, lead_lo)
         _check_count("tail_pad", self.tail_pad, 0)
         # with snr_db >= -1000 the ADC input stays below ~1e100, finite when squared
-        if not -1000.0 <= self.adc_backoff_db <= 1000.0:
+        if not (_is_real(self.adc_backoff_db) and -1000.0 <= self.adc_backoff_db <= 1000.0):
             raise ValueError(f"adc_backoff_db must be in [-1000, 1000]: {self.adc_backoff_db}")
 
     def effective_snr_db(self) -> float | str:
@@ -179,8 +178,8 @@ class PipelineConfig:
         When snr_ref_fs_hz is set, snr_db is interpreted at that rate and the
         noise power grows proportionally with fs_hz (fixed noise density).
         """
-        # "noiseless" and a bool pass unscaled, the bool for ChannelConfig to reject
-        if isinstance(self.snr_db, (str, bool)) or self.snr_ref_fs_hz is None:
+        # "noiseless" and any other non-number pass unscaled, for _check_snr_db
+        if not _is_real(self.snr_db) or self.snr_ref_fs_hz is None:
             return self.snr_db
         return float(self.snr_db) - 10.0 * np.log10(self.fs_hz / self.snr_ref_fs_hz)
 
@@ -191,23 +190,22 @@ class PipelineConfig:
         return preamble_length(self.fs_hz, self.n_symbols)
 
 
-def acquire(capture: IqCapture, window: int, threshold_factor: float = 6.0) -> IqCapture:
-    """Locate the burst and return exactly `window` samples from its onset.
+def acquire(samples, window: int,
+            threshold_factor: float = 6.0) -> tuple[np.ndarray, int, bool]:
+    """The `window` samples from the burst onset, the onset index and the fallback flag.
 
     Short-term power (trailing 16-sample mean) is compared against
     threshold_factor times a noise-floor estimate, the minimum mean power
     over non-overlapping 16-sample blocks (robust even when the burst fills
     most of the record). If no crossing occurs the maximum-energy window is
-    returned instead and diagnostics["onset_flagged"] is set.
+    returned instead and the flag is True.
     """
-    _check_count("window", window, 1, len(capture))
+    samples = _check_samples(samples)
+    _check_count("window", window, 1, samples.size)
     _check_threshold_factor(threshold_factor)
     bursts, onsets, flagged = _acquire_rows(
-        capture.samples[np.newaxis], np.array([len(capture)]), window, threshold_factor)
-    diags = dict(capture.diagnostics)
-    diags["onset_index"] = int(onsets[0])
-    diags["onset_flagged"] = bool(flagged[0])
-    return IqCapture(bursts[0], capture.fs_hz, capture.true_id, diags)
+        samples[np.newaxis], np.array([samples.size]), window, threshold_factor)
+    return bursts[0], int(onsets[0]), bool(flagged[0])
 
 
 def _acquire_rows(x: np.ndarray, lengths: np.ndarray, window: int,
@@ -262,12 +260,12 @@ def _validate_n_fft(n_fft: int) -> None:
 
 
 def _check_threshold_factor(threshold_factor: float) -> None:
-    if isinstance(threshold_factor, bool) or not 0.0 < threshold_factor < np.inf:
+    if not (_is_real(threshold_factor) and 0.0 < threshold_factor < np.inf):
         raise ValueError(f"threshold_factor must be finite and > 0: {threshold_factor}")
 
 
-def extract_spectral_feature(capture: IqCapture, n_fft: int) -> np.ndarray:
-    """Welch log-spectrum fingerprint of a capture, as an (n_fft,) float64 array.
+def extract_spectral_feature(samples, n_fft: int) -> np.ndarray:
+    """Welch log-spectrum fingerprint of samples, as an (n_fft,) float64 array.
 
     Hann window, 50% segment overlap, two-sided spectrum in FFT bin order
     (DC first) so I/Q asymmetries are preserved. Captures shorter than n_fft
@@ -276,7 +274,7 @@ def extract_spectral_feature(capture: IqCapture, n_fft: int) -> np.ndarray:
     per-bin power.
     """
     _validate_n_fft(n_fft)
-    return _welch_db(capture.samples[np.newaxis], n_fft)[0]
+    return _welch_db(_check_samples(samples)[np.newaxis], n_fft)[0]
 
 
 def _hann(n: int) -> np.ndarray:
@@ -476,8 +474,8 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     ordered = sorted(profiles, key=lambda p: p.device_id)
     n_burst = window = pipeline.window()
     adc = pipeline.adc()
-    channel = ChannelConfig(pipeline.effective_snr_db())
-    noise_std = None if channel.is_noiseless else _noise_std(channel.snr_db, 1.0)
+    snr_db = pipeline.effective_snr_db()
+    noise_std = None if isinstance(snr_db, str) else _noise_std(snr_db, 1.0)
     backoff = 10.0 ** (-pipeline.adc_backoff_db / 20.0)
     lead_lo, lead_hi = pipeline.lead_pad
     width = lead_hi + n_burst + pipeline.tail_pad
@@ -542,7 +540,7 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
         fill(0, n_rows)
 
     meta = DatasetMeta(fs_hz=pipeline.fs_hz, n_fft=pipeline.n_fft,
-                       snr_db=channel.snr_db, q_bits=pipeline.q_bits,
+                       snr_db=snr_db, q_bits=pipeline.q_bits,
                        class_ids=class_ids,
                        onset_flagged_frac=float(flagged.mean()),
                        clip_frac=float(clip.mean()))

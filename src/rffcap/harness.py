@@ -247,7 +247,10 @@ _ROW_PARSERS = {f.name: _PARSERS[f.type.split(" | ")[0]] for f in fields(SweepRo
 
 def read_sweep_rows(path) -> list[SweepRow]:
     """Load rows from a sweep CSV or JSON file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if text.lstrip().startswith(("{", "[")):
         try:
             payload = json.loads(text)

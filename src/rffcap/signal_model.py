@@ -8,12 +8,12 @@ the receive side as an AWGN channel followed by a clipping mid-tread ADC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._records import _check_count
+from ._records import _check_count, _is_real
 
 CHIP_RATE_HZ = 2.0e6
 CHIPS_PER_SYMBOL = 32
@@ -26,7 +26,7 @@ _SYMBOL0_CHIPS = np.array(
 
 
 def _check_fs_hz(fs_hz: float) -> None:
-    if isinstance(fs_hz, bool) or not CHIP_RATE_HZ <= fs_hz < np.inf:
+    if not (_is_real(fs_hz) and CHIP_RATE_HZ <= fs_hz < np.inf):
         raise ValueError(f"fs_hz must be finite and >= 2e6: {fs_hz}")
 
 
@@ -94,53 +94,27 @@ class AdcConfig:
 
     def __post_init__(self):
         _check_count("q_bits", self.q_bits, 4, 24)
-        if not 0.0 < self.full_scale_vpp / 2.0 ** self.q_bits < np.inf:
+        if not (_is_real(self.full_scale_vpp)
+                and 0.0 < self.full_scale_vpp / 2.0 ** self.q_bits < np.inf):
             raise ValueError(f"full_scale_vpp must be finite, its step > 0: {self.full_scale_vpp}")
 
 
 NOISELESS = "noiseless"
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """AWGN channel: either a finite snr_db or the sentinel "noiseless"."""
-
-    snr_db: float | str = 20.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if isinstance(self.snr_db, (str, bool)):  # a bool is not a number here
-            if self.snr_db != NOISELESS:
-                raise ValueError(f"snr_db must be a finite float or '{NOISELESS}': "
-                                 f"{self.snr_db!r}")
-        elif not -1000.0 <= self.snr_db < np.inf:
-            raise ValueError(f"snr_db must be finite and >= -1000: {self.snr_db}")
-
-    @property
-    def is_noiseless(self) -> bool:
-        return isinstance(self.snr_db, str)
+def _check_snr_db(snr_db: float | str) -> None:
+    """The one check of an SNR: the sentinel "noiseless", or finite and >= -1000."""
+    if not (snr_db == NOISELESS if isinstance(snr_db, str)
+            else _is_real(snr_db) and -1000.0 <= snr_db < np.inf):
+        raise ValueError(f"snr_db must be {NOISELESS!r}, or finite and >= -1000: {snr_db!r}")
 
 
-@dataclass
-class IqCapture:
-    """A complex baseband record with its sampling rate and optional identity."""
-
-    samples: np.ndarray
-    fs_hz: float
-    true_id: int | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.samples.real)) or not np.all(np.isfinite(self.samples.imag)):
-            raise ValueError("samples must be finite")
-        if not np.isfinite(self.fs_hz) or self.fs_hz <= 0:
-            raise ValueError(f"fs_hz must be positive and finite: {self.fs_hz}")
-
-    def __len__(self) -> int:
-        return self.samples.size
+def _check_samples(samples) -> np.ndarray:
+    """samples as a complex128 array; ValueError unless non-empty, 1-D and finite."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.ndim != 1 or samples.size == 0 or not np.isfinite(samples).all():
+        raise ValueError("samples must be a non-empty, finite 1-D array")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -294,25 +268,27 @@ def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) 
     return s
 
 
-def apply_awgn(capture: IqCapture, channel: ChannelConfig,
-               signal_power: float | None = None) -> IqCapture:
-    """Add complex white Gaussian noise at the configured SNR.
+def apply_awgn(samples, snr_db: float | str, seed=0,
+               signal_power: float | None = None) -> np.ndarray:
+    """samples plus complex white Gaussian noise at snr_db, as a new array.
 
     Noise power is set relative to signal_power when given, otherwise to the
-    mean power measured from the capture, so the realized in-band SNR equals
-    snr_db in expectation. Deterministic for a fixed channel.rng_seed; a
-    noiseless channel returns the samples unchanged.
+    mean power measured from the samples, so the realized in-band SNR equals
+    snr_db in expectation. The noise is the standard-normal I then Q draws of
+    np.random.default_rng(seed), as build_dataset draws each capture's; a
+    "noiseless" snr_db returns a copy of the samples.
     """
-    if channel.is_noiseless:
-        return IqCapture(capture.samples.copy(), capture.fs_hz, capture.true_id,
-                         dict(capture.diagnostics))
-    p_sig = float(np.mean(np.abs(capture.samples) ** 2)) if signal_power is None else float(signal_power)
-    n = capture.samples.size
-    rails = _scale_noise(_unit_noise(channel.rng_seed, np.empty((2, n))),
-                         _noise_std(channel.snr_db, p_sig), out=np.empty((n, 2)))
+    samples = _check_samples(samples)
+    _check_snr_db(snr_db)
+    if isinstance(snr_db, str):
+        return samples.copy()
+    p_sig = float(np.mean(np.abs(samples) ** 2)) if signal_power is None else float(signal_power)
+    n = samples.size
+    rails = _scale_noise(_unit_noise(seed, np.empty((2, n))),
+                         _noise_std(snr_db, p_sig), out=np.empty((n, 2)))
     s = _as_complex(rails)
-    s += capture.samples
-    return IqCapture(s, capture.fs_hz, capture.true_id, dict(capture.diagnostics))
+    s += samples
+    return s
 
 
 def _noise_std(snr_db: float, signal_power: float) -> float:
@@ -361,19 +337,17 @@ def _as_rails(samples: np.ndarray) -> np.ndarray:
     return rails
 
 
-def adc_sample(capture: IqCapture, adc: AdcConfig) -> IqCapture:
+def adc_sample(samples, adc: AdcConfig) -> tuple[np.ndarray, float]:
     """Clip each rail to the full-scale range and quantize mid-tread.
 
-    Step size is full_scale_vpp / 2**q_bits, so any in-range input is
-    reproduced within half a step. The fraction of samples that hit the
-    clip rails on either branch is reported in diagnostics["clip_fraction"].
-    Re-quantizing an already quantized capture is an exact no-op.
+    Returns the quantized samples, as a new array, and the fraction of them
+    that hit the clip rails on either branch. Step size is
+    full_scale_vpp / 2**q_bits, so any in-range input is reproduced within
+    half a step. Re-quantizing already quantized samples is an exact no-op.
     """
-    rails = _as_rails(capture.samples)
+    rails = _as_rails(_check_samples(samples))
     clipped = _quantise(rails, adc)
-    diags = dict(capture.diagnostics)
-    diags["clip_fraction"] = float(np.mean(clipped))
-    return IqCapture(_as_complex(rails), capture.fs_hz, capture.true_id, diags)
+    return _as_complex(rails), float(np.mean(clipped))
 
 
 def _quantise(rails: np.ndarray, adc: AdcConfig) -> np.ndarray:

@@ -24,7 +24,6 @@ from rffcap.harness import SweepSpec, run_sweep, sweep_to_csv
 from rffcap.infotheory import emi_kde, per_feature_mi
 from rffcap.signal_model import (
     AdcConfig,
-    IqCapture,
     ParamDist,
     PopulationSpec,
     adc_sample,
@@ -69,13 +68,13 @@ def test_acceptance_1_adc_error_bound():
         adc = AdcConfig(q_bits=q_bits, full_scale_vpp=2.0)
         x = (rng.uniform(-1.0, 1.0, size=100_000)
              + 1j * rng.uniform(-1.0, 1.0, size=100_000))
-        out = adc_sample(IqCapture(x, 4e6), adc)
-        err = np.maximum(np.abs(out.samples.real - x.real),
-                         np.abs(out.samples.imag - x.imag))
+        out, clip_fraction = adc_sample(x, adc)
+        err = np.maximum(np.abs(out.real - x.real),
+                         np.abs(out.imag - x.imag))
         bound = quantization_error_bound(adc)
         ok &= bound == 2.0 ** (-q_bits) * 2.0
         ok &= float(err.max()) <= bound
-        ok &= out.diagnostics["clip_fraction"] == 0.0
+        ok &= clip_fraction == 0.0
     elapsed = time.perf_counter() - t0
     assert report(1, "adc-error-bound", ok)
     assert elapsed < 1.0, f"budget exceeded: {elapsed:.2f}s"

@@ -209,6 +209,16 @@ def test_validate_rejects_a_malformed_or_classifier_less_file_in_one_line(tmp_pa
         assert not (tmp_path / "checks.csv").exists()
 
 
+def test_validate_names_a_rows_file_that_is_not_utf8(tmp_path):
+    # the error line quoted the codec error and did not name the file
+    (tmp_path / "bin.csv").write_bytes(b"\xff\xfe\x00axis,value\n")
+    res = run_cli(["validate", "--rows", "bin.csv", "--out", "checks.csv"], tmp_path)
+    assert (res.returncode, res.stdout) == (2, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rffcap: error: bin.csv: "), lines
+    assert not (tmp_path / "checks.csv").exists()
+
+
 def test_explicit_zero_override_is_not_replaced_by_the_config(config_file):
     with pytest.raises(ValueError, match="n_classes must be >= 3"):
         main(["classify", "--n-classes", "0", "--config", str(config_file)])

@@ -26,9 +26,10 @@ from rffcap.fingerprint import (
 )
 from rffcap.infotheory import emi_kde, per_feature_mi
 from rffcap.signal_model import (
+    AdcConfig,
     DeviceProfile,
-    IqCapture,
     PopulationSpec,
+    apply_awgn,
     generate_preamble,
     sample_profiles,
 )
@@ -122,6 +123,11 @@ def test_value_validation(tmp_path):
         ({"sweep": {"values": []}}, "sweep: values must be non-empty"),
         ({"sweep": {"values": [10.0, True]}}, "sweep: values must be numbers, not booleans"),
         ({"sweep": {"values": ["10"]}}, "sweep: values must be numbers"),
+        # a 400-digit integer loaded, and then ended rffcap sweep in an OverflowError
+        ({"sweep": {"values": [10, 10 ** 400]}}, r"sweep: values must be finite as floats: \[10, 1000"),
+        ({"sweep": {"values": [-(10 ** 400), 0]}}, "sweep: values must be finite as floats"),
+        ({"sweep": {"values": [float("nan")]}}, "sweep: values must be finite as floats"),
+        ({"sweep": {"values": [0.0, float("inf")]}}, "sweep: values must be finite as floats"),
         ({"sweep": {"values": [10.0, 20.0, 20.0]}}, "sweep: values must be strictly ordered"),
         ({"pipeline": {"lead_pad": [1, 2, 3]}}, r"pipeline.lead_pad: expected \[low, high\]"),
         ({"population": {"cfo_hz": 5.0}}, "population.cfo_hz: expected a mapping"),
@@ -203,33 +209,40 @@ DATASET = FingerprintDataset(
     np.random.default_rng(0).normal(size=(90, 4)), np.repeat(np.arange(3), 30),
     DatasetMeta(fs_hz=4e6, n_fft=4, snr_db=24.0, q_bits=14, class_ids=[0, 1, 2]))
 PROFILES = sample_profiles(PopulationSpec(), 2, seed=1)
-CAPTURE = IqCapture(np.ones(64, dtype=complex), 4e6)
+SAMPLES = np.ones(64, dtype=complex)
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 
 # each limit that a config section and a library function both enforce: the
 # section built with a value, the function called with it, and bad values (a
-# bool, a fraction or non-finite values, below the low limit, above the high one)
+# bool, a string, a fraction or non-finite values, below the low limit, above
+# the high one)
 SHARED_LIMITS = {
     "bins": (lambda v: EstimatorConfig(bins=v),
-             lambda v: per_feature_mi(DATASET, bins=v), [True, 2.5, 1]),
+             lambda v: per_feature_mi(DATASET, bins=v), [True, "64", 2.5, 1]),
     "projected_dim": (lambda v: EstimatorConfig(projected_dim=v),
-                      lambda v: emi_kde(DATASET, projected_dim=v), [True, 2.5, 0, 21]),
+                      lambda v: emi_kde(DATASET, projected_dim=v), [True, "10", 2.5, 0, 21]),
     "kappa": (lambda v: ClassifierConfig(kappa=v),
-              lambda v: fit_lda(DATASET, kappa=v), [True, 2.5, 0]),
+              lambda v: fit_lda(DATASET, kappa=v), [True, "150", 2.5, 0]),
     "ridge": (lambda v: ClassifierConfig(ridge=v),
-              lambda v: fit_lda(DATASET, ridge=v), [True, *NON_FINITE, -1.0]),
+              lambda v: fit_lda(DATASET, ridge=v), [True, "1", *NON_FINITE, -1.0]),
     "n_max": (lambda v: CapacityConfig(n_max=v),
-              lambda v: user_capacity(3.0, 0.01, n_max=v), [True, 2.5, 2]),
+              lambda v: user_capacity(3.0, 0.01, n_max=v), [True, "100", 2.5, 2]),
     "per_class": (lambda v: ScenarioConfig(per_class=v),
-                  lambda v: build_dataset(PROFILES, v, PipelineConfig()), [True, 2.5, 1]),
+                  lambda v: build_dataset(PROFILES, v, PipelineConfig()), [True, "150", 2.5, 1]),
     "n_symbols": (lambda v: PipelineConfig(n_symbols=v),
                   lambda v: generate_preamble(DeviceProfile(device_id=0), 4e6, v),
-                  [True, 2.5, 0]),
+                  [True, "8", 2.5, 0]),
     "fs_hz": (lambda v: PipelineConfig(fs_hz=v),
               lambda v: generate_preamble(DeviceProfile(device_id=0), v),
-              [True, *NON_FINITE, -1.0, 1e6]),
+              [True, "4e6", *NON_FINITE, -1.0, 1e6]),
     "threshold_factor": (lambda v: PipelineConfig(threshold_factor=v),
-                         lambda v: acquire(CAPTURE, 32, v), [True, *NON_FINITE, -1.0, 0.0]),
+                         lambda v: acquire(SAMPLES, 32, v),
+                         [True, "6", *NON_FINITE, -1.0, 0.0]),
+    "snr_db": (lambda v: PipelineConfig(snr_db=v),
+               lambda v: apply_awgn(SAMPLES, v), [True, "24", "quiet", *NON_FINITE, -5000.0]),
+    "full_scale_vpp": (lambda v: PipelineConfig(full_scale_vpp=v),
+                       lambda v: AdcConfig(q_bits=14, full_scale_vpp=v),
+                       [True, "2", *NON_FINITE, 0.0, -1.0]),
 }
 
 
@@ -242,6 +255,13 @@ def test_config_and_library_reject_a_bad_value_with_one_message(name, bad):
     with pytest.raises(ValueError) as from_library:
         library(bad)
     assert str(from_library.value) == str(from_section.value)
+
+
+@pytest.mark.parametrize("name, text", [("snr_ref_fs_hz", "4e6"), ("adc_backoff_db", "3")])
+def test_pipeline_rejects_a_string_limit_with_its_message(name, text):
+    # a string ended in a TypeError from comparing it with the limit
+    with pytest.raises(ValueError, match=f"^{name} must be .*: {text}$"):
+        PipelineConfig(**{name: text})
 
 
 def test_error_rate_experiment_rejects_a_fractional_class_count():

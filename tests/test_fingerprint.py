@@ -22,9 +22,7 @@ from rffcap.fingerprint import (
     save_dataset,
 )
 from rffcap.signal_model import (
-    ChannelConfig,
     DeviceProfile,
-    IqCapture,
     ParamDist,
     PopulationSpec,
     apply_awgn,
@@ -37,11 +35,10 @@ def test_acquire_exact_onset_noise_free():
     pre = generate_preamble(DeviceProfile(device_id=0), 4e6, 8)
     padded = np.concatenate([np.zeros(100, dtype=complex), pre,
                              np.zeros(40, dtype=complex)])
-    cap = IqCapture(padded, 4e6)
-    out = acquire(cap, window=pre.size)
-    assert out.diagnostics["onset_index"] == 100
-    assert not out.diagnostics["onset_flagged"]
-    assert np.array_equal(out.samples, pre)
+    burst, onset, flagged = acquire(padded, window=pre.size)
+    assert onset == 100
+    assert not flagged
+    assert np.array_equal(burst, pre)
 
 
 @pytest.mark.xfail(strict=True, reason="the onset is the last sample of the first full "
@@ -63,10 +60,10 @@ def test_acquire_rows_onset_equals_a_short_lead_in():
 
 def test_acquire_pure_noise_is_flagged():
     rng = np.random.default_rng(31)
-    cap = IqCapture(0.01 * (rng.normal(size=800) + 1j * rng.normal(size=800)), 4e6)
-    out = acquire(cap, window=512)
-    assert out.diagnostics["onset_flagged"]
-    assert out.samples.size == 512
+    x = 0.01 * (rng.normal(size=800) + 1j * rng.normal(size=800))
+    burst, _, flagged = acquire(x, window=512)
+    assert flagged
+    assert burst.size == 512
 
 
 def test_acquire_onset_accuracy_under_noise():
@@ -78,23 +75,21 @@ def test_acquire_onset_accuracy_under_noise():
         lead = 16 + (k * 7) % 129  # spread onsets over [16, 144]
         padded = np.concatenate([np.zeros(lead, dtype=complex), pre,
                                  np.zeros(32, dtype=complex)])
-        noisy = apply_awgn(IqCapture(padded, 4e6),
-                           ChannelConfig(snr_db=20.0, rng_seed=9000 + k),
-                           signal_power=1.0)
-        got = acquire(noisy, window=pre.size)
-        if abs(got.diagnostics["onset_index"] - lead) <= 4:
+        noisy = apply_awgn(padded, 20.0, seed=9000 + k, signal_power=1.0)
+        _, onset, _ = acquire(noisy, window=pre.size)
+        if abs(onset - lead) <= 4:
             hits += 1
     assert hits / trials >= 0.99
 
 
 def test_acquire_validation():
-    cap = IqCapture(np.ones(64, dtype=complex), 4e6)
+    x = np.ones(64, dtype=complex)
     with pytest.raises(ValueError):
-        acquire(cap, window=0)
+        acquire(x, window=0)
     with pytest.raises(ValueError):
-        acquire(cap, window=65)
+        acquire(x, window=65)
     with pytest.raises(ValueError):
-        acquire(cap, window=32, threshold_factor=0.0)
+        acquire(x, window=32, threshold_factor=0.0)
 
 
 def test_feature_localizes_tone():
@@ -103,22 +98,20 @@ def test_feature_localizes_tone():
     n = 4096
     t = np.arange(n)
     f_tone = 8 * fs / n_fft  # exactly bin 8
-    cap = IqCapture(np.exp(2j * np.pi * f_tone * t / fs), fs)
-    feat = extract_spectral_feature(cap, n_fft)
+    feat = extract_spectral_feature(np.exp(2j * np.pi * f_tone * t / fs), n_fft)
     assert isinstance(feat, np.ndarray) and feat.dtype == np.float64
     assert feat.shape == (n_fft,)
     assert int(np.argmax(feat)) == 8
     # negative frequency lands in the upper half of the fft ordering
-    cap_neg = IqCapture(np.exp(-2j * np.pi * f_tone * t / fs), fs)
-    assert int(np.argmax(extract_spectral_feature(cap_neg, n_fft))) == 56
+    tone_neg = np.exp(-2j * np.pi * f_tone * t / fs)
+    assert int(np.argmax(extract_spectral_feature(tone_neg, n_fft))) == 56
 
 
 def test_feature_total_power_parseval():
     """Linear bin sum recovers the mean power of the analysed block."""
     rng = np.random.default_rng(77)
     x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
-    cap = IqCapture(x, 4e6)
-    feat = extract_spectral_feature(cap, 256)
+    feat = extract_spectral_feature(x, 256)
     total = np.sum(10.0 ** (feat / 10.0))
     assert abs(total / np.mean(np.abs(x) ** 2) - 1.0) < 0.05
 
@@ -127,25 +120,25 @@ def test_feature_zero_pads_short_input():
     """A capture shorter than n_fft behaves exactly like its padded version."""
     rng = np.random.default_rng(78)
     x = rng.normal(size=100) + 1j * rng.normal(size=100)
-    feat = extract_spectral_feature(IqCapture(x, 4e6), 256)
+    feat = extract_spectral_feature(x, 256)
     assert feat.size == 256
     padded = np.zeros(256, dtype=complex)
     padded[:100] = x
-    explicit = extract_spectral_feature(IqCapture(padded, 4e6), 256)
+    explicit = extract_spectral_feature(padded, 256)
     assert np.array_equal(feat, explicit)
 
 
 def test_feature_floor_on_silence():
-    feat = extract_spectral_feature(IqCapture(np.zeros(512, dtype=complex), 4e6), 128)
+    feat = extract_spectral_feature(np.zeros(512, dtype=complex), 128)
     assert np.all(feat == -300.0)
 
 
 def test_feature_nfft_validation():
-    cap = IqCapture(np.ones(512, dtype=complex), 4e6)
+    x = np.ones(512, dtype=complex)
     for bad in (32, 100, 8192):
         with pytest.raises(ValueError):
-            extract_spectral_feature(cap, bad)
-    assert extract_spectral_feature(cap, 4096).size == 4096
+            extract_spectral_feature(x, bad)
+    assert extract_spectral_feature(x, 4096).size == 4096
 
 
 def test_feature_bin_frequencies():
@@ -339,7 +332,7 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, meta):
     ("fs_hz", "abc"), ("fs_hz", True), ("n_fft", 64.0), ("n_fft", None), ("q_bits", "14"),
     ("snr_db", "loud"), ("snr_db", False), ("class_ids", ["a", "b"]), ("class_ids", [0, -1]),
     ("class_ids", [0, 1.0]), ("onset_flagged_frac", "none"), ("clip_frac", [0.1]),
-    ("clip_frac", True)])
+    ("clip_frac", True), ("snr_db", float("nan")), ("snr_db", -5000.0)])
 def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
     """Each meta value must have its field's type; a bool is not a number."""
     path = tmp_path / "typed.rfds"
@@ -350,7 +343,10 @@ def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
     _write_rfds(path, json.dumps(meta | {key: value}).encode())
     annotation = {f.name: f.type for f in fields(DatasetMeta)}[key]
     message = {  # what an annotation cannot say, checked by DatasetMeta itself
-        ("snr_db", "'loud'"): "meta: snr_db must be a number or 'noiseless': 'loud'",
+        ("snr_db", "'loud'"): "meta: snr_db must be 'noiseless', or finite and >= -1000: 'loud'",
+        # both loaded while the meta rejected only a string other than "noiseless"
+        ("snr_db", "nan"): "meta: snr_db must be 'noiseless', or finite and >= -1000: nan",
+        ("snr_db", "-5000.0"): "meta: snr_db must be 'noiseless', or finite and >= -1000: -5000.0",
         ("class_ids", "['a', 'b']"): "meta: class_ids must be >= 0 and an integer: 'a'",
         ("class_ids", "[0, -1]"): "meta: class_ids must be >= 0 and an integer: -1",
         ("class_ids", "[0, 1.0]"): "meta: class_ids must be >= 0 and an integer: 1.0",

@@ -5,8 +5,9 @@ order of the receive chain: generate_preamble, the lead-in and tail padding,
 apply_awgn with the capture's own noise seed and unit signal power, the
 front-end backoff, adc_sample, acquire and extract_spectral_feature. The
 batched build must give the same feature row bit for bit, and its meta
-fractions must equal the means of the one-row diagnostics. This keeps one
-implementation per stage checked without the frozen golden file.
+fractions must equal the means of the one-row clip fractions and fallback
+flags. This keeps one implementation per stage checked without the frozen
+golden file.
 
 The batched build runs its rows in blocks that may span devices; the block
 size must not change any bit of the features or the meta, and neither must
@@ -24,8 +25,6 @@ from rffcap.fingerprint import (
     extract_spectral_feature,
 )
 from rffcap.signal_model import (
-    ChannelConfig,
-    IqCapture,
     PopulationSpec,
     adc_sample,
     apply_awgn,
@@ -58,13 +57,11 @@ def one_row_chain(profile, k, pipeline, master_seed):
     padded = np.concatenate([np.zeros(lead, dtype=complex), burst,
                              np.zeros(pipeline.tail_pad, dtype=complex)])
     noise_seed = int(noise_seq.generate_state(1, np.uint64)[0])
-    channel = ChannelConfig(pipeline.effective_snr_db(), rng_seed=noise_seed)
-    noisy = apply_awgn(IqCapture(padded, pipeline.fs_hz), channel, signal_power=1.0)
+    noisy = apply_awgn(padded, pipeline.effective_snr_db(), seed=noise_seed, signal_power=1.0)
     backoff = 10.0 ** (-pipeline.adc_backoff_db / 20.0)
-    digitized = adc_sample(IqCapture(noisy.samples * backoff, pipeline.fs_hz), pipeline.adc())
-    acquired = acquire(digitized, pipeline.window(), pipeline.threshold_factor)
-    return (extract_spectral_feature(acquired, pipeline.n_fft),
-            digitized.diagnostics["clip_fraction"], acquired.diagnostics["onset_flagged"])
+    digitized, clip_fraction = adc_sample(noisy * backoff, pipeline.adc())
+    burst, _, flagged = acquire(digitized, pipeline.window(), pipeline.threshold_factor)
+    return extract_spectral_feature(burst, pipeline.n_fft), clip_fraction, flagged
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

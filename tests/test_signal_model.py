@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from rffcap.fingerprint import PipelineConfig
+from rffcap.fingerprint import PipelineConfig, acquire, extract_spectral_feature
 from rffcap.signal_model import (
     CHIP_RATE_HZ,
     AdcConfig,
-    ChannelConfig,
     DeviceProfile,
-    IqCapture,
     ParamDist,
     PopulationSpec,
     adc_sample,
@@ -144,48 +142,45 @@ def test_awgn_power_tracks_snr():
     n = 1_000_000
     t = np.arange(n)
     sig = np.exp(2j * np.pi * 0.01 * t)  # exactly unit power
-    cap = IqCapture(sig, 4e6)
-    out = apply_awgn(cap, ChannelConfig(snr_db=20.0, rng_seed=7))
-    noise_power = np.mean(np.abs(out.samples - sig) ** 2)
+    out = apply_awgn(sig, 20.0, seed=7)
+    noise_power = np.mean(np.abs(out - sig) ** 2)
     assert 10 ** (-0.02) <= noise_power / 1e-2 <= 10 ** 0.02
 
 
 def test_awgn_determinism_and_seed_sensitivity():
-    cap = IqCapture(np.ones(256, dtype=complex), 4e6)
-    a = apply_awgn(cap, ChannelConfig(snr_db=10.0, rng_seed=5))
-    b = apply_awgn(cap, ChannelConfig(snr_db=10.0, rng_seed=5))
-    c = apply_awgn(cap, ChannelConfig(snr_db=10.0, rng_seed=6))
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    x = np.ones(256, dtype=complex)
+    a = apply_awgn(x, 10.0, seed=5)
+    b = apply_awgn(x, 10.0, seed=5)
+    c = apply_awgn(x, 10.0, seed=6)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_awgn_noiseless_sentinel_is_identity():
     rng = np.random.default_rng(0)
-    cap = IqCapture(rng.normal(size=128) + 1j * rng.normal(size=128), 4e6, true_id=9)
-    out = apply_awgn(cap, ChannelConfig(snr_db="noiseless"))
-    assert np.array_equal(out.samples, cap.samples)
-    assert out.samples is not cap.samples
-    assert out.true_id == 9
+    x = rng.normal(size=128) + 1j * rng.normal(size=128)
+    out = apply_awgn(x, "noiseless")
+    assert np.array_equal(out, x)
+    assert out is not x
 
 
 def test_awgn_signal_power_override_decouples_noise_from_amplitude():
     """Noise level must follow the stated reference, not the capture power."""
     rng = np.random.default_rng(2)
     base = rng.normal(size=4096) + 1j * rng.normal(size=4096)
-    loud = IqCapture(10.0 * base, 4e6)
-    out = apply_awgn(loud, ChannelConfig(snr_db=20.0, rng_seed=3), signal_power=1.0)
-    noise_power = np.mean(np.abs(out.samples - loud.samples) ** 2)
+    loud = 10.0 * base
+    out = apply_awgn(loud, 20.0, seed=3, signal_power=1.0)
+    noise_power = np.mean(np.abs(out - loud) ** 2)
     assert 0.8e-2 < noise_power < 1.25e-2
 
 
 def test_quantizer_explicit_small_case():
     # 4 bits over 2 Vpp: step 0.125
     adc = AdcConfig(q_bits=4, full_scale_vpp=2.0)
-    cap = IqCapture(np.array([0.1 + 0.3j, -0.26 + 0.9999j]), 4e6)
-    out = adc_sample(cap, adc)
-    assert np.allclose(out.samples.real, [0.125, -0.25], rtol=0, atol=1e-15)
-    assert np.allclose(out.samples.imag, [0.25, 1.0], rtol=0, atol=1e-15)
-    assert out.diagnostics["clip_fraction"] == 0.0
+    out, clip_fraction = adc_sample(np.array([0.1 + 0.3j, -0.26 + 0.9999j]), adc)
+    assert np.allclose(out.real, [0.125, -0.25], rtol=0, atol=1e-15)
+    assert np.allclose(out.imag, [0.25, 1.0], rtol=0, atol=1e-15)
+    assert clip_fraction == 0.0
 
 
 @pytest.mark.parametrize("q_bits", [8, 14])
@@ -193,33 +188,32 @@ def test_quantizer_error_within_half_step(q_bits):
     rng = np.random.default_rng(100 + q_bits)
     adc = AdcConfig(q_bits=q_bits, full_scale_vpp=2.0)
     x = rng.uniform(-1.0, 1.0, size=20_000) + 1j * rng.uniform(-1.0, 1.0, size=20_000)
-    out = adc_sample(IqCapture(x, 4e6), adc)
-    err = np.maximum(np.abs(out.samples.real - x.real),
-                     np.abs(out.samples.imag - x.imag))
+    out, clip_fraction = adc_sample(x, adc)
+    err = np.maximum(np.abs(out.real - x.real),
+                     np.abs(out.imag - x.imag))
     half_step = 2.0 / 2 ** q_bits / 2.0
     assert err.max() <= half_step + 1e-15
     assert err.max() <= quantization_error_bound(adc)
-    assert out.diagnostics["clip_fraction"] == 0.0
+    assert clip_fraction == 0.0
 
 
 def test_quantizer_idempotent_and_clipping():
     adc = AdcConfig(q_bits=6, full_scale_vpp=2.0)
     rng = np.random.default_rng(11)
     x = rng.normal(scale=1.2, size=2000) + 1j * rng.normal(scale=1.2, size=2000)
-    once = adc_sample(IqCapture(x, 4e6), adc)
-    twice = adc_sample(once, adc)
-    assert np.array_equal(once.samples, twice.samples)
-    assert once.diagnostics["clip_fraction"] > 0.0
-    assert np.abs(once.samples.real).max() <= 1.0
-    assert np.abs(once.samples.imag).max() <= 1.0
+    once, once_clipped = adc_sample(x, adc)
+    twice, _ = adc_sample(once, adc)
+    assert np.array_equal(once, twice)
+    assert once_clipped > 0.0
+    assert np.abs(once.real).max() <= 1.0
+    assert np.abs(once.imag).max() <= 1.0
     # rails land exactly on the clip level
-    hot = adc_sample(IqCapture(np.array([5.0 - 5.0j]), 4e6), adc)
-    assert hot.samples[0] == 1.0 - 1.0j
-    assert hot.diagnostics["clip_fraction"] == 1.0
+    hot, hot_clipped = adc_sample(np.array([5.0 - 5.0j]), adc)
+    assert hot[0] == 1.0 - 1.0j
+    assert hot_clipped == 1.0
     # a sample clips when either rail passes full scale; one on it does not
-    one_rail = adc_sample(IqCapture(np.array([5.0 + 0.2j, 0.2 - 5.0j, 1.0 - 1.0j, 0.5j]),
-                                    4e6), adc)
-    assert one_rail.diagnostics["clip_fraction"] == 0.5
+    _, one_rail_clipped = adc_sample(np.array([5.0 + 0.2j, 0.2 - 5.0j, 1.0 - 1.0j, 0.5j]), adc)
+    assert one_rail_clipped == 0.5
 
 
 def test_quantization_error_bound_values():
@@ -268,24 +262,23 @@ def test_adc_and_channel_validation():
                   lambda: generate_preamble(DeviceProfile(device_id=0), 1e6)):
         with pytest.raises(ValueError, match=r"^fs_hz must be finite and >= 2e6: 1000000\.0$"):
             build()
+    x = np.ones(8, dtype=complex)
     with pytest.raises(ValueError):
-        ChannelConfig(snr_db="quiet")
+        apply_awgn(x, "quiet")
     with pytest.raises(ValueError):
-        ChannelConfig(snr_db=float("inf"))
+        apply_awgn(x, float("inf"))
 
 
 def test_capture_validation():
-    with pytest.raises(ValueError):
-        IqCapture(np.array([]), 4e6)
-    with pytest.raises(ValueError):
-        IqCapture(np.zeros((2, 2)), 4e6)
-    with pytest.raises(ValueError):
-        IqCapture(np.array([np.nan + 0j]), 4e6)
-    with pytest.raises(ValueError):
-        IqCapture(np.array([1 + 1j]), 0.0)
-    for rate in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="fs_hz"):
-            IqCapture(np.array([1 + 1j]), rate)
+    """Every one-row function rejects empty, 2-D and non-finite samples."""
+    adc = AdcConfig(q_bits=8)
+    for samples in (np.array([]), np.zeros((2, 2)), np.array([np.nan + 0j]),
+                    np.array([1 + 1j, complex(0.0, np.inf)])):
+        for call in (lambda: apply_awgn(samples, 20.0), lambda: apply_awgn(samples, "noiseless"),
+                     lambda: adc_sample(samples, adc), lambda: acquire(samples, 1),
+                     lambda: extract_spectral_feature(samples, 64)):
+            with pytest.raises(ValueError, match="^samples must be a non-empty, finite 1-D array$"):
+                call()
 
 
 def test_generate_preamble_validation():
