@@ -1,10 +1,11 @@
-"""read_record, for the records rffcap reads back from files (scenario YAML,
-sweep CSV/JSON rows, .rfds meta), _check_count, for every count a config
-section or a library function takes, and _is_real, for every real-valued
-limit. It imports nothing from rffcap."""
+"""read_record, for the records read back from files (scenario YAML, sweep CSV/JSON
+rows, .rfds meta), and _check_count and _check_real, for every count and real-valued
+limit a config section or a library function takes. It imports nothing from rffcap."""
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import MISSING, fields, is_dataclass
 from numbers import Real
 
@@ -12,6 +13,7 @@ import numpy as np
 
 # the Python types each word of an annotation takes; a bool is never a number
 _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None)}
+_ORDER = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 def read_record(cls, data, where: str | None):
@@ -73,6 +75,21 @@ def _check_count(name: str, value, low: int, high: int | None = None):
             and low <= value and (high is None or value <= high)):
         upper = "" if high is None else f", <= {high}"
         raise ValueError(f"{name} must be >= {low}{upper} and an integer: {value!r}")
+    return value
+
+
+def _check_real(name: str, value, low=None, high=None, strict: bool = False):
+    """value if it is a finite real number (never a bool or a string) in [low, high],
+    or (low, high) when strict, a limit of None being absent; else ValueError."""
+    limits = [(op, limit) for op, limit in zip((">", "<") if strict else (">=", "<="), (low, high))
+              if limit is not None]
+    try:
+        finite = _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        finite = False
+    if not (finite and all(_ORDER[op](value, limit) for op, limit in limits)):
+        text = ", ".join(f"{op} {limit}" for op, limit in limits)
+        raise ValueError(f"{name} must be {text + ' and ' if text else ''}finite: {value!r}")
     return value
 
 

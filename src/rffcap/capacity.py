@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._records import _check_count
+from ._records import _check_count, _check_real
 from .infotheory import binary_entropy
 
 # the smallest population the capacity scan evaluates
@@ -29,9 +29,7 @@ class BoundValue(NamedTuple):
 
 def _check_emi(emi_bits: float) -> float:
     """emi_bits if finite: max(0.0, nan) is 0.0, so a NaN bound would read as met."""
-    if not np.isfinite(emi_bits):
-        raise ValueError(f"emi_bits must be finite: {emi_bits}")
-    return emi_bits
+    return _check_real("emi_bits", emi_bits)
 
 
 def fano_lower_bound(emi_bits: float, n_users: int, pe: float) -> BoundValue:
@@ -39,10 +37,11 @@ def fano_lower_bound(emi_bits: float, n_users: int, pe: float) -> BoundValue:
 
     raw = (log2(n) - emi - H(pe)) / log2(n - 1); value clamps negatives to 0.
     Only defined for three or more users (log2(n-1) must be positive); a
-    non-finite emi_bits or a non-integer n_users raises ValueError.
+    non-finite emi_bits, a non-integer n_users or a pe outside [0, 1] raises ValueError.
     """
     _check_emi(emi_bits)
     _check_count("n_users", n_users, MIN_USERS)
+    _check_real("pe", pe, 0.0, 1.0)
     raw = (np.log2(n_users) - emi_bits - binary_entropy(pe)) / np.log2(n_users - 1)
     return BoundValue(value=max(0.0, float(raw)), raw=float(raw))
 
@@ -84,9 +83,7 @@ class CapacityResult:
 
 
 def _check_threshold(threshold: float) -> float:
-    if not 0.0 < threshold < 0.5:
-        raise ValueError(f"threshold must be in (0, 0.5): {threshold}")
-    return threshold
+    return _check_real("threshold", threshold, 0.0, 0.5, strict=True)
 
 
 def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> CapacityResult:

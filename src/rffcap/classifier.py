@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._records import _check_count, _is_real
+from ._records import _check_count, _check_real
 from .fingerprint import _ROW_BLOCK, FingerprintDataset, PipelineConfig, build_dataset
 from .signal_model import DeviceProfile
 
@@ -75,9 +75,8 @@ def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
     return z
 
 
-def _check_ridge(ridge: float | None) -> None:
-    if ridge is not None and not (_is_real(ridge) and 0.0 <= ridge < np.inf):
-        raise ValueError(f"ridge must be None or finite and >= 0: {ridge}")
+def _check_ridge(ridge: float | None) -> float | None:
+    return None if ridge is None else _check_real("ridge", ridge, 0.0)
 
 
 def fit_lda(train: FingerprintDataset, kappa: int = 150,

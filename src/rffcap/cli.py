@@ -63,7 +63,10 @@ def emit(args, columns, rows, payload, out: Path | None = None) -> None:
 def _dataset(args, cfg: ScenarioConfig):
     """The --data file if one is given, else the scenario's dataset."""
     if getattr(args, "data", None):
-        return load_dataset(args.data)
+        try:
+            return load_dataset(args.data)
+        except ValueError as exc:  # its message names the file
+            raise ConfigError(str(exc)) from None
     profiles = sample_profiles(cfg.population, cfg.n_devices, cfg.seed)
     return build_dataset(profiles, cfg.per_class, cfg.pipeline, cfg.seed)
 

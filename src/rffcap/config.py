@@ -12,10 +12,9 @@ import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from ._records import _check_count, _is_real, read_record
+from ._records import _check_count, _check_real, read_record
 from .capacity import MIN_USERS
 from .classifier import _check_ridge
 from .fingerprint import PipelineConfig
@@ -73,14 +72,8 @@ class SweepConfig:
             raise ValueError(f"axis must be one of {SWEEP_AXES}: {self.axis}")
         if not self.values:
             raise ValueError("values must be non-empty")
-        if not all(_is_real(v) for v in self.values):
-            raise ValueError(f"values must be numbers, not booleans: {self.values}")
-        try:
-            finite = all(np.isfinite(float(v)) for v in self.values)
-        except OverflowError:  # an integer past float range
-            finite = False
-        if not finite:
-            raise ValueError(f"values must be finite as floats: {self.values}")
+        for v in self.values:
+            _check_real("values", v)
         pairs = list(zip(self.values, self.values[1:]))
         if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
             raise ValueError(f"values must be strictly ordered: {self.values}")

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
-from ._records import _check_count, _is_real, read_record
+from ._records import _check_count, _check_real, _is_real, read_record
 from .signal_model import (
     AdcConfig,
     DeviceProfile,
@@ -158,9 +158,8 @@ class PipelineConfig:
         _validate_n_fft(self.n_fft)
         self.adc()  # q_bits and full_scale_vpp
         _check_fs_hz(self.fs_hz)
-        if self.snr_ref_fs_hz is not None and not (_is_real(self.snr_ref_fs_hz)
-                                                   and 0.0 < self.snr_ref_fs_hz < np.inf):
-            raise ValueError(f"snr_ref_fs_hz must be None or finite and > 0: {self.snr_ref_fs_hz}")
+        if self.snr_ref_fs_hz is not None:
+            _check_real("snr_ref_fs_hz", self.snr_ref_fs_hz, 0.0, strict=True)
         _check_snr_db(self.effective_snr_db())
         _check_count("n_symbols", self.n_symbols, 1)
         _check_threshold_factor(self.threshold_factor)
@@ -169,8 +168,7 @@ class PipelineConfig:
         _check_count("lead_pad high", lead_hi, lead_lo)
         _check_count("tail_pad", self.tail_pad, 0)
         # with snr_db >= -1000 the ADC input stays below ~1e100, finite when squared
-        if not (_is_real(self.adc_backoff_db) and -1000.0 <= self.adc_backoff_db <= 1000.0):
-            raise ValueError(f"adc_backoff_db must be in [-1000, 1000]: {self.adc_backoff_db}")
+        _check_real("adc_backoff_db", self.adc_backoff_db, -1000.0, 1000.0)
 
     def effective_snr_db(self) -> float | str:
         """SNR after optional noise-bandwidth scaling.
@@ -260,8 +258,7 @@ def _validate_n_fft(n_fft: int) -> None:
 
 
 def _check_threshold_factor(threshold_factor: float) -> None:
-    if not (_is_real(threshold_factor) and 0.0 < threshold_factor < np.inf):
-        raise ValueError(f"threshold_factor must be finite and > 0: {threshold_factor}")
+    _check_real("threshold_factor", threshold_factor, 0.0, strict=True)
 
 
 def extract_spectral_feature(samples, n_fft: int) -> np.ndarray:
@@ -636,15 +633,15 @@ def _fill_forked(fill, split: int, n_rows: int, outputs: tuple) -> None:
 def save_dataset(ds: FingerprintDataset, path) -> None:
     """Binary dataset container: header (n_rows, n_bins, meta) + float32 rows + labels.
 
-    Every label must index meta.class_ids, as load_dataset requires; otherwise
-    ValueError is raised before the file is opened.
+    Every feature must be finite and every label index meta.class_ids, as
+    load_dataset requires; otherwise ValueError is raised before the file is opened.
 
     C-contiguous float32 features are written as they are; other features
     are converted and written _ROW_BLOCK rows at a time, so no float32 copy
     of the whole feature matrix is made. Either way the file holds the same
     bytes.
     """
-    _check_labels(ds.labels, ds.meta, path)
+    _check_payload(ds.features, ds.labels, ds.meta, path)
     meta_json = json.dumps(ds.meta.to_dict()).encode()
     with open(path, "wb") as fh:
         fh.write(_DATASET_MAGIC)
@@ -660,10 +657,10 @@ def load_dataset(path) -> FingerprintDataset:
 
     The meta block is read as a DatasetMeta by read_record, so each value
     must have its field's type (a bool is not a number); the payload must be
-    exactly the float32 features and int32 labels the header announces, and
-    every label must index meta.class_ids. The features are read with one
-    readinto straight into the C-contiguous float32 matrix the dataset holds,
-    so the dataset's features have dtype float32.
+    exactly the float32 features and int32 labels the header announces, every
+    feature must be finite, and every label must index meta.class_ids. The
+    features are read with one readinto straight into the C-contiguous float32
+    matrix the dataset holds, so the dataset's features have dtype float32.
 
     Files written before the acquisition statistics were recorded load with
     meta.onset_flagged_frac and meta.clip_frac set to None.
@@ -691,12 +688,15 @@ def load_dataset(path) -> FingerprintDataset:
         labels = np.empty(n_rows, dtype="<i4")
         _read_exactly(fh, features, path)
         _read_exactly(fh, labels, path)
-    _check_labels(labels, meta, path)
+    _check_payload(features, labels, meta, path)
     return FingerprintDataset(features, labels.astype(np.int64), meta)
 
 
-def _check_labels(labels: np.ndarray, meta: DatasetMeta, path) -> None:
-    """Raise ValueError naming path unless every label indexes meta.class_ids."""
+def _check_payload(features: np.ndarray, labels: np.ndarray, meta: DatasetMeta, path) -> None:
+    """Raise ValueError naming path unless every feature is finite (min and max carry
+    a NaN or an infinity, and allocate nothing) and every label indexes meta.class_ids."""
+    if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        raise ValueError(f"dataset features in {path} are not all finite")
     n_classes = len(meta.class_ids)
     if labels.size and not (labels.min() >= 0 and labels.max() < n_classes):
         raise ValueError(f"dataset labels in {path} lie outside [0, {n_classes})")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._records import _check_count, read_record
+from ._records import _check_count, _check_real, read_record
 from .capacity import (
     MIN_USERS,
     check_fano_consistency,
@@ -293,9 +293,7 @@ class BoundCheck:
 
 
 def _check_slack(slack: float) -> float:
-    if not np.isfinite(slack):
-        raise ValueError(f"slack must be finite: {slack}")
-    return slack
+    return _check_real("slack", slack)
 
 
 def validate_bounds(rows, slack: float = 0.2) -> list[BoundCheck]:

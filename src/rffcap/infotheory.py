@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import _check_count
+from ._records import _check_count, _check_real
 from .fingerprint import _ROW_BLOCK, FingerprintDataset
 
 # estimator limits; EstimatorConfig checks a loaded scenario against them too
@@ -44,8 +44,7 @@ def entropy_discrete(probabilities) -> float:
 
 def binary_entropy(p: float) -> float:
     """H(p) = -p*log2(p) - (1-p)*log2(1-p), with H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1]: {p}")
+    _check_real("p", p, 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))

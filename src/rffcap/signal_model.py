@@ -8,12 +8,14 @@ the receive side as an AWGN channel followed by a clipping mid-tread ADC.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Complex
 
 import numpy as np
 
-from ._records import _check_count, _is_real
+from ._records import _check_count, _check_real, _is_real
 
 CHIP_RATE_HZ = 2.0e6
 CHIPS_PER_SYMBOL = 32
@@ -26,8 +28,7 @@ _SYMBOL0_CHIPS = np.array(
 
 
 def _check_fs_hz(fs_hz: float) -> None:
-    if not (_is_real(fs_hz) and CHIP_RATE_HZ <= fs_hz < np.inf):
-        raise ValueError(f"fs_hz must be finite and >= 2e6: {fs_hz}")
+    _check_real("fs_hz", fs_hz, CHIP_RATE_HZ)
 
 
 @dataclass(frozen=True)
@@ -67,18 +68,15 @@ class DeviceProfile:
     dc_offset: complex = 0j
 
     def __post_init__(self):
-        if self.device_id < 0:
-            raise ValueError(f"device_id must be non-negative: {self.device_id}")
-        if abs(self.cfo_hz) > 200e3:
-            raise ValueError(f"cfo_hz out of range [-200e3, 200e3]: {self.cfo_hz}")
-        if not -3.0 <= self.iq_gain_db <= 3.0:
-            raise ValueError(f"iq_gain_db out of range [-3, 3]: {self.iq_gain_db}")
-        if abs(self.pa_alpha3) >= 1.0:
-            raise ValueError(f"pa_alpha3 must satisfy |a3| < 1: {self.pa_alpha3}")
-        # a NaN passes the range checks above, and three fields have none
-        for name in ("cfo_hz", "iq_phase_deg", "clock_jitter_ppm", "pa_alpha3", "dc_offset"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
+        _check_count("device_id", self.device_id, 0)
+        _check_real("cfo_hz", self.cfo_hz, -200e3, 200e3)
+        _check_real("iq_gain_db", self.iq_gain_db, -3.0, 3.0)
+        _check_real("iq_phase_deg", self.iq_phase_deg)
+        _check_real("clock_jitter_ppm", self.clock_jitter_ppm)
+        _check_real("pa_alpha3", self.pa_alpha3, -1.0, 1.0, strict=True)
+        if isinstance(self.dc_offset, bool) or not (isinstance(self.dc_offset, Complex)
+                                                    and cmath.isfinite(self.dc_offset)):
+            raise ValueError(f"dc_offset must be a finite complex number: {self.dc_offset!r}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,8 @@ class ParamDist:
     std: float = 0.0
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("std must be non-negative")
-        for name in ("mean", "std"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
+        _check_real("mean", self.mean)
+        _check_real("std", self.std, 0.0)
 
 
 @dataclass(frozen=True)
@@ -282,7 +277,7 @@ def apply_awgn(samples, snr_db: float | str, seed=0,
     _check_snr_db(snr_db)
     if isinstance(snr_db, str):
         return samples.copy()
-    p_sig = float(np.mean(np.abs(samples) ** 2)) if signal_power is None else float(signal_power)
+    p_sig = float(np.mean(np.abs(samples) ** 2)) if signal_power is None else signal_power
     n = samples.size
     rails = _scale_noise(_unit_noise(seed, np.empty((2, n))),
                          _noise_std(snr_db, p_sig), out=np.empty((n, 2)))
@@ -293,9 +288,8 @@ def apply_awgn(samples, snr_db: float | str, seed=0,
 
 def _noise_std(snr_db: float, signal_power: float) -> float:
     """Per-rail standard deviation of complex AWGN at snr_db below signal_power."""
-    if signal_power <= 0:
-        raise ValueError("signal power must be positive to set an SNR")
-    sigma2 = signal_power * 10.0 ** (-float(snr_db) / 10.0)
+    _check_real("signal_power", signal_power, 0.0, strict=True)
+    sigma2 = float(signal_power) * 10.0 ** (-float(snr_db) / 10.0)
     return float(np.sqrt(sigma2 / 2.0))
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -267,7 +268,7 @@ def test_each_subcommand_has_only_its_own_options(capsys):
     (["capacity", "--emi", "3", "--thresholds", "abc"],
      "argument --thresholds: could not convert string to float: 'abc'"),
     (["capacity", "--emi", "3", "--thresholds", "0"],
-     "argument --thresholds: threshold must be in (0, 0.5): 0.0"),
+     "argument --thresholds: threshold must be > 0.0, < 0.5 and finite: 0.0"),
     (["capacity", "--emi", "3", "--thresholds", "0.01,,0.1"],
      "argument --thresholds: could not convert string to float: ''"),
     (["sweep", "--threads", "0"], "argument --threads: threads must be >= 1 and an integer: 0"),
@@ -313,11 +314,33 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
     assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr
 
 
+# one row of two features, the second NaN, under a valid meta block
+META = json.dumps({"fs_hz": 4e6, "n_fft": 2, "snr_db": 24.0, "q_bits": 14,
+                   "class_ids": [0]}).encode()
+NAN_FEATURE = (b"RFPD" + struct.pack("<QQI", 1, 2, len(META)) + META
+               + struct.pack("<2fi", 0.0, float("nan"), 0))
+
+
+@pytest.mark.parametrize("command", ["simulate", "mi", "emi"])
+@pytest.mark.parametrize("payload, message", [
+    (b"RFPDgarbage", "truncated dataset header in {}"),
+    (NAN_FEATURE, "dataset features in {} are not all finite"),
+], ids=["garbage", "nan_feature"])
+def test_malformed_data_file_is_one_error_line(tmp_path, capsys, command, payload, message):
+    # the garbage file ended in an 18-line traceback, exit 1; the NaN one loaded
+    bad = tmp_path / "bad.rfds"
+    bad.write_bytes(payload)
+    out = tmp_path / "out.csv"
+    assert main([command, "--data", str(bad), "--out", str(out), "--format", "csv"]) == 2
+    assert capsys.readouterr() == ("", f"rffcap: error: {message.format(bad)}\n")
+    assert not out.exists()
+
+
 def test_non_finite_population_value_is_one_error_line(tmp_path):
     # a NaN std passed construction and failed in the build with a traceback
     bad = tmp_path / "nan.yaml"
     bad.write_text("population: {cfo_hz: {std: .nan}}\n")
     proc = run_cli(["simulate", "--config", str(bad), "--out", "nan.rfds"], tmp_path)
     assert (proc.returncode, proc.stderr) == (
-        2, "rffcap: error: population.cfo_hz: std must be finite: nan\n")
+        2, "rffcap: error: population.cfo_hz: std must be >= 0.0 and finite: nan\n")
     assert not (tmp_path / "nan.rfds").exists()

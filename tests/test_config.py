@@ -5,7 +5,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from rffcap.capacity import user_capacity
+from rffcap.capacity import (
+    check_fano_consistency,
+    fano_lower_bound,
+    fano_upper_bound,
+    user_capacity,
+)
 from rffcap.classifier import error_rate_experiment, fit_lda
 from rffcap.config import (
     CapacityConfig,
@@ -13,6 +18,7 @@ from rffcap.config import (
     ConfigError,
     EstimatorConfig,
     ScenarioConfig,
+    SweepConfig,
     load_config,
     save_config,
     scenario_from_dict,
@@ -24,10 +30,12 @@ from rffcap.fingerprint import (
     acquire,
     build_dataset,
 )
-from rffcap.infotheory import emi_kde, per_feature_mi
+from rffcap.harness import validate_bounds
+from rffcap.infotheory import binary_entropy, emi_kde, per_feature_mi
 from rffcap.signal_model import (
     AdcConfig,
     DeviceProfile,
+    ParamDist,
     PopulationSpec,
     apply_awgn,
     generate_preamble,
@@ -121,27 +129,28 @@ def test_value_validation(tmp_path):
         ({"sweep": {"axis": "bandwidth"}}, "sweep: axis must be one of"),
         # the value list is checked at load, not first when a sweep is built
         ({"sweep": {"values": []}}, "sweep: values must be non-empty"),
-        ({"sweep": {"values": [10.0, True]}}, "sweep: values must be numbers, not booleans"),
-        ({"sweep": {"values": ["10"]}}, "sweep: values must be numbers"),
+        ({"sweep": {"values": [10.0, True]}}, "sweep: values must be finite: True"),
+        ({"sweep": {"values": ["10"]}}, "sweep: values must be finite: '10'"),
         # a 400-digit integer loaded, and then ended rffcap sweep in an OverflowError
-        ({"sweep": {"values": [10, 10 ** 400]}}, r"sweep: values must be finite as floats: \[10, 1000"),
-        ({"sweep": {"values": [-(10 ** 400), 0]}}, "sweep: values must be finite as floats"),
-        ({"sweep": {"values": [float("nan")]}}, "sweep: values must be finite as floats"),
-        ({"sweep": {"values": [0.0, float("inf")]}}, "sweep: values must be finite as floats"),
+        ({"sweep": {"values": [10, 10 ** 400]}}, "sweep: values must be finite: 1000"),
+        ({"sweep": {"values": [-(10 ** 400), 0]}}, "sweep: values must be finite: -1000"),
+        ({"sweep": {"values": [float("nan")]}}, "sweep: values must be finite: nan"),
+        ({"sweep": {"values": [0.0, float("inf")]}}, "sweep: values must be finite: inf"),
         ({"sweep": {"values": [10.0, 20.0, 20.0]}}, "sweep: values must be strictly ordered"),
         ({"pipeline": {"lead_pad": [1, 2, 3]}}, r"pipeline.lead_pad: expected \[low, high\]"),
         ({"population": {"cfo_hz": 5.0}}, "population.cfo_hz: expected a mapping"),
         ("not a mapping", "top level: expected a mapping"),
         # each section's own construction check, named by the section
         ({"pipeline": {"n_fft": 96}}, "pipeline: n_fft must be a power of two"),
-        ({"pipeline": {"fs_hz": float("inf")}}, "pipeline: fs_hz must be finite"),
+        ({"pipeline": {"fs_hz": float("inf")}}, "pipeline: fs_hz must be >= 2000000.0 and finite"),
         ({"pipeline": {"snr_ref_fs_hz": 0}},
-         "pipeline: snr_ref_fs_hz must be None or finite and > 0"),
+         "pipeline: snr_ref_fs_hz must be > 0.0 and finite: 0.0"),
         ({"pipeline": {"threshold_factor": float("nan")}},
-         "pipeline: threshold_factor must be finite and > 0"),
+         "pipeline: threshold_factor must be > 0.0 and finite: nan"),
         ({"pipeline": {"tail_pad": -40}}, "pipeline: tail_pad must be >= 0"),
         ({"pipeline": {"lead_pad": [10, 5]}}, "pipeline: lead_pad high must be >= 10"),
-        ({"pipeline": {"adc_backoff_db": -1e6}}, r"pipeline: adc_backoff_db must be in \[-1000"),
+        ({"pipeline": {"adc_backoff_db": -1e6}},
+         "pipeline: adc_backoff_db must be >= -1000.0, <= 1000.0 and finite"),
         ({"n_devices": 4, "per_class": 1}, "top level: per_class must be >= 2"),
         # an int field takes only an integer: no fraction, no infinity, not 4.0
         ({"n_devices": 4.0}, "n_devices: expected int, got 4.0"),
@@ -153,9 +162,9 @@ def test_value_validation(tmp_path):
         ({"estimator": {"projected_dim": 0}}, "estimator: projected_dim must be >= 1"),
         ({"estimator": {"projected_dim": 21}}, "estimator: projected_dim must be >= 1, <= 20"),
         ({"classifier": {"kappa": 0}}, "classifier: kappa must be >= 1"),
-        ({"classifier": {"ridge": -1e-3}}, "classifier: ridge must be None or finite and >= 0"),
-        ({"classifier": {"ridge": float("nan")}}, "classifier: ridge must be None or finite"),
-        ({"classifier": {"ridge": float("inf")}}, "classifier: ridge must be None or finite"),
+        ({"classifier": {"ridge": -1e-3}}, "classifier: ridge must be >= 0.0 and finite: -0.001"),
+        ({"classifier": {"ridge": float("nan")}}, "classifier: ridge must be >= 0.0 and finite"),
+        ({"classifier": {"ridge": float("inf")}}, "classifier: ridge must be >= 0.0 and finite"),
         ({"classifier": {"train_per_class": 1}}, "classifier: train_per_class must be >= 2"),
         ({"classifier": {"test_per_class": 1}}, "classifier: test_per_class must be >= 2"),
         ({"classifier": {"max_devices": 3}}, "classifier: max_devices must be >= 4"),
@@ -260,8 +269,76 @@ def test_config_and_library_reject_a_bad_value_with_one_message(name, bad):
 @pytest.mark.parametrize("name, text", [("snr_ref_fs_hz", "4e6"), ("adc_backoff_db", "3")])
 def test_pipeline_rejects_a_string_limit_with_its_message(name, text):
     # a string ended in a TypeError from comparing it with the limit
-    with pytest.raises(ValueError, match=f"^{name} must be .*: {text}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be .*: '{text}'$"):
         PipelineConfig(**{name: text})
+
+
+# every real-valued limit: its name and each call that checks it. One rule
+# rejects a string, a bool and a non-finite value, with one message shape
+REAL_LIMITS = [
+    ("emi_bits", lambda v: user_capacity(v, 0.01)),
+    ("emi_bits", lambda v: fano_lower_bound(v, 4, 0.1)),
+    ("emi_bits", lambda v: fano_upper_bound(v, 4)),
+    ("emi_bits", lambda v: check_fano_consistency(v, 4, 0.1)),
+    ("threshold", lambda v: user_capacity(3.0, v)),
+    ("pe", lambda v: fano_lower_bound(1.0, 4, v)),
+    ("pe", lambda v: check_fano_consistency(1.0, 4, v)),
+    ("slack", lambda v: validate_bounds([], slack=v)),
+    ("p", binary_entropy),
+    *[(name, lambda v, name=name: DeviceProfile(0, **{name: v}))
+      for name in ("cfo_hz", "iq_gain_db", "iq_phase_deg", "clock_jitter_ppm", "pa_alpha3")],
+    ("mean", lambda v: ParamDist(mean=v)),
+    ("std", lambda v: ParamDist(std=v)),
+    ("signal_power", lambda v: apply_awgn(SAMPLES, 20.0, signal_power=v)),
+    ("fs_hz", lambda v: generate_preamble(DeviceProfile(0), v)),
+    ("snr_ref_fs_hz", lambda v: PipelineConfig(snr_ref_fs_hz=v)),
+    ("adc_backoff_db", lambda v: PipelineConfig(adc_backoff_db=v)),
+    ("threshold_factor", lambda v: acquire(SAMPLES, 32, v)),
+    ("ridge", lambda v: fit_lda(DATASET, ridge=v)),
+    ("values", lambda v: SweepConfig(values=[v])),
+]
+
+
+@pytest.mark.parametrize("bad", ["1", True, *NON_FINITE])
+@pytest.mark.parametrize("name, call", REAL_LIMITS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(REAL_LIMITS)])
+def test_every_real_limit_rejects_a_bad_value_with_one_message(name, call, bad):
+    # a string ended in a TypeError, and a bool or a NaN passed some of them
+    with pytest.raises(ValueError, match=f"^{name} must be (.* and )?finite: "):
+        call(bad)
+
+
+def test_real_limits_keep_their_ranges():
+    """Each range's ends are accepted or rejected as before."""
+    assert DeviceProfile(0, cfo_hz=-200e3, iq_gain_db=3.0, pa_alpha3=-0.999, dc_offset=0.5)
+    assert ParamDist(-1.0, 0.0).std == 0.0
+    assert user_capacity(3.0, 0.4999).threshold == 0.4999
+    assert binary_entropy(0) == binary_entropy(1.0) == 0.0
+    assert fano_lower_bound(1.0, 4, 1).raw < 1.0
+    assert PipelineConfig(fs_hz=2e6, adc_backoff_db=-1000, snr_ref_fs_hz=1e-9).fs_hz == 2e6
+    for bad in [lambda: DeviceProfile(0, cfo_hz=200001.0), lambda: DeviceProfile(0, pa_alpha3=1),
+                lambda: ParamDist(0.0, -1e-300), lambda: user_capacity(3.0, 0.5),
+                lambda: user_capacity(3.0, 0), lambda: fano_lower_bound(1.0, 4, 1.0001),
+                lambda: PipelineConfig(adc_backoff_db=1000.5),
+                lambda: PipelineConfig(snr_ref_fs_hz=0),
+                lambda: apply_awgn(SAMPLES, 20.0, signal_power=0.0),
+                lambda: apply_awgn(np.zeros(8, dtype=complex), 20.0)]:
+        with pytest.raises(ValueError, match=r"must be [<>]"):
+            bad()
+
+
+@pytest.mark.parametrize("device_id", [1.5, True, "0"])
+def test_device_id_must_be_a_non_negative_integer(device_id):
+    # 1.5 and True were accepted, and 1.5 ended build_dataset in a TypeError
+    with pytest.raises(ValueError, match="^device_id must be >= 0 and an integer: "):
+        DeviceProfile(device_id)
+
+
+@pytest.mark.parametrize("dc_offset", [True, "0", complex("nan")])
+def test_dc_offset_must_be_a_finite_complex_number(dc_offset):
+    # a bool was taken as 1 and a string ended in a TypeError
+    with pytest.raises(ValueError, match="^dc_offset must be a finite complex number: "):
+        DeviceProfile(0, dc_offset=dc_offset)
 
 
 def test_error_rate_experiment_rejects_a_fractional_class_count():

@@ -382,6 +382,31 @@ def test_load_dataset_rejects_payload_size_mismatch(tmp_path, saved_dataset, cha
         load_dataset(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_save_and_load_dataset_reject_non_finite_features(tmp_path, bad):
+    # a NaN feature loaded: rffcap mi read 0 bits for its member, with a
+    # RuntimeWarning, and fit_lda ended in LinAlgError
+    meta = DatasetMeta(fs_hz=4e6, n_fft=3, snr_db=24.0, q_bits=14, class_ids=[5, 9])
+    features = np.zeros((2, 3))
+    features[1, 2] = bad
+    path = tmp_path / "nan.rfds"
+    with pytest.raises(ValueError, match=r"^dataset features in .*nan\.rfds are not all finite$"):
+        save_dataset(FingerprintDataset(features, [0, 1], meta), path)
+    assert not path.exists()
+    _write_rfds(path, json.dumps(meta.to_dict()).encode(),
+                payload=features.astype("<f4").tobytes() + struct.pack("<2i", 0, 1))
+    with pytest.raises(ValueError, match=r"^dataset features in .*nan\.rfds are not all finite$"):
+        load_dataset(path)
+
+
+def test_empty_dataset_round_trips(tmp_path):
+    # the finiteness check takes no min or max of zero rows
+    meta = DatasetMeta(fs_hz=4e6, n_fft=3, snr_db=24.0, q_bits=14, class_ids=[5, 9])
+    path = tmp_path / "empty.rfds"
+    save_dataset(FingerprintDataset(np.zeros((0, 3)), [], meta), path)
+    assert load_dataset(path).features.shape == (0, 3)
+
+
 @pytest.mark.parametrize("label", [-1, 2, -1046183366])
 def test_load_dataset_rejects_labels_outside_class_ids(tmp_path, label):
     path = tmp_path / "labels.rfds"

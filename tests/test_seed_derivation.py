@@ -130,9 +130,9 @@ def test_negative_master_seed_raises_numpys_error():
 
 
 def test_negative_device_id_rejected_at_construction():
-    with pytest.raises(ValueError, match="device_id must be non-negative: -3"):
+    with pytest.raises(ValueError, match="device_id must be >= 0 and an integer: -3"):
         DeviceProfile(device_id=-3)
-    with pytest.raises(ValueError, match="device_id must be non-negative: -3"):
+    with pytest.raises(ValueError, match="device_id must be >= 0 and an integer: -3"):
         small_build(device_ids=(0, -3))
 
 

@@ -260,7 +260,7 @@ def test_adc_and_channel_validation():
     # the sampling-rate limit is one check, made by PipelineConfig and generate_preamble
     for build in (lambda: PipelineConfig(fs_hz=1e6),
                   lambda: generate_preamble(DeviceProfile(device_id=0), 1e6)):
-        with pytest.raises(ValueError, match=r"^fs_hz must be finite and >= 2e6: 1000000\.0$"):
+        with pytest.raises(ValueError, match=r"^fs_hz must be >= 2000000\.0 and finite: 1000000\.0$"):
             build()
     x = np.ones(8, dtype=complex)
     with pytest.raises(ValueError):
