@@ -66,6 +66,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) as high and
+# low words, and the uint64 operands of its word-pair arithmetic: NumPy
+# scalars, so that NumPy 1.x's value-based casting keeps every result uint64
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_U1, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
 
 
 @dataclass
@@ -81,9 +87,14 @@ class DatasetMeta:
     clip_frac: float | None = None
 
     def __post_init__(self):  # what the annotations cannot say
+        # fs_hz 0 means no sample rate is known
+        _check_real("fs_hz", self.fs_hz, 0.0)
         _check_snr_db(self.snr_db)
         for c in self.class_ids:
             _check_count("class_ids", c, 0)
+        for name in ("onset_flagged_frac", "clip_frac"):
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         """JSON-ready fields, as stored in the .rfds meta block."""
@@ -418,6 +429,64 @@ def _seeded_states(seeds: np.ndarray) -> np.ndarray:
     return _generate_state64(pool)
 
 
+def _mul_wide(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit products of the uint64 array a and b, as (high, low) words."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return (a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32),
+            mid << _U32 | p00 & _LOW32)
+
+
+def _add_wide(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128 of (high, low) uint64 word pairs."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One step of PCG64's LCG, state * multiplier + inc mod 2**128, on word pairs."""
+    p_hi, p_lo = _mul_wide(lo, _PCG_MULT_LO)
+    p_hi += hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    return _add_wide(p_hi, p_lo, inc_hi, inc_lo)
+
+
+def _lead_ins(states: np.ndarray, low: int, high: int) -> np.ndarray:
+    """np.random.default_rng(_PresetState(s)).integers(low, high + 1) for every
+    row s of the (n, 4) uint64 states, as an int64 array.
+
+    PCG64's seeding and first output and NumPy's bounded draw (Lemire's
+    multiply-shift) run as uint64 array arithmetic, with 128-bit values held
+    as (high, low) word pairs. A row that Lemire's method would reject and
+    redraw (its low product word below the range, probability range / 2**32)
+    is drawn by NumPy's own Generator, and so is every row of a range that is
+    empty, of 2**32 or more, or outside int64.
+    """
+    low, high = int(low), int(high)
+    span = high - low + 1
+
+    def numpy_draw(state):
+        return np.random.default_rng(_PresetState(state)).integers(low, high + 1)
+
+    if not (0 < span < 1 << 32 and -1 << 63 <= low and high < 1 << 63):
+        return np.array([numpy_draw(s) for s in states], dtype=np.int64)
+    s_hi, s_lo, seq_hi, seq_lo = np.asarray(states, dtype=np.uint64).T
+    # pcg64_set_seed: inc = (words[2:4] << 1) | 1; a step from state 0 gives
+    # inc, words[0:2] are added, and one more step follows
+    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    hi, lo = _pcg_step(*_add_wide(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
+    # the draw: a step, the XSL-RR output, and its low 32 bits, which
+    # next_uint32 returns first
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    xored, rot = hi ^ lo, hi >> _U58
+    out = xored >> rot | xored << ((_U64 - rot) & _U63)
+    product = (out & _LOW32) * np.uint64(span)
+    leads = (product >> _U32).astype(np.int64) + low
+    for r in np.flatnonzero((product & _LOW32) < span).tolist():
+        leads[r] = numpy_draw(states[r])
+    return leads
+
+
 def build_dataset(profiles: list[DeviceProfile], per_class: int,
                   pipeline: PipelineConfig, master_seed: int = 0) -> FingerprintDataset:
     """Run the full pipeline for every device and assemble a labeled dataset.
@@ -431,9 +500,9 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     the lead-in length and its second seeds the standard-normal I/Q noise over
     exactly that capture's length, as `apply_awgn` would. Results therefore do
     not depend on the order of the profiles or on how captures are batched.
-    The generator states of all captures are derived at once, in NumPy
-    arithmetic (`_spawned_states`, `_seeded_states`), equal to NumPy's bit for
-    bit.
+    The generator states and the lead-ins of all captures are derived at
+    once, in NumPy arithmetic (`_spawned_states`, `_seeded_states`,
+    `_lead_ins`), equal to NumPy's bit for bit.
 
     Batching: the rows, device by device, go through the receive chain in
     fixed blocks of rows that may span devices, sized by _SYNTH_BLOCK_BYTES,
@@ -447,8 +516,7 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     row's true length. Every stage acts row by row, so the block size does
     not change any output bit. The rails and the noise draws are allocated
     once per process and reused by every block, and each device's ideal
-    baseband is made once; only the lead-in and noise draws run once per
-    capture.
+    baseband is made once; only the noise draw runs once per capture.
 
     Two processes: when the rows fill at least _FORK_MIN_BLOCKS blocks and
     `_may_fork` allows it, the build forks once. The child runs the rows
@@ -485,36 +553,34 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     class_ids = [p.device_id for p in ordered]
     bursts = [generate_preamble(p, pipeline.fs_hz, pipeline.n_symbols) for p in ordered]
     # row r is capture r % per_class of device r // per_class: children[r, 0]
-    # seeds its lead-in draw and the first word of children[r, 1] its noise
+    # seeds its lead-in draw and the first word of children[r, 1] its noise;
+    # every lead-in is drawn here, before any fork
     children = _spawned_states(master_seed, class_ids, per_class).reshape(n_rows, 2, 4)
     noise_states = _seeded_states(children[:, 1, 0])
+    leads = _lead_ins(children[:, 0], lead_lo, lead_hi)
+    lengths = leads + (n_burst + pipeline.tail_pad)
+    leads_list, lengths_list = leads.tolist(), lengths.tolist()
     block = min(n_rows, max(1, _SYNTH_BLOCK_BYTES // (width * 16)))
 
     def fill(first: int, last: int) -> None:
         """Rows [first, last) of features, flagged and clip, block by block."""
         # buffers of one block of rows, which may span devices, reused by
-        # every block: I/Q rails that every stage updates in place, the unit
-        # noise draws and the lead-in lengths
+        # every block: I/Q rails that every stage updates in place and the
+        # unit noise draws
         rails_buf = np.empty((min(block, last - first), width, 2))
         draws = None if noise_std is None else np.zeros((len(rails_buf), 2, width))
-        leads_buf = np.empty(len(rails_buf), dtype=np.intp)
         for lo in range(first, last, block):
-            rails, leads = rails_buf[:last - lo], leads_buf[:last - lo]
+            rails = rails_buf[:last - lo]
             rows = slice(lo, lo + len(rails))
             x = _as_complex(rails)
-            for j, (lead_state, noise_state) in enumerate(zip(children[rows, 0],
-                                                              noise_states[rows])):
-                rng = np.random.default_rng(_PresetState(lead_state))
-                leads[j] = rng.integers(lead_lo, lead_hi + 1)
-                if draws is not None:
-                    _unit_noise(_PresetState(noise_state),
-                                draws[j, :, :leads[j] + n_burst + pipeline.tail_pad])
-            lengths = leads + n_burst + pipeline.tail_pad
             if draws is None:
                 rails[...] = 0.0
             else:
+                for j, (noise_state, n) in enumerate(zip(noise_states[rows],
+                                                         lengths_list[rows])):
+                    _unit_noise(_PresetState(noise_state), draws[j, :, :n])
                 _scale_noise(draws[:len(rails)], noise_std, out=rails)
-            for j, (lead, n) in enumerate(zip(leads.tolist(), lengths.tolist())):
+            for j, (lead, n) in enumerate(zip(leads_list[rows], lengths_list[rows])):
                 rails[j, n:] = 0.0
                 x[j, lead:lead + n_burst] += bursts[(lo + j) // per_class]
 
@@ -522,12 +588,12 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
             if not np.isfinite(rails).all():
                 raise ValueError("samples must be finite")
             clipped = _quantise(rails, adc)
-            acquired, _, row_flagged = _acquire_rows(x, lengths, window,
+            acquired, _, row_flagged = _acquire_rows(x, lengths[rows], window,
                                                      pipeline.threshold_factor)
 
             features[rows] = _welch_db(acquired, pipeline.n_fft)
             flagged[rows] = row_flagged
-            clip[rows] = clipped.sum(axis=1) / lengths
+            clip[rows] = clipped.sum(axis=1) / lengths[rows]
 
     if n_rows >= _FORK_MIN_BLOCKS * block and _may_fork():
         # split at the block boundary nearest the middle

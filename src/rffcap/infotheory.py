@@ -34,6 +34,8 @@ def __getattr__(name):
 def entropy_discrete(probabilities) -> float:
     """Shannon entropy in bits of a discrete distribution; 0*log0 = 0."""
     p = np.asarray(probabilities, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
     if np.any(p < 0):
         raise ValueError("probabilities must be non-negative")
     if abs(p.sum() - 1.0) > 1e-9:

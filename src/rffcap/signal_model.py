@@ -74,8 +74,12 @@ class DeviceProfile:
         _check_real("iq_phase_deg", self.iq_phase_deg)
         _check_real("clock_jitter_ppm", self.clock_jitter_ppm)
         _check_real("pa_alpha3", self.pa_alpha3, -1.0, 1.0, strict=True)
-        if isinstance(self.dc_offset, bool) or not (isinstance(self.dc_offset, Complex)
-                                                    and cmath.isfinite(self.dc_offset)):
+        try:
+            finite = (isinstance(self.dc_offset, Complex) and not isinstance(self.dc_offset, bool)
+                      and cmath.isfinite(self.dc_offset))
+        except OverflowError:  # an integer past float range
+            finite = False
+        if not finite:
             raise ValueError(f"dc_offset must be a finite complex number: {self.dc_offset!r}")
 
 

@@ -332,7 +332,9 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, meta):
     ("fs_hz", "abc"), ("fs_hz", True), ("n_fft", 64.0), ("n_fft", None), ("q_bits", "14"),
     ("snr_db", "loud"), ("snr_db", False), ("class_ids", ["a", "b"]), ("class_ids", [0, -1]),
     ("class_ids", [0, 1.0]), ("onset_flagged_frac", "none"), ("clip_frac", [0.1]),
-    ("clip_frac", True), ("snr_db", float("nan")), ("snr_db", -5000.0)])
+    ("clip_frac", True), ("snr_db", float("nan")), ("snr_db", -5000.0),
+    ("fs_hz", float("nan")), ("fs_hz", -1.0), ("fs_hz", float("inf")), ("clip_frac", 5.0),
+    ("clip_frac", float("nan")), ("onset_flagged_frac", -0.1)])
 def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
     """Each meta value must have its field's type; a bool is not a number."""
     path = tmp_path / "typed.rfds"
@@ -350,6 +352,14 @@ def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
         ("class_ids", "['a', 'b']"): "meta: class_ids must be >= 0 and an integer: 'a'",
         ("class_ids", "[0, -1]"): "meta: class_ids must be >= 0 and an integer: -1",
         ("class_ids", "[0, 1.0]"): "meta: class_ids must be >= 0 and an integer: 1.0",
+        # all loaded while the meta checked no real-valued limit
+        ("fs_hz", "nan"): "meta: fs_hz must be >= 0.0 and finite: nan",
+        ("fs_hz", "-1.0"): "meta: fs_hz must be >= 0.0 and finite: -1.0",
+        ("fs_hz", "inf"): "meta: fs_hz must be >= 0.0 and finite: inf",
+        ("clip_frac", "5.0"): "meta: clip_frac must be >= 0.0, <= 1.0 and finite: 5.0",
+        ("clip_frac", "nan"): "meta: clip_frac must be >= 0.0, <= 1.0 and finite: nan",
+        ("onset_flagged_frac", "-0.1"):
+            "meta: onset_flagged_frac must be >= 0.0, <= 1.0 and finite: -0.1",
     }.get((key, repr(value)), f"meta.{key}: expected {annotation}, got {value!r}")
     with pytest.raises(ValueError, match=re.escape(f"typed.rfds: {message}")):
         load_dataset(path)

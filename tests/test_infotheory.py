@@ -39,6 +39,9 @@ def test_entropy_discrete():
         entropy_discrete([0.5, 0.6])
     with pytest.raises(ValueError):
         entropy_discrete([-0.1, 1.1])
+    # NaN fails every comparison, so it used to pass both checks above
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        entropy_discrete([float("nan"), 1.0])
 
 
 def test_binary_entropy():

@@ -101,9 +101,14 @@ def _records(cls, **overrides):
         *(WORDS[word] for word in f.type.split(" | "))) for f in fields(cls)})
 
 
+FRACTIONS = st.floats(0.0, 1.0) | st.none()
+
+
 @PROPERTY_SETTINGS
-@given(_records(DatasetMeta, snr_db=st.floats(allow_nan=False) | st.just("noiseless"),
-                class_ids=st.lists(st.integers(min_value=0))))
+@given(_records(DatasetMeta, fs_hz=st.floats(min_value=0.0, allow_infinity=False),
+                snr_db=st.floats(min_value=-1000.0, allow_infinity=False) | st.just("noiseless"),
+                class_ids=st.lists(st.integers(min_value=0)),
+                onset_flagged_frac=FRACTIONS, clip_frac=FRACTIONS))
 def test_dataset_meta_reads_back_equal(meta):
     assert read_record(DatasetMeta, meta.to_dict(), "meta") == meta
 

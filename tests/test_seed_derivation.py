@@ -16,6 +16,7 @@ import pytest
 from rffcap.fingerprint import (
     PipelineConfig,
     _PresetState,
+    _lead_ins,
     _seeded_states,
     _spawned_states,
     build_dataset,
@@ -94,6 +95,70 @@ def test_draws_match_seed_sequence():
             assert rng.integers(lead_lo, lead_hi + 1) == want_lead
             got_noise = _unit_noise(_PresetState(noise[d, k]), np.empty((2, n)))
             assert np.array_equal(got_noise, want_noise)
+
+
+def numpy_leads(states, low, high):
+    """The per-capture lead-in draw _lead_ins replaces."""
+    return [np.random.default_rng(_PresetState(s)).integers(low, high + 1) for s in states]
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (0, 1), (16, 144), (3, 2**20)])
+def test_lead_ins_match_generator_integers(low, high):
+    states = np.random.default_rng(low + high).integers(0, 2**64, (10_000, 4),
+                                                        dtype=np.uint64, endpoint=False)
+    leads = _lead_ins(states, low, high)
+    assert leads.dtype == np.int64
+    assert leads.tolist() == numpy_leads(states, low, high)
+
+
+# PCG64's 128-bit LCG multiplier
+PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+
+
+def state_drawing(first_output, inc_words):
+    """The (4,) seed state whose generator's first 64-bit output is first_output,
+    found by running PCG64's seeding backwards from the state that yields it."""
+    mask64, mask128 = 2**64 - 1, 2**128 - 1
+    rot = 37  # any rotation: the state's top six bits
+    hi = rot << 58 | 0x1234567
+    rotl = (first_output << rot | first_output >> (64 - rot)) & mask64
+    state = hi << 64 | (hi ^ rotl)  # XSL-RR: rotr(hi ^ lo, hi >> 58) = first_output
+    inc = (inc_words[0] << 64 | inc_words[1]) << 1 & mask128 | 1
+    inverse = pow(PCG_MULT, -1, 2**128)
+    for _ in range(2):  # the draw's step and the last seeding step
+        state = (state - inc) * inverse & mask128
+    seed = (state - inc) & mask128  # the first step from 0 gives inc
+    return np.array([seed >> 64, seed & mask64, *inc_words], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("low, high", [(16, 144), (3, 2**20)])
+def test_lead_ins_match_generator_integers_in_the_rejection_zone(low, high):
+    """First draws whose low product word falls below the range; NumPy redraws
+    those below its threshold, and _lead_ins must hand every one to NumPy."""
+    span = high - low + 1
+    threshold = (2**32 - span) % span
+    # x * span - j * 2**32 lies in [0, span) for x = ceil(j * 2**32 / span)
+    draws = [-(-j * 2**32 // span) for j in range(40)]
+    leftovers = [x * span % 2**32 for x in draws]
+    assert all(left < span for left in leftovers)
+    assert any(left < threshold for left in leftovers)  # NumPy redraws these
+    states = np.array([state_drawing(0xABCD0000_00000000 | x, (j, 2**64 - 1 - j))
+                       for j, x in enumerate(draws)])
+    for state, x in zip(states, draws):
+        generator = np.random.Generator(np.random.PCG64(_PresetState(state)))
+        assert int(generator.bit_generator.random_raw()) & 0xFFFFFFFF == x
+    assert _lead_ins(states, low, high).tolist() == numpy_leads(states, low, high)
+
+
+@pytest.mark.parametrize("low, high", [(0, 2**32 - 1), (5, 2**40), (7, 6)])
+def test_lead_ins_leave_wide_and_empty_ranges_to_numpy(low, high):
+    states = np.random.default_rng(9).integers(0, 2**64, (50, 4), dtype=np.uint64,
+                                               endpoint=False)
+    if high < low:
+        with pytest.raises(ValueError):
+            _lead_ins(states, low, high)
+    else:
+        assert _lead_ins(states, low, high).tolist() == numpy_leads(states, low, high)
 
 
 def test_preset_state_reads_strided_rows_correctly():
