@@ -22,7 +22,7 @@ class LdaModel:
     projection: np.ndarray       # (n_bins, k) discriminant directions
     class_means: np.ndarray      # (C, k) projected means
     pooled_cov_inv: np.ndarray   # (k, k) inverse regularized pooled covariance
-    class_ids: np.ndarray        # (C,) original device ids, ascending
+    class_ids: np.ndarray        # (C,) training label values, ascending
     kappa_eff: int               # number of discriminant directions kept
     ridge: float                 # ridge added to the within-class scatter
 
@@ -33,7 +33,9 @@ class ClassificationReport:
 
     per_class_errors counts errors among test samples of each trained class;
     samples whose true label was never trained are always errors and are
-    collected in unseen_labels.
+    collected in unseen_labels. assigned_ids, true_ids and class_ids hold
+    label values, as LdaModel.class_ids does: a built dataset's labels are
+    indices into its meta.class_ids, not the device ids themselves.
     """
 
     pe: float

@@ -234,7 +234,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("classify", help="train/test error-rate experiment")
     _add_common(p)
-    p.add_argument("--n-classes", type=int, help="devices to classify (default config)")
+    p.add_argument("--n-classes",
+                   type=_usage_checked(lambda text: _check_count("n_classes", int(text), 3)),
+                   help="devices to classify (default config)")
     p.add_argument("--shuffle-labels", action="store_true",
                    help="shuffle training labels to measure chance level")
     p.set_defaults(func=cmd_classify)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import struct
 import sys
@@ -522,8 +521,10 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     `_may_fork` allows it, the build forks once. The child runs the rows
     from the block boundary nearest the middle and sends them back through a
     pipe, straight into the arrays this process returns, while this process
-    runs the rows before it. Rows are seeded one by one, so the split changes no output
-    bit either.
+    runs the rows before it. Rows are seeded one by one, so the split changes
+    no output bit either, and when the child's rows do not all arrive this
+    process builds them itself: a forked build returns the rows, or raises
+    the exception, of a one-process build.
 
     The meta records the fraction of captures whose acquisition fell back to
     the max-energy window (onset_flagged_frac) and the mean over captures of
@@ -628,19 +629,16 @@ def _may_fork() -> bool:
             and (mp is None or mp.parent_process() is None))
 
 
-# the byte a forked child sends ahead of its rows, or of its pickled exception
-_CHILD_DONE, _CHILD_RAISED = b"\x00", b"\x01"
-
-
 def _fill_forked(fill, split: int, n_rows: int, outputs: tuple) -> None:
     """Run fill(0, split) here and fill(split, n_rows) in a forked child.
 
     The child writes its rows of every output array to a pipe as raw bytes,
-    behind a status byte, and this process reads them into its own arrays,
-    so they stay the only copy of the result. An exception raised in the
-    child is pickled through the pipe and raised here; a child that ends
-    without reporting raises RuntimeError naming its wait status. The child
-    is reaped on every path, and killed first if this process's half raised.
+    and this process reads them into its own arrays, so they stay the only
+    copy of the result. A child that fails exits with status 1 and reports
+    nothing; when its rows do not all arrive or its status is not 0, this
+    process runs fill(split, n_rows) itself, for the same rows or exception.
+    The child is reaped on every path, and killed first if this process's
+    half raised.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -659,15 +657,10 @@ def _fill_forked(fill, split: int, n_rows: int, outputs: tuple) -> None:
         code = 1
         try:
             os.close(read_fd)
+            fill(split, n_rows)
             with open(write_fd, "wb") as pipe:
-                try:
-                    fill(split, n_rows)
-                except Exception as exc:  # noqa: BLE001 - the parent raises it
-                    pipe.write(_CHILD_RAISED + pickle.dumps(exc))
-                else:
-                    pipe.write(_CHILD_DONE)
-                    for out in outputs:
-                        pipe.write(out[split:n_rows])
+                for out in outputs:
+                    pipe.write(out[split:n_rows])
             code = 0
         finally:
             os._exit(code)  # never the parent's exit handlers or buffers
@@ -680,20 +673,12 @@ def _fill_forked(fill, split: int, n_rows: int, outputs: tuple) -> None:
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
                 raise
-            status = pipe.read(1)
-            if status == _CHILD_RAISED:
-                # unpickles only what the child above wrote
-                raise pickle.loads(pipe.read())
-            complete = status == _CHILD_DONE and all(
-                pipe.readinto(out[split:n_rows]) == out[split:n_rows].nbytes
-                for out in outputs)
+            complete = all(pipe.readinto(out[split:n_rows]) == out[split:n_rows].nbytes
+                           for out in outputs)
     finally:
         wait_status = os.waitpid(pid, 0)[1]
     if not complete or wait_status != 0:
-        how = (f"killed by {signal.Signals(os.WTERMSIG(wait_status)).name}"
-               if os.WIFSIGNALED(wait_status) else f"exit code {os.WEXITSTATUS(wait_status)}")
-        raise RuntimeError(f"build_dataset's forked child ended without its rows "
-                           f"(wait status {wait_status}: {how})")
+        fill(split, n_rows)
 
 
 def save_dataset(ds: FingerprintDataset, path) -> None:

@@ -220,9 +220,15 @@ def test_validate_names_a_rows_file_that_is_not_utf8(tmp_path):
     assert not (tmp_path / "checks.csv").exists()
 
 
-def test_explicit_zero_override_is_not_replaced_by_the_config(config_file):
-    with pytest.raises(ValueError, match="n_classes must be >= 3"):
-        main(["classify", "--n-classes", "0", "--config", str(config_file)])
+def test_explicit_zero_override_is_not_replaced_by_the_config(config_file, capsys):
+    # 0 is not taken for "unset", and every count below 3 is a usage error
+    for value in ["0", "2", "-1"]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", "--n-classes", value, "--config", str(config_file)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"rffcap classify: error: argument --n-classes: "
+            f"n_classes must be >= 3 and an integer: {value}")
 
 
 # each subcommand's options: inputs, outputs and analysis settings that have no

@@ -1,5 +1,5 @@
-"""build_dataset's two-process path: when it forks, how errors in either
-half come back, and that no child process outlives a build.
+"""build_dataset's two-process path: when it forks, that a failing child
+changes no result, and that no child process outlives a build.
 
 A test kernel fails in one process only, told apart by os.getpid() against
 the pid of the process that started the build. After every build, successful
@@ -11,6 +11,7 @@ import os
 import signal
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -77,30 +78,76 @@ def test_a_build_forks_from_eight_blocks(monkeypatch, forks, n_devices, per_clas
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("exc", [ValueError("samples must be finite"),
-                                 ZeroDivisionError("in one block")])
-def test_a_child_exception_comes_back_with_its_type_and_message(profiles, forced_fork,
-                                                               monkeypatch, exc):
-    def raise_it():
+def raise_it(exc):
+    def action():
         raise exc
-
-    fail_in(monkeypatch, "child", raise_it)
-    with pytest.raises(type(exc)) as info:
-        build_dataset(profiles, PER_CLASS, PIPELINE, 3)
-    assert type(info.value) is type(exc) and str(info.value) == str(exc)
-    assert_no_child_left()
+    return action
 
 
-@pytest.mark.parametrize("action, how", [
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
-    (lambda: os._exit(3), "exit code 3"),
-])
-def test_a_child_that_dies_without_reporting_raises_runtime_error(profiles, forced_fork,
-                                                                  monkeypatch, action, how):
+@pytest.mark.parametrize("action", [
+    raise_it(ValueError("samples must be finite")),
+    raise_it(ZeroDivisionError("in one block")),
+    lambda: os.kill(os.getpid(), signal.SIGKILL),
+    lambda: os._exit(3),
+], ids=["ValueError", "ZeroDivisionError", "SIGKILL", "exit3"])
+def test_a_child_only_failure_gives_the_one_process_build(profiles, forced_fork, forks,
+                                                          monkeypatch, action):
     fail_in(monkeypatch, "child", action)
-    with pytest.raises(RuntimeError, match=f"forked child ended without its rows "
-                                           f"\\(wait status \\d+: {how}\\)"):
+    forked = build_dataset(profiles, PER_CLASS, PIPELINE, 3)
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.setattr(fingerprint, "_may_fork", lambda: False)
+    one = build_dataset(profiles, PER_CLASS, PIPELINE, 3)
+    assert len(forks) == 1
+    assert forked.features.tobytes() == one.features.tobytes()
+    assert np.array_equal(forked.labels, one.labels)
+    assert forked.meta == one.meta
+
+
+def test_an_error_the_rows_cause_is_raised_forked_as_unforked(profiles, forks,
+                                                              monkeypatch):
+    # the device sorted last, whose rows are all the child's, gets a burst
+    # holding inf
+    last = max(p.device_id for p in profiles)
+    preamble = fingerprint.generate_preamble
+
+    def generate_preamble(profile, fs_hz, n_symbols):
+        burst = preamble(profile, fs_hz, n_symbols)
+        if profile.device_id == last:
+            burst[0] = np.inf
+        return burst
+
+    monkeypatch.setattr(fingerprint, "generate_preamble", generate_preamble)
+    monkeypatch.setattr(fingerprint, "_FORK_MIN_BLOCKS", 2)
+    raised = []
+    for may_fork in [True, False]:
+        monkeypatch.setattr(fingerprint, "_may_fork", lambda: may_fork)
+        with pytest.raises(Exception) as info:
+            build_dataset(profiles, PER_CLASS, PIPELINE, 3)
+        raised.append((type(info.value), str(info.value)))
+        assert_no_child_left()
+    assert len(forks) == 1
+    assert raised == [(ValueError, "samples must be finite")] * 2
+
+
+def test_a_forked_build_records_no_deprecation_warning(profiles, forced_fork, forks,
+                                                       monkeypatch):
+    # os.fork warns so on Python 3.12 and later when the process has another
+    # OS thread; this fork warns so on every version
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                      f"fork() may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         build_dataset(profiles, PER_CLASS, PIPELINE, 3)
+    assert len(forks) == 1
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
     assert_no_child_left()
 
 
