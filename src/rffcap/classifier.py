@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ._records import _check_count, _check_real
-from .fingerprint import _ROW_BLOCK, FingerprintDataset, PipelineConfig, build_dataset
+from .fingerprint import FingerprintDataset, PipelineConfig, _float64_blocks, build_dataset
 from .signal_model import DeviceProfile
 
 
@@ -53,27 +53,15 @@ class ClassificationReport:
 
 
 def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
-    """x @ projection, one product per _ROW_BLOCK rows into one output array.
+    """x @ projection, one product per float64 row block into one output array.
 
     NumPy allocates nothing for the products, but one product over a few
     thousand rows grows the process by OpenBLAS work-buffer pages several
     times larger than one over a block (README "Estimator notes").
-
-    Every product runs on C-ordered float64 rows: rows of another dtype or
-    layout are cast, a block at a time, into one reused buffer. float32 rows
-    then project exactly as their float64 upcast does, and F-ordered rows as
-    their C-ordered copy (BLAS rounds a transposed operand differently).
     """
-    n = x.shape[0]
-    z = np.empty((n, projection.shape[1]))
-    direct = x.dtype == np.float64 and x.flags.c_contiguous
-    buf = None if direct else np.empty((min(_ROW_BLOCK, n), x.shape[1]))
-    for lo in range(0, n, _ROW_BLOCK):
-        rows = x[lo:lo + _ROW_BLOCK]
-        if buf is not None:
-            buf[:rows.shape[0]] = rows
-            rows = buf[:rows.shape[0]]
-        np.matmul(rows, projection, out=z[lo:lo + _ROW_BLOCK])
+    z = np.empty((x.shape[0], projection.shape[1]))
+    for lo, rows in _float64_blocks(x):
+        np.matmul(rows, projection, out=z[lo:lo + len(rows)])
     return z
 
 
@@ -117,19 +105,13 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     mean_all = x.mean(axis=0, dtype=np.float64)
     means = np.vstack([x[y == c].mean(axis=0, dtype=np.float64) for c in range(n_classes)])
 
-    # the within-class scatter sums dev^T dev over blocks of _ROW_BLOCK rows
-    # of the deviations x - means[y], each written over the previous one in
-    # one buffer; a training set of one block gets the single product's bits.
-    # mode="clip" has take write into dev directly (mode="raise" buffers its
-    # out array); y indexes means, so it clips nothing
+    # the within-class scatter sums dev^T dev over row blocks of the
+    # deviations x - means[y]; a training set of one block gets the single
+    # product's bits
     sw = np.zeros((m, m))
-    dev_buf = np.empty((min(_ROW_BLOCK, n), m))
-    for lo in range(0, n, _ROW_BLOCK):
-        dev = dev_buf[:min(_ROW_BLOCK, n - lo)]
-        np.take(means, y[lo:lo + dev.shape[0]], axis=0, out=dev, mode="clip")
-        np.subtract(x[lo:lo + dev.shape[0]], dev, out=dev)
+    for _, dev in _float64_blocks(x, means, y):
         sw += dev.T @ dev
-    del dev_buf, dev
+    del dev  # the loop variable would keep the block buffer alive
     between = np.sqrt(counts)[:, None] * (means - mean_all)  # sb = between^T between
 
     if ridge is None:

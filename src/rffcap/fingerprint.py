@@ -40,10 +40,10 @@ _DATASET_MAGIC = b"RFPD"
 _DATASET_HEADER = struct.Struct("<QQI")  # n_rows, n_bins, meta JSON length
 _POWER_FLOOR = 1e-30  # keeps dB features finite for identically-zero bins
 # rows processed at a time: float64 feature rows converted when a dataset is
-# written, centered rows in infotheory.emi_kde, and within-class deviations
-# and projected rows in classifier.fit_lda and classify. Sized by measurement
-# (README "Estimator notes"): the Gram matrix of 1,024-row blocks is as fast
-# as one product over all rows; 256-row blocks were slower.
+# written, and the float64 blocks _float64_blocks reads for the estimators
+# and the classifier. Sized by measurement (README "Estimator notes"): the
+# Gram matrix of 1,024-row blocks is as fast as one product over all rows;
+# 256-row blocks were slower.
 _ROW_BLOCK = 1024
 # bytes of I/Q rails build_dataset runs through its receive chain at a time;
 # a block holds max(1, _SYNTH_BLOCK_BYTES // (width * 16)) rows: 71 at 4 MHz,
@@ -140,6 +140,29 @@ class FingerprintDataset:
     @property
     def n_classes(self) -> int:
         return np.unique(self.labels).size
+
+
+def _float64_blocks(x: np.ndarray, means=0.0, labels=None):
+    """Yield (first row, x[rows] - means), or (first row, x[rows] -
+    means[labels[rows]]) given labels, for successive blocks of _ROW_BLOCK
+    rows of x, each written over the previous one in one buffer.
+
+    Every block is C-ordered float64 whatever x's dtype and layout (x - 0.0
+    is float64(x) exactly), so the estimators and the classifier, which read
+    feature rows only through here, give float32 features the bits of their
+    float64 upcast and F-ordered ones those of their C-ordered copy.
+    """
+    n = x.shape[0]
+    buf = np.empty((min(_ROW_BLOCK, n), x.shape[1]))
+    for lo in range(0, n, _ROW_BLOCK):
+        block = buf[:min(_ROW_BLOCK, n - lo)]
+        subtrahend = means
+        if labels is not None:
+            # mode="clip" has take write into block directly (mode="raise"
+            # buffers its out array); labels index means, so it clips nothing
+            subtrahend = np.take(means, labels[lo:lo + len(block)], axis=0, out=block,
+                                 mode="clip")
+        yield lo, np.subtract(x[lo:lo + len(block)], subtrahend, out=block)
 
 
 @dataclass(frozen=True)

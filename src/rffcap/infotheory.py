@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._records import _check_count, _check_real
-from .fingerprint import _ROW_BLOCK, FingerprintDataset
+from .fingerprint import FingerprintDataset, _float64_blocks
 
 # estimator limits; EstimatorConfig checks a loaded scenario against them too
 MIN_BINS = 2
@@ -122,16 +122,6 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
 _KDE_BLOCK = 128
 
 
-def _centered_blocks(x: np.ndarray, mean: np.ndarray):
-    """Yield (first row, x[rows] - mean) for successive blocks of
-    _ROW_BLOCK rows, each written over the previous one in one buffer."""
-    n = x.shape[0]
-    buf = np.empty((min(_ROW_BLOCK, n), x.shape[1]))
-    for lo in range(0, n, _ROW_BLOCK):
-        rows = min(_ROW_BLOCK, n - lo)
-        yield lo, np.subtract(x[lo:lo + rows], mean, out=buf[:rows])
-
-
 @dataclass
 class EmiEstimate:
     """Ensemble MI of the whole feature vector, raw and clamped to [0, log2 C]."""
@@ -184,7 +174,7 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     # are never formed whole, only in row blocks, and the m x m matrices are
     # freed before the kernel loop.
     gram = np.zeros((m, m))
-    for _, xb in _centered_blocks(x, mean):
+    for _, xb in _float64_blocks(x, mean):
         gram += xb.T @ xb
     del xb  # the loop variable would keep the block buffer alive
     gram_vals, vecs = np.linalg.eigh(gram)
@@ -196,7 +186,7 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
     del vecs
     z = np.empty((n, d))
     sq_norms = np.zeros(basis.shape[1])
-    for lo, xb in _centered_blocks(x, mean):
+    for lo, xb in _float64_blocks(x, mean):
         proj = xb @ basis
         sq_norms += np.einsum("ij,ij->j", proj, proj)
         z[lo:lo + proj.shape[0]] = proj[:, :d]
