@@ -16,8 +16,10 @@ import numpy as np
 from ._records import _check_count, _check_real
 from .infotheory import binary_entropy
 
-# the smallest population the capacity scan evaluates
+# the smallest population the capacity scan evaluates, and the largest n_max
+# it takes: the scan holds a few arrays of n_max values, 8 MB each at the limit
 MIN_USERS = 3
+MAX_USERS = 1_000_000
 
 
 class BoundValue(NamedTuple):
@@ -91,12 +93,12 @@ def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> Cap
 
     The scan evaluates (log2(N) - emi - H(threshold)) / log2(N-1) for every
     candidate N and keeps the largest satisfying one. A NaN or infinite
-    emi_bits, and an n_max that is not an integer (a bool included), raise
-    ValueError.
+    emi_bits, and an n_max that is not an integer (a bool included) or lies
+    outside [3, MAX_USERS], raise ValueError.
     """
     _check_threshold(threshold)
     _check_emi(emi_bits)
-    _check_count("n_max", n_max, MIN_USERS)
+    _check_count("n_max", n_max, MIN_USERS, MAX_USERS)
     n = np.arange(MIN_USERS, n_max + 1)
     ratio = (np.log2(n) - emi_bits - binary_entropy(threshold)) / np.log2(n - 1)
     ok = np.flatnonzero(ratio <= threshold)

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from ._records import _check_count, _check_real
-from .fingerprint import FingerprintDataset, PipelineConfig, _float64_blocks, build_dataset
+from .fingerprint import (FingerprintDataset, PipelineConfig, _column_means, _float64_blocks,
+                          build_dataset)
 from .signal_model import DeviceProfile
 
 
@@ -101,8 +102,8 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
 
     x = train.features
     n, m = x.shape
-    # float64 sums whatever the storage dtype
-    mean_all = x.mean(axis=0, dtype=np.float64)
+    # float64 sums whatever the storage dtype and layout
+    mean_all = _column_means(x)
     means = np.vstack([x[y == c].mean(axis=0, dtype=np.float64) for c in range(n_classes)])
 
     # the within-class scatter sums dev^T dev over row blocks of the

@@ -71,6 +71,15 @@ def _dataset(args, cfg: ScenarioConfig):
     return build_dataset(profiles, cfg.per_class, cfg.pipeline, cfg.seed)
 
 
+def _estimate(args, estimator, ds, **settings):
+    """estimator(ds, **settings); a dataset it rejects is user input, so its
+    ValueError becomes a ConfigError naming the --data file if one was given."""
+    try:
+        return estimator(ds, **settings)
+    except ValueError as exc:
+        raise ConfigError(f"{args.data}: {exc}" if args.data else str(exc)) from None
+
+
 def cmd_simulate(args) -> int:
     cfg = _scenario(args)
     ds = _dataset(args, cfg)
@@ -91,7 +100,7 @@ def cmd_simulate(args) -> int:
 def cmd_mi(args) -> int:
     cfg = _scenario(args)
     ds = _dataset(args, cfg)
-    report = per_feature_mi(ds, bins=cfg.estimator.bins)
+    report = _estimate(args, per_feature_mi, ds, bins=cfg.estimator.bins)
     mi = report.per_bin_mi.tolist()
     freqs = (feature_bin_frequencies(len(mi), ds.meta.fs_hz).tolist() if ds.meta.fs_hz
              else [None] * len(mi))
@@ -106,7 +115,7 @@ def cmd_mi(args) -> int:
 def cmd_emi(args) -> int:
     cfg = _scenario(args)
     ds = _dataset(args, cfg)
-    est = emi_kde(ds, projected_dim=cfg.estimator.projected_dim)
+    est = _estimate(args, emi_kde, ds, projected_dim=cfg.estimator.projected_dim)
     summary = {"emi_bits": est.emi_bits, "emi_bits_clamped": est.emi_bits_clamped,
                "projected_dim": est.projected_dim, "n_samples": est.n_samples,
                "n_classes": ds.n_classes}

@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from ._records import _check_count, _check_real, read_record
-from .capacity import MIN_USERS
+from .capacity import MAX_USERS, MIN_USERS
 from .classifier import _check_ridge
 from .fingerprint import PipelineConfig
 from .infotheory import MAX_PROJECTED_DIM, MIN_BINS
@@ -59,7 +59,7 @@ class CapacityConfig:
     n_max: int = 10_000
 
     def __post_init__(self):
-        _check_count("n_max", self.n_max, MIN_USERS)
+        _check_count("n_max", self.n_max, MIN_USERS, MAX_USERS)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,22 @@ def _float64_blocks(x: np.ndarray, means=0.0, labels=None):
         yield lo, np.subtract(x[lo:lo + len(block)], subtrahend, out=block)
 
 
+def _column_means(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=0) of x's C-ordered float64 form, whatever x's layout.
+
+    NumPy sums a C-ordered matrix's columns row after row, but an F-ordered
+    one's pairwise. Each block here carries the sum so far in its first row,
+    so the rows are added one after another across blocks as well. (NumPy
+    sums a single column pairwise at either layout; this, over more than
+    one block, row after row.)
+    """
+    total = np.full(x.shape[1], -0.0)  # -0.0 + v is v, for v = -0.0 too
+    for _, rows in _float64_blocks(x):
+        rows[0] += total
+        np.add.reduce(rows, axis=0, out=total)
+    return total / x.shape[0]
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end capture pipeline settings shared by dataset builders.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._records import _check_count, _check_real
-from .fingerprint import FingerprintDataset, _float64_blocks
+from .fingerprint import FingerprintDataset, _column_means, _float64_blocks
 
 # estimator limits; EstimatorConfig checks a loaded scenario against them too
 MIN_BINS = 2
@@ -163,7 +163,7 @@ def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate
 
     x = dataset.features
     n, m = x.shape
-    mean = x.mean(axis=0, dtype=np.float64)
+    mean = _column_means(x)
     # principal directions from the m x m Gram matrix, largest first. The
     # singular values of the rank test are measured as column norms of the
     # projection, because sqrt of a Gram eigenvalue is only good to ~1e-8 *

@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rffcap
 from rffcap.cli import main
-from rffcap.fingerprint import load_dataset
+from rffcap.fingerprint import DatasetMeta, FingerprintDataset, load_dataset, save_dataset
 from rffcap.harness import SweepResult, SweepRow, sweep_to_csv, sweep_to_json
 
 CONFIG_YAML = """\
@@ -314,6 +315,19 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
         2, "rffcap: error: sweep: n_train_devices = 1: "
            "n_devices must be >= 2 and an integer: 1\n")
     assert not (tmp_path / "bad.csv").exists()
+    # an estimator's rejection of the scenario's dataset (a 15-line traceback before)
+    bad.write_text("per_class: 10\n")
+    proc = run_cli(["emi", "--config", str(bad), "--out", "emi.json"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        2, "rffcap: error: every class needs >= 10*projected_dim = 100 samples "
+           "(smallest has 10); reduce projected_dim\n")
+    assert not (tmp_path / "emi.json").exists()
+    # an n_max past the scan's limit (a MemoryError traceback before)
+    bad.write_text("capacity: {n_max: 1000000000000000}\n")
+    proc = run_cli(["capacity", "--emi", "3", "--config", str(bad)], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        2, "rffcap: error: capacity: n_max must be >= 3, <= 1000000 and an integer: "
+           "1000000000000000\n")
     # any other failure keeps its traceback
     proc = run_cli(["emi", "--data", "missing.rfds"], tmp_path)
     assert proc.returncode == 1
@@ -339,6 +353,19 @@ def test_malformed_data_file_is_one_error_line(tmp_path, capsys, command, payloa
     out = tmp_path / "out.csv"
     assert main([command, "--data", str(bad), "--out", str(out), "--format", "csv"]) == 2
     assert capsys.readouterr() == ("", f"rffcap: error: {message.format(bad)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mi", "emi"])
+def test_an_estimator_rejecting_the_data_file_is_one_error_line(tmp_path, capsys, command):
+    # a valid file of one class ended in an 18-line traceback, exit 1
+    bad = tmp_path / "one_class.rfds"
+    save_dataset(FingerprintDataset(
+        np.random.default_rng(0).normal(size=(20, 4)), np.zeros(20, dtype=int),
+        DatasetMeta(fs_hz=4e6, n_fft=4, snr_db=24.0, q_bits=14, class_ids=[0])), bad)
+    out = tmp_path / "out.csv"
+    assert main([command, "--data", str(bad), "--out", str(out), "--format", "csv"]) == 2
+    assert capsys.readouterr() == ("", f"rffcap: error: {bad}: need at least 2 distinct labels\n")
     assert not out.exists()
 
 

@@ -169,6 +169,10 @@ def test_value_validation(tmp_path):
         ({"classifier": {"test_per_class": 1}}, "classifier: test_per_class must be >= 2"),
         ({"classifier": {"max_devices": 3}}, "classifier: max_devices must be >= 4"),
         ({"capacity": {"n_max": 2}}, "capacity: n_max must be >= 3"),
+        # the scan holds arrays of n_max values; 10**15 of them once died in a
+        # MemoryError when the capacity command ran
+        ({"capacity": {"n_max": 10**15}},
+         "capacity: n_max must be >= 3, <= 1000000 and an integer: 1000000000000000"),
         ({"seed": -1}, "top level: seed must be >= 0"),
         # a YAML boolean is no number, though int() and float() would take it
         ({"seed": True}, "seed: expected int, got True"),
@@ -235,7 +239,7 @@ SHARED_LIMITS = {
     "ridge": (lambda v: ClassifierConfig(ridge=v),
               lambda v: fit_lda(DATASET, ridge=v), [True, "1", *NON_FINITE, -1.0]),
     "n_max": (lambda v: CapacityConfig(n_max=v),
-              lambda v: user_capacity(3.0, 0.01, n_max=v), [True, "100", 2.5, 2]),
+              lambda v: user_capacity(3.0, 0.01, n_max=v), [True, "100", 2.5, 2, 1_000_001]),
     "per_class": (lambda v: ScenarioConfig(per_class=v),
                   lambda v: build_dataset(PROFILES, v, PipelineConfig()), [True, "150", 2.5, 1]),
     "n_symbols": (lambda v: PipelineConfig(n_symbols=v),

@@ -4,11 +4,13 @@ load_dataset returns the float32 features an .rfds file stores, and
 FingerprintDataset keeps a float32 array as it is. per_feature_mi, emi_kde,
 fit_lda with classify, and user_capacity compute in float64 whatever the
 storage dtype, so every output on float32 features must equal the output on
-the same values widened to float64. That must hold for C-ordered arrays,
-for the row-strided even and odd halves the benchmark trains and tests on,
-and for F-ordered arrays. Writing a loaded dataset back must reproduce its
-file byte for byte. The examples are derandomized so the suite runs the
-same inputs every time.
+the same values widened to float64. They read the rows as C-ordered float64
+blocks whatever the layout, so both must also equal the output on the
+C-ordered float64 copy. That must hold for C-ordered arrays, for the
+row-strided even and odd halves the benchmark trains and tests on, and for
+F-ordered arrays. Writing a loaded dataset back must reproduce its file
+byte for byte. The examples are derandomized so the suite runs the same
+inputs every time.
 """
 
 import numpy as np
@@ -71,26 +73,29 @@ def test_estimators_on_float32_equal_their_float64_upcast(data, layout):
     x, y = data
     y = y[ROWS[layout]]
     x32, x64 = laid_out(x, layout), laid_out(x.astype(np.float64), layout)
-    ds32, ds64 = make_ds(x32, y), make_ds(x64, y)
-    assert ds32.features is x32 and ds64.features.dtype == np.float64
+    # float32, its float64 upcast and the upcast's C-ordered copy
+    datasets = [make_ds(x32, y), make_ds(x64, y), make_ds(np.ascontiguousarray(x64), y)]
+    assert datasets[0].features is x32 and datasets[1].features.dtype == np.float64
 
-    mi32, mi64 = per_feature_mi(ds32, bins=16), per_feature_mi(ds64, bins=16)
-    assert_same_fields(mi32, mi64, ("per_bin_mi", "h_x"))
+    def assert_all_same(results, names):
+        for result in results[:-1]:
+            assert_same_fields(result, results[-1], names)
 
-    emi32, emi64 = emi_kde(ds32, projected_dim=2), emi_kde(ds64, projected_dim=2)
-    assert_same_fields(emi32, emi64, ("emi_bits", "emi_bits_clamped", "projected_dim",
-                                      "bandwidths", "rank", "loo_floor_hits"))
+    assert_all_same([per_feature_mi(ds, bins=16) for ds in datasets], ("per_bin_mi", "h_x"))
+
+    emis = [emi_kde(ds, projected_dim=2) for ds in datasets]
+    assert_all_same(emis, ("emi_bits", "emi_bits_clamped", "projected_dim", "bandwidths",
+                           "rank", "loo_floor_hits"))
     for threshold in (0.01, 0.1):
-        cap32 = user_capacity(emi32.emi_bits_clamped, threshold, 1000)
-        cap64 = user_capacity(emi64.emi_bits_clamped, threshold, 1000)
-        assert_same_fields(cap32, cap64, ("n_c", "saturated", "below_min", "trace"))
+        assert_all_same([user_capacity(emi.emi_bits_clamped, threshold, 1000) for emi in emis],
+                        ("n_c", "saturated", "below_min", "trace"))
 
-    lda32, lda64 = fit_lda(ds32), fit_lda(ds64)
-    assert_same_fields(lda32, lda64, ("projection", "class_means", "pooled_cov_inv",
-                                      "class_ids", "kappa_eff", "ridge"))
-    assert_same_fields(classify(lda32, ds32), classify(lda64, ds64),
-                       ("pe", "per_class_errors", "min_distance_scores", "confusion",
-                        "assigned_ids"))
+    ldas = [fit_lda(ds) for ds in datasets]
+    assert_all_same(ldas, ("projection", "class_means", "pooled_cov_inv", "class_ids",
+                           "kappa_eff", "ridge"))
+    assert_all_same([classify(lda, ds) for lda, ds in zip(ldas, datasets)],
+                    ("pe", "per_class_errors", "min_distance_scores", "confusion",
+                     "assigned_ids"))
 
 
 @PROPERTY_SETTINGS
@@ -120,3 +125,15 @@ def test_per_feature_mi_bins_float32_as_float64_at_stored_analysis_size():
     mi32 = per_feature_mi(make_ds(x, y), bins=64)
     mi64 = per_feature_mi(make_ds(x.astype(np.float64), y), bins=64)
     assert_same_fields(mi32, mi64, ("per_bin_mi", "h_x"))
+
+
+def test_emi_kde_on_f_ordered_float64_features_equals_the_c_ordered_copy():
+    # float64 values whose column sums round, as the float32 values above
+    # summed in float64 do not: NumPy sums an F-ordered matrix's columns
+    # pairwise and a C-ordered one's row after row, and emi_kde must center
+    # F-ordered rows, over two row blocks here, by the latter mean
+    rng = np.random.default_rng(7)
+    y = np.repeat(np.arange(5), 300)
+    x = rng.normal(size=(y.size, 16)) + rng.normal(size=(5, 16))[y] - 40.0
+    assert_same_fields(emi_kde(make_ds(np.asfortranarray(x), y)), emi_kde(make_ds(x, y)),
+                       ("emi_bits", "projected_dim", "bandwidths", "rank", "loo_floor_hits"))

@@ -214,18 +214,31 @@ def out_of_place_fit_lda(train, kappa=150, block=_ROW_BLOCK):
                     kappa_eff=kappa_eff, ridge=float(ridge))
 
 
-def test_fit_lda_and_classify_equal_the_out_of_place_form(dataset):
-    # the even rows, a strided view, train, as in the benchmark's stored analysis
-    train = FingerprintDataset(dataset.features[0::2], dataset.labels[0::2], dataset.meta)
-    test = FingerprintDataset(dataset.features[1::2], dataset.labels[1::2], dataset.meta)
-    got, want = fit_lda(train, kappa=12), out_of_place_fit_lda(train, kappa=12)
+@pytest.mark.parametrize("layout", ["strided", "F", "float32"])
+def test_fit_lda_and_classify_equal_the_out_of_place_form(dataset, layout):
+    # the even rows train and the odd rows test, two row blocks each: strided
+    # views of the float64 features, as in the benchmark's stored analysis,
+    # their F-ordered copies, or strided views of the features' float32 form.
+    # Each gets the bits of the out-of-place form on the C-ordered float64
+    # array of the same values
+    x = dataset.features.astype(np.float32) if layout == "float32" else dataset.features
+    halves = [x[0::2], x[1::2]]
+    if layout == "F":
+        halves = [np.asfortranarray(half) for half in halves]
+    train, test = (FingerprintDataset(half, dataset.labels[start::2], dataset.meta)
+                   for start, half in enumerate(halves))
+    assert train.features.dtype == x.dtype and train.n_samples > _ROW_BLOCK
+    train_c, test_c = (FingerprintDataset(np.ascontiguousarray(ds.features, np.float64),
+                                          ds.labels, ds.meta) for ds in (train, test))
+    got, want = fit_lda(train, kappa=12), out_of_place_fit_lda(train_c, kappa=12)
     for name in ("projection", "class_means", "pooled_cov_inv", "class_ids"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.kappa_eff, got.ridge) == (want.kappa_eff, want.ridge)
-    got, want = classify(got, test), classify(want, test)
-    for name in ("min_distance_scores", "assigned_ids", "confusion", "per_class_errors"):
+    got, want = classify(got, test), classify(want, test_c)
+    for name in ("min_distance_scores", "assigned_ids", "true_ids", "class_ids", "confusion",
+                 "per_class_errors"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.pe == want.pe
+    assert (got.pe, got.unseen_labels) == (want.pe, want.unseen_labels)
 
 
 def single_product_classify(model, test):
