@@ -148,9 +148,10 @@ def _float64_blocks(x: np.ndarray, means=0.0, labels=None):
     rows of x, each written over the previous one in one buffer.
 
     Every block is C-ordered float64 whatever x's dtype and layout (x - 0.0
-    is float64(x) exactly), so the estimators and the classifier, which read
-    feature rows only through here, give float32 features the bits of their
-    float64 upcast and F-ordered ones those of their C-ordered copy.
+    is float64(x) exactly), so a product or sum over the blocks gives float32
+    rows the bits of their float64 upcast, and F-ordered rows those of their
+    C-ordered copy (BLAS rounds a product with a transposed operand
+    differently).
     """
     n = x.shape[0]
     buf = np.empty((min(_ROW_BLOCK, n), x.shape[1]))
@@ -170,9 +171,10 @@ def _column_means(x: np.ndarray) -> np.ndarray:
 
     NumPy sums a C-ordered matrix's columns row after row, but an F-ordered
     one's pairwise. Each block here carries the sum so far in its first row,
-    so the rows are added one after another across blocks as well. (NumPy
-    sums a single column pairwise at either layout; this, over more than
-    one block, row after row.)
+    so the rows are added one after another across blocks as well. A single
+    column, which NumPy sums pairwise at either layout, is summed pairwise
+    only within each block here, so its mean can differ in the last bits
+    once it spans more than one block.
     """
     total = np.full(x.shape[1], -0.0)  # -0.0 + v is v, for v = -0.0 too
     for _, rows in _float64_blocks(x):

@@ -146,3 +146,34 @@ def test_user_capacity_takes_a_numpy_integer_n_max():
                                              rf"np.int64\({bad}\)$"):
             user_capacity(20.0, 0.01, n_max=np.int64(bad))
 
+
+@pytest.mark.parametrize("emi_bits", [float("nan"), float("inf"), -float("inf")])
+def test_user_capacity_rejects_non_finite_emi(emi_bits):
+    with pytest.raises(ValueError, match="emi_bits must be finite"):
+        user_capacity(emi_bits, 0.01)
+
+
+def test_capacity_csv_row(tmp_path):
+    path = tmp_path / "cap.csv"
+    for emi in (2.0, 3.0, 3.5):
+        assert main(["capacity", "--emi", str(emi), "--format", "csv",
+                     "--out", str(path)]) == 0
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "parameter,emi_bits,nc_at_1pct,nc_at_10pct,saturated,below_min"
+        assert len(lines) == 2
+        row = lines[1].split(",")
+        assert float(row[0]) == 0.0
+        assert float(row[1]) == emi
+        assert int(row[2]) == user_capacity(emi, 0.01).n_c
+        assert int(row[3]) == user_capacity(emi, 0.10).n_c
+        assert row[4] == "false"
+        assert row[5] == "false"
+    assert int(row[2]) == 12
+
+
+def test_lower_bound_tightens_with_users():
+    """At fixed information the bound ratio rises as the population grows."""
+    emi = 3.0
+    vals = [fano_lower_bound(emi, n, 0.01).raw for n in (4, 8, 16, 64, 256)]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
+    assert np.isfinite(vals).all()
