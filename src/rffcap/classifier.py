@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ._records import _check_count, _check_real
+from .capacity import MIN_USERS
 from .fingerprint import (FingerprintDataset, PipelineConfig, _column_means, _float64_blocks,
                           build_dataset)
 from .signal_model import DeviceProfile
@@ -215,7 +216,7 @@ def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
     shuffle_train_labels destroys the feature/identity association (seeded)
     to measure chance-level behavior.
     """
-    _check_count("n_classes", n_classes, 3)
+    _check_count("n_classes", n_classes, MIN_USERS)
     if n_classes > len(profiles):
         raise ValueError(f"only {len(profiles)} profiles for n_classes={n_classes}")
     train, test, shuffle_seq = _experiment_datasets(

@@ -8,13 +8,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .capacity import _check_emi, _check_threshold, user_capacity
+from .capacity import MIN_USERS, _check_emi, _check_threshold, user_capacity
 from .classifier import error_rate_experiment
 from .config import ConfigError, ScenarioConfig, load_config
 from ._records import _check_count
 from .fingerprint import build_dataset, feature_bin_frequencies, load_dataset, save_dataset
-from .harness import (SweepSpec, _check_slack, read_sweep_rows, run_sweep, sweep_to_csv,
-                      sweep_to_json, validate_bounds, write_table)
+from .harness import (BOUND_SLACK, SWEEP_THRESHOLDS, SweepSpec, _check_slack, read_sweep_rows,
+                      run_sweep, sweep_to_csv, sweep_to_json, validate_bounds, write_table)
 from .infotheory import emi_kde, per_feature_mi
 from .signal_model import sample_profiles
 
@@ -60,24 +60,21 @@ def emit(args, columns, rows, payload, out: Path | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _rejected(source: Path | None, call, *args, **kwargs):
+    """call(*args, **kwargs), whose ValueError on a command's input becomes a ConfigError
+    prefixed with source, the input's file; None for no file or one the message names."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}" if source else str(exc)) from None
+
+
 def _dataset(args, cfg: ScenarioConfig):
     """The --data file if one is given, else the scenario's dataset."""
     if getattr(args, "data", None):
-        try:
-            return load_dataset(args.data)
-        except ValueError as exc:  # its message names the file
-            raise ConfigError(str(exc)) from None
+        return _rejected(None, load_dataset, args.data)
     profiles = sample_profiles(cfg.population, cfg.n_devices, cfg.seed)
     return build_dataset(profiles, cfg.per_class, cfg.pipeline, cfg.seed)
-
-
-def _estimate(args, estimator, ds, **settings):
-    """estimator(ds, **settings); a dataset it rejects is user input, so its
-    ValueError becomes a ConfigError naming the --data file if one was given."""
-    try:
-        return estimator(ds, **settings)
-    except ValueError as exc:
-        raise ConfigError(f"{args.data}: {exc}" if args.data else str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
@@ -100,7 +97,7 @@ def cmd_simulate(args) -> int:
 def cmd_mi(args) -> int:
     cfg = _scenario(args)
     ds = _dataset(args, cfg)
-    report = _estimate(args, per_feature_mi, ds, bins=cfg.estimator.bins)
+    report = _rejected(args.data, per_feature_mi, ds, bins=cfg.estimator.bins)
     mi = report.per_bin_mi.tolist()
     freqs = (feature_bin_frequencies(len(mi), ds.meta.fs_hz).tolist() if ds.meta.fs_hz
              else [None] * len(mi))
@@ -115,7 +112,7 @@ def cmd_mi(args) -> int:
 def cmd_emi(args) -> int:
     cfg = _scenario(args)
     ds = _dataset(args, cfg)
-    est = _estimate(args, emi_kde, ds, projected_dim=cfg.estimator.projected_dim)
+    est = _rejected(args.data, emi_kde, ds, projected_dim=cfg.estimator.projected_dim)
     summary = {"emi_bits": est.emi_bits, "emi_bits_clamped": est.emi_bits_clamped,
                "projected_dim": est.projected_dim, "n_samples": est.n_samples,
                "n_classes": ds.n_classes}
@@ -151,8 +148,8 @@ def cmd_classify(args) -> int:
     n_classes = (min(cfg.n_devices, cfg.classifier.max_devices) if args.n_classes is None
                  else args.n_classes)
     profiles = sample_profiles(cfg.population, max(n_classes, cfg.n_devices), cfg.seed)
-    report = error_rate_experiment(
-        profiles, n_classes, cfg.pipeline,
+    report = _rejected(
+        None, error_rate_experiment, profiles, n_classes, cfg.pipeline,
         train_per_class=cfg.classifier.train_per_class,
         test_per_class=cfg.classifier.test_per_class,
         kappa=cfg.classifier.kappa, ridge=cfg.classifier.ridge,
@@ -187,14 +184,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        rows = read_sweep_rows(args.rows)
-    except ValueError as exc:  # its message names the file
-        raise ConfigError(str(exc)) from None
-    try:
-        checks = validate_bounds(rows, slack=args.slack)
-    except ValueError as exc:
-        raise ConfigError(f"{args.rows}: {exc}") from None
+    rows = _rejected(None, read_sweep_rows, args.rows)
+    checks = _rejected(args.rows, validate_bounds, rows, slack=args.slack)
     if args.out:
         emit(args, list(vars(checks[0])), (vars(c).values() for c in checks),
              {"slack": args.slack, "checks": [vars(c) for c in checks]})
@@ -235,16 +226,17 @@ def main(argv=None) -> int:
     _add_common(p, fmt_choices=("json", "csv"))
     p.add_argument("--emi", type=_usage_checked(lambda text: _check_emi(float(text))),
                    required=True, help="EMI estimate in bits")
-    p.add_argument("--thresholds", default="0.01,0.10",
+    p.add_argument("--thresholds", default=SWEEP_THRESHOLDS,
                    type=_usage_checked(lambda text: [_check_threshold(float(t))
                                                      for t in text.split(",")]),
-                   help="comma-separated error thresholds (default 0.01,0.10)")
+                   help="comma-separated error thresholds "
+                        f"(default {','.join(f'{t:g}' for t in SWEEP_THRESHOLDS)})")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("classify", help="train/test error-rate experiment")
     _add_common(p)
-    p.add_argument("--n-classes",
-                   type=_usage_checked(lambda text: _check_count("n_classes", int(text), 3)),
+    p.add_argument("--n-classes", type=_usage_checked(
+                       lambda text: _check_count("n_classes", int(text), MIN_USERS)),
                    help="devices to classify (default config)")
     p.add_argument("--shuffle-labels", action="store_true",
                    help="shuffle training labels to measure chance level")
@@ -262,16 +254,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate", help="check sweep rows against error bounds")
     _add_common(p, scenario=False)
     p.add_argument("--rows", type=Path, required=True, help="sweep CSV/JSON file")
-    p.add_argument("--slack", default=0.2,
+    p.add_argument("--slack", default=BOUND_SLACK,
                    type=_usage_checked(lambda text: _check_slack(float(text))),
-                   help="EMI slack in bits (default 0.2)")
+                   help=f"EMI slack in bits (default {BOUND_SLACK:g})")
     p.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
-        # a rejected scenario or rows file is user input, not a fault: one line
+        # rejected user input is not a fault: one line
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

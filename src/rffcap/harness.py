@@ -34,6 +34,7 @@ from .infotheory import emi_kde
 from .signal_model import sample_profiles
 
 SWEEP_THRESHOLDS = (0.01, 0.10)
+BOUND_SLACK = 0.2  # EMI slack in bits that validate_bounds adds by default
 
 
 @dataclass
@@ -296,7 +297,7 @@ def _check_slack(slack: float) -> float:
     return _check_real("slack", slack)
 
 
-def validate_bounds(rows, slack: float = 0.2) -> list[BoundCheck]:
+def validate_bounds(rows, slack: float = BOUND_SLACK) -> list[BoundCheck]:
     """Check every empirical row against its slack-adjusted error lower bound.
 
     For each row with an empirical error rate, requires

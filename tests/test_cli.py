@@ -328,10 +328,18 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
     assert (proc.returncode, proc.stderr) == (
         2, "rffcap: error: capacity: n_max must be >= 3, <= 1000000 and an integer: "
            "1000000000000000\n")
+    # the classifier's rejection of the scenario's training set (a traceback before)
+    bad.write_text("n_devices: 4\npipeline: {n_fft: 1024}\nclassifier: "
+                   "{ridge: 0, train_per_class: 2, test_per_class: 2, max_devices: 4}\n")
+    proc = run_cli(["classify", "--config", str(bad), "--out", "cls.csv"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "rffcap: error: within-class scatter is singular; rerun with a positive ridge\n")
+    assert not (tmp_path / "cls.csv").exists()
     # any other failure keeps its traceback
-    proc = run_cli(["emi", "--data", "missing.rfds"], tmp_path)
-    assert proc.returncode == 1
-    assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr
+    for argv in (["emi", "--data", "missing.rfds"], ["classify", "--config", "missing.yaml"]):
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr
 
 
 # one row of two features, the second NaN, under a valid meta block

@@ -50,7 +50,12 @@ def make_ds(x, y):
 
 @st.composite
 def float32_classes(draw):
-    """dB-like float32 features of 3-5 Gaussian classes, 40-60 rows each."""
+    """Float32 features of 3-5 Gaussian classes, 40-60 rows each.
+
+    Each value is scaled by a power of two from a span of 31-40 binades, wider
+    than the 29 bits float64 has beyond float32, so a column's float64 sum
+    rounds and its value depends on the order the rows are added in.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_classes = draw(st.integers(3, 5))
     per_class = draw(st.integers(40, 60))
@@ -59,6 +64,7 @@ def float32_classes(draw):
     centers = rng.normal(scale=draw(st.floats(0.1, 5.0)), size=(n_classes, n_features))
     x = (rng.normal(scale=draw(st.floats(0.1, 10.0)), size=(y.size, n_features))
          + centers[y] + draw(st.floats(-90.0, 10.0)))
+    x = np.ldexp(x, rng.integers(-15, draw(st.integers(16, 25)), size=x.shape))
     return x.astype(np.float32), y
 
 
@@ -128,8 +134,7 @@ def test_per_feature_mi_bins_float32_as_float64_at_stored_analysis_size():
 
 
 def test_emi_kde_on_f_ordered_float64_features_equals_the_c_ordered_copy():
-    # float64 values whose column sums round, as the float32 values above
-    # summed in float64 do not: NumPy sums an F-ordered matrix's columns
+    # float64 values whose column sums round: NumPy sums an F-ordered matrix's columns
     # pairwise and a C-ordered one's row after row, and emi_kde must center
     # F-ordered rows, over two row blocks here, by the latter mean
     rng = np.random.default_rng(7)
