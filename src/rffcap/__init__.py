@@ -47,7 +47,6 @@ from .infotheory import (
     per_feature_mi,
 )
 from .signal_model import (
-    AdcConfig,
     DeviceProfile,
     ParamDist,
     PopulationSpec,
@@ -77,7 +76,6 @@ __all__ = [
     "EmiEstimate", "MiReport", "binary_entropy", "emi_kde", "entropy_discrete",
     "per_feature_mi",
     # signal_model
-    "AdcConfig", "DeviceProfile", "ParamDist", "PopulationSpec", "adc_sample",
-    "apply_awgn", "generate_preamble", "preamble_length", "quantization_error_bound",
-    "sample_profiles",
+    "DeviceProfile", "ParamDist", "PopulationSpec", "adc_sample", "apply_awgn",
+    "generate_preamble", "preamble_length", "quantization_error_bound", "sample_profiles",
 ]

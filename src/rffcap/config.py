@@ -18,7 +18,7 @@ from ._records import _check_count, _check_real, read_record
 from .capacity import MAX_USERS, MIN_USERS
 from .classifier import _check_ridge
 from .fingerprint import PipelineConfig
-from .infotheory import MAX_PROJECTED_DIM, MIN_BINS
+from .infotheory import MAX_BINS, MAX_PROJECTED_DIM, MIN_BINS
 from .signal_model import PopulationSpec
 
 SWEEP_AXES = ("n_train_devices", "snr_db", "q_bits", "n_fft", "fs_hz")
@@ -34,7 +34,7 @@ class EstimatorConfig:
     projected_dim: int = 10
 
     def __post_init__(self):
-        _check_count("bins", self.bins, MIN_BINS)
+        _check_count("bins", self.bins, MIN_BINS, MAX_BINS)
         _check_count("projected_dim", self.projected_dim, 1, MAX_PROJECTED_DIM)
 
 

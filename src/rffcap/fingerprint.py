@@ -22,10 +22,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from ._records import _check_count, _check_real, _is_real, read_record
 from .signal_model import (
-    AdcConfig,
     DeviceProfile,
     _as_complex,
     _check_fs_hz,
+    _check_q_bits,
     _check_samples,
     _check_snr_db,
     _noise_std,
@@ -89,6 +89,7 @@ class DatasetMeta:
         # fs_hz 0 means no sample rate is known
         _check_real("fs_hz", self.fs_hz, 0.0)
         _check_snr_db(self.snr_db)
+        _check_q_bits(self.q_bits)
         for c in self.class_ids:
             _check_count("class_ids", c, 0)
         for name in ("onset_flagged_frac", "clip_frac"):
@@ -188,8 +189,11 @@ class PipelineConfig:
     """End-to-end capture pipeline settings shared by dataset builders.
 
     lead_pad is an inclusive range of noise-only samples prepended before the
-    burst (drawn per capture); adc_backoff_db is a front-end gain backoff
-    applied before quantization so rail peaks sit below full scale.
+    burst (drawn per capture). The ADC clips each rail at a fixed full scale
+    of +/-1, where the half-sine rails of the ideal unit-power preamble peak,
+    and quantizes at q_bits; adc_backoff_db, a front-end gain backoff applied
+    before it, is the one setting of the signal's level against that full
+    scale.
     Construction checks every limit, and the config is frozen so it stays valid.
     """
 
@@ -198,7 +202,6 @@ class PipelineConfig:
     snr_db: float | str = 24.0
     snr_ref_fs_hz: float | None = None
     q_bits: int = 14
-    full_scale_vpp: float = 2.0
     n_fft: int = 512
     threshold_factor: float = 6.0
     lead_pad: tuple = (16, 144)
@@ -207,7 +210,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         _validate_n_fft(self.n_fft)
-        self.adc()  # q_bits and full_scale_vpp
+        _check_q_bits(self.q_bits)
         _check_fs_hz(self.fs_hz)
         if self.snr_ref_fs_hz is not None:
             _check_real("snr_ref_fs_hz", self.snr_ref_fs_hz, 0.0, strict=True)
@@ -231,9 +234,6 @@ class PipelineConfig:
         if not _is_real(self.snr_db) or self.snr_ref_fs_hz is None:
             return self.snr_db
         return float(self.snr_db) - 10.0 * np.log10(self.fs_hz / self.snr_ref_fs_hz)
-
-    def adc(self) -> AdcConfig:
-        return AdcConfig(q_bits=self.q_bits, full_scale_vpp=self.full_scale_vpp)
 
     def window(self) -> int:
         return preamble_length(self.fs_hz, self.n_symbols)
@@ -580,7 +580,6 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
 
     ordered = sorted(profiles, key=lambda p: p.device_id)
     n_burst = window = pipeline.window()
-    adc = pipeline.adc()
     snr_db = pipeline.effective_snr_db()
     noise_std = None if isinstance(snr_db, str) else _noise_std(snr_db, 1.0)
     backoff = 10.0 ** (-pipeline.adc_backoff_db / 20.0)
@@ -629,7 +628,7 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
             rails *= backoff
             if not np.isfinite(rails).all():
                 raise ValueError("samples must be finite")
-            clipped = _quantise(rails, adc)
+            clipped = _quantise(rails, pipeline.q_bits)
             acquired, _, row_flagged = _acquire_rows(x, lengths[rows], window,
                                                      pipeline.threshold_factor)
 

@@ -17,6 +17,10 @@ from .fingerprint import FingerprintDataset, _column_means, _float64_blocks
 
 # estimator limits; EstimatorConfig checks a loaded scenario against them too
 MIN_BINS = 2
+# per_feature_mi counts a block of _MI_BLOCK members in _MI_BLOCK * classes *
+# bins cells: ~4.2 MiB of counts and temporaries per class at MAX_BINS, ~3 TB
+# at a billion bins and 12 classes
+MAX_BINS = 4096
 MAX_PROJECTED_DIM = 20
 
 
@@ -81,7 +85,7 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
     pooled min/max; MI is computed from the joint (bin, label) counts in
     base-2. A constant member yields zero MI.
     """
-    _check_count("bins", bins, MIN_BINS)
+    _check_count("bins", bins, MIN_BINS, MAX_BINS)
     y, n_classes = _contiguous_labels(dataset.labels)
 
     x = dataset.features

@@ -31,6 +31,10 @@ def _check_fs_hz(fs_hz: float) -> None:
     _check_real("fs_hz", fs_hz, CHIP_RATE_HZ)
 
 
+def _check_q_bits(q_bits: int) -> None:
+    _check_count("q_bits", q_bits, 4, 24)
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
     """Impairment parameter set that defines one transmitter identity.
@@ -81,24 +85,6 @@ class DeviceProfile:
             finite = False
         if not finite:
             raise ValueError(f"dc_offset must be a finite complex number: {self.dc_offset!r}")
-
-
-@dataclass(frozen=True)
-class AdcConfig:
-    """Uniform clipping quantizer settings.
-
-    q_bits resolution over a full-scale span of full_scale_vpp volts
-    (each rail clips to +/- full_scale_vpp / 2).
-    """
-
-    q_bits: int
-    full_scale_vpp: float = 2.0
-
-    def __post_init__(self):
-        _check_count("q_bits", self.q_bits, 4, 24)
-        if not (_is_real(self.full_scale_vpp)
-                and 0.0 < self.full_scale_vpp / 2.0 ** self.q_bits < np.inf):
-            raise ValueError(f"full_scale_vpp must be finite, its step > 0: {self.full_scale_vpp}")
 
 
 NOISELESS = "noiseless"
@@ -335,31 +321,32 @@ def _as_rails(samples: np.ndarray) -> np.ndarray:
     return rails
 
 
-def adc_sample(samples, adc: AdcConfig) -> tuple[np.ndarray, float]:
-    """Clip each rail to the full-scale range and quantize mid-tread.
+def adc_sample(samples, q_bits: int) -> tuple[np.ndarray, float]:
+    """Clip each rail to the full scale +/-1 and quantize mid-tread at q_bits.
 
     Returns the quantized samples, as a new array, and the fraction of them
-    that hit the clip rails on either branch. Step size is
-    full_scale_vpp / 2**q_bits, so any in-range input is reproduced within
-    half a step. Re-quantizing already quantized samples is an exact no-op.
+    that hit the clip rails on either branch. Step size is 2**(1 - q_bits),
+    so any in-range input is reproduced within half a step. Re-quantizing
+    already quantized samples is an exact no-op.
     """
+    _check_q_bits(q_bits)
     rails = _as_rails(_check_samples(samples))
-    clipped = _quantise(rails, adc)
+    clipped = _quantise(rails, q_bits)
     return _as_complex(rails), float(np.mean(clipped))
 
 
-def _quantise(rails: np.ndarray, adc: AdcConfig) -> np.ndarray:
-    """Clip and quantize C-contiguous float64 I/Q rails (..., 2) in place.
+def _quantise(rails: np.ndarray, q_bits: int) -> np.ndarray:
+    """Clip C-contiguous float64 I/Q rails (..., 2) to +/-1 and quantize them
+    in place at q_bits.
 
     Returns a boolean mask (...) of the samples whose I or Q rail hit the clip
     rails. Zero samples stay zero and never clip, so zero-padding a batch does
     not change any row's clip count.
     """
-    half = adc.full_scale_vpp / 2.0
-    step = adc.full_scale_vpp / 2.0 ** adc.q_bits
-    over = rails > half
-    over |= rails < -half
-    np.clip(rails, -half, half, out=rails)
+    step = 2.0 ** (1 - q_bits)
+    over = rails > 1.0
+    over |= rails < -1.0
+    np.clip(rails, -1.0, 1.0, out=rails)
     rails /= step
     np.round(rails, out=rails)
     rails *= step
@@ -367,6 +354,7 @@ def _quantise(rails: np.ndarray, adc: AdcConfig) -> np.ndarray:
     return over.view(np.uint16)[..., 0] != 0
 
 
-def quantization_error_bound(adc: AdcConfig) -> float:
-    """Documented ceiling on per-rail quantization error: 2**-q_bits * full scale."""
-    return 2.0 ** (-adc.q_bits) * adc.full_scale_vpp
+def quantization_error_bound(q_bits: int) -> float:
+    """Documented ceiling on per-rail quantization error: one step, 2**(1 - q_bits)."""
+    _check_q_bits(q_bits)
+    return 2.0 ** (1 - q_bits)

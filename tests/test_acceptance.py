@@ -23,7 +23,6 @@ from rffcap.fingerprint import (
 from rffcap.harness import SweepSpec, run_sweep, sweep_to_csv
 from rffcap.infotheory import emi_kde, per_feature_mi
 from rffcap.signal_model import (
-    AdcConfig,
     ParamDist,
     PopulationSpec,
     adc_sample,
@@ -65,13 +64,12 @@ def test_acceptance_1_adc_error_bound():
     ok = True
     rng = np.random.default_rng(901)
     for q_bits in (8, 14):
-        adc = AdcConfig(q_bits=q_bits, full_scale_vpp=2.0)
         x = (rng.uniform(-1.0, 1.0, size=100_000)
              + 1j * rng.uniform(-1.0, 1.0, size=100_000))
-        out, clip_fraction = adc_sample(x, adc)
+        out, clip_fraction = adc_sample(x, q_bits)
         err = np.maximum(np.abs(out.real - x.real),
                          np.abs(out.imag - x.imag))
-        bound = quantization_error_bound(adc)
+        bound = quantization_error_bound(q_bits)
         ok &= bound == 2.0 ** (-q_bits) * 2.0
         ok &= float(err.max()) <= bound
         ok &= clip_fraction == 0.0

@@ -31,12 +31,12 @@ from rffcap.fingerprint import (
     build_dataset,
 )
 from rffcap.harness import validate_bounds
-from rffcap.infotheory import binary_entropy, emi_kde, per_feature_mi
+from rffcap.infotheory import MAX_BINS, binary_entropy, emi_kde, per_feature_mi
 from rffcap.signal_model import (
-    AdcConfig,
     DeviceProfile,
     ParamDist,
     PopulationSpec,
+    adc_sample,
     apply_awgn,
     generate_preamble,
     sample_profiles,
@@ -98,6 +98,9 @@ def test_unknown_keys_rejected_at_each_level():
         scenario_from_dict({"population": {"color": {"mean": 0, "std": 1}}})
     with pytest.raises(ConfigError):
         scenario_from_dict({"pipeline": {"sample_rate": 4e6}})
+    # the ADC's full scale is fixed at +/-1; adc_backoff_db sets the headroom
+    with pytest.raises(ConfigError, match=r"pipeline: unknown keys \['full_scale_vpp'\]"):
+        scenario_from_dict({"pipeline": {"full_scale_vpp": 2.0}})
     with pytest.raises(ConfigError):
         scenario_from_dict({"classifier": {"gamma": 1.0}})
     with pytest.raises(ConfigError):
@@ -159,6 +162,9 @@ def test_value_validation(tmp_path):
         ({"n_devices": float("inf")}, "n_devices: expected int, got inf"),
         # the estimator, classifier and capacity limits, met before any run
         ({"estimator": {"bins": 1}}, "estimator: bins must be >= 2"),
+        # per_feature_mi's counts grow with bins; a billion bins asked for ~3 TB
+        ({"estimator": {"bins": MAX_BINS + 1}},
+         f"estimator: bins must be >= 2, <= {MAX_BINS} and an integer: {MAX_BINS + 1}"),
         ({"estimator": {"projected_dim": 0}}, "estimator: projected_dim must be >= 1"),
         ({"estimator": {"projected_dim": 21}}, "estimator: projected_dim must be >= 1, <= 20"),
         ({"classifier": {"kappa": 0}}, "classifier: kappa must be >= 1"),
@@ -231,7 +237,7 @@ NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 # the high one)
 SHARED_LIMITS = {
     "bins": (lambda v: EstimatorConfig(bins=v),
-             lambda v: per_feature_mi(DATASET, bins=v), [True, "64", 2.5, 1]),
+             lambda v: per_feature_mi(DATASET, bins=v), [True, "64", 2.5, 1, MAX_BINS + 1]),
     "projected_dim": (lambda v: EstimatorConfig(projected_dim=v),
                       lambda v: emi_kde(DATASET, projected_dim=v), [True, "10", 2.5, 0, 21]),
     "kappa": (lambda v: ClassifierConfig(kappa=v),
@@ -253,9 +259,8 @@ SHARED_LIMITS = {
                          [True, "6", *NON_FINITE, -1.0, 0.0]),
     "snr_db": (lambda v: PipelineConfig(snr_db=v),
                lambda v: apply_awgn(SAMPLES, v), [True, "24", "quiet", *NON_FINITE, -5000.0]),
-    "full_scale_vpp": (lambda v: PipelineConfig(full_scale_vpp=v),
-                       lambda v: AdcConfig(q_bits=14, full_scale_vpp=v),
-                       [True, "2", *NON_FINITE, 0.0, -1.0]),
+    "q_bits": (lambda v: PipelineConfig(q_bits=v),
+               lambda v: adc_sample(SAMPLES, v), [True, "14", 2.5, 3, 25]),
 }
 
 

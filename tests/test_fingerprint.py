@@ -334,7 +334,7 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, meta):
     ("class_ids", [0, 1.0]), ("onset_flagged_frac", "none"), ("clip_frac", [0.1]),
     ("clip_frac", True), ("snr_db", float("nan")), ("snr_db", -5000.0),
     ("fs_hz", float("nan")), ("fs_hz", -1.0), ("fs_hz", float("inf")), ("clip_frac", 5.0),
-    ("clip_frac", float("nan")), ("onset_flagged_frac", -0.1)])
+    ("clip_frac", float("nan")), ("onset_flagged_frac", -0.1), ("q_bits", -5), ("q_bits", 25)])
 def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
     """Each meta value must have its field's type; a bool is not a number."""
     path = tmp_path / "typed.rfds"
@@ -360,6 +360,9 @@ def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
         ("clip_frac", "nan"): "meta: clip_frac must be >= 0.0, <= 1.0 and finite: nan",
         ("onset_flagged_frac", "-0.1"):
             "meta: onset_flagged_frac must be >= 0.0, <= 1.0 and finite: -0.1",
+        # both loaded while the meta checked no q_bits limit
+        ("q_bits", "-5"): "meta: q_bits must be >= 4, <= 24 and an integer: -5",
+        ("q_bits", "25"): "meta: q_bits must be >= 4, <= 24 and an integer: 25",
     }.get((key, repr(value)), f"meta.{key}: expected {annotation}, got {value!r}")
     with pytest.raises(ValueError, match=re.escape(f"typed.rfds: {message}")):
         load_dataset(path)

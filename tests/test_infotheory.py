@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from rffcap.cli import main
 from rffcap.fingerprint import DatasetMeta, FingerprintDataset, load_dataset, save_dataset
 from rffcap.infotheory import (
+    MAX_BINS,
     EmiEstimate,
     binary_entropy,
     emi_kde,
@@ -132,11 +133,12 @@ def test_per_feature_mi_bounds_and_validation():
     assert np.all(rep.per_bin_mi <= rep.h_x + 1e-9)
     assert np.all(rep.per_bin_mi <= np.log2(3) + 1e-9)
     assert np.all(rep.per_bin_mi >= 0.0)
-    with pytest.raises(ValueError, match="^bins must be >= 2 and an integer: 1$"):
-        per_feature_mi(make_ds(x, y), bins=1)
-    # a fraction ended in NumPy's casting TypeError; a bool is no count
-    for bins in (3.5, True, "8"):
-        with pytest.raises(ValueError, match=rf"^bins must be >= 2 and an integer: {bins!r}$"):
+    assert per_feature_mi(make_ds(x, y), bins=MAX_BINS).bins == MAX_BINS
+    # a fraction ended in NumPy's casting TypeError; a bool is no count. Past
+    # MAX_BINS the counts could outgrow memory
+    for bins in (1, 3.5, True, "8", MAX_BINS + 1):
+        with pytest.raises(ValueError,
+                           match=rf"^bins must be >= 2, <= {MAX_BINS} and an integer: {bins!r}$"):
             per_feature_mi(make_ds(x, y), bins=bins)
     with pytest.raises(ValueError):
         per_feature_mi(make_ds(x, np.zeros(900, dtype=int)))

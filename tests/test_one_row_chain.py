@@ -59,7 +59,7 @@ def one_row_chain(profile, k, pipeline, master_seed):
     noise_seed = int(noise_seq.generate_state(1, np.uint64)[0])
     noisy = apply_awgn(padded, pipeline.effective_snr_db(), seed=noise_seed, signal_power=1.0)
     backoff = 10.0 ** (-pipeline.adc_backoff_db / 20.0)
-    digitized, clip_fraction = adc_sample(noisy * backoff, pipeline.adc())
+    digitized, clip_fraction = adc_sample(noisy * backoff, pipeline.q_bits)
     burst, _, flagged = acquire(digitized, pipeline.window(), pipeline.threshold_factor)
     return extract_spectral_feature(burst, pipeline.n_fft), clip_fraction, flagged
 

@@ -44,7 +44,6 @@ from rffcap.harness import (  # noqa: E402
     sweep_to_csv,
 )
 from rffcap.signal_model import (  # noqa: E402
-    AdcConfig,
     ParamDist,
     PopulationSpec,
     _as_complex,
@@ -58,14 +57,13 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @PROPERTY_SETTINGS
-@given(seeds, st.integers(4, 24), st.floats(0.1, 10.0), st.integers(1, 50))
-def test_quantise_within_half_step_and_idempotent(seed, q_bits, full_scale, n):
-    adc = AdcConfig(q_bits=q_bits, full_scale_vpp=full_scale)
-    half, step = full_scale / 2.0, full_scale / 2.0 ** q_bits
+@given(seeds, st.integers(4, 24), st.integers(1, 50))
+def test_quantise_within_half_step_and_idempotent(seed, q_bits, n):
+    step = 2.0 / 2.0 ** q_bits
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-half, half, n) + 1j * rng.uniform(-half, half, n)
+    x = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
     rails = _as_rails(x)
-    clipped = _quantise(rails, adc)
+    clipped = _quantise(rails, q_bits)
     q = _as_complex(rails)
     assert not clipped.any()
     # half a step, plus the rounding of x / step and of the product back
@@ -73,7 +71,7 @@ def test_quantise_within_half_step_and_idempotent(seed, q_bits, full_scale, n):
     assert np.all(np.abs(q.real - x.real) <= tol)
     assert np.all(np.abs(q.imag - x.imag) <= tol)
     again = rails.copy()
-    clipped_again = _quantise(again, adc)
+    clipped_again = _quantise(again, q_bits)
     assert np.array_equal(again, rails)
     assert not clipped_again.any()
 
@@ -142,8 +140,8 @@ def scenarios(draw):
         # the effective SNR, snr_db shifted by at most 20 dB, stays >= -1000
         snr_db=draw(st.one_of(st.floats(-980.0, 1e6), st.just("noiseless"))),
         snr_ref_fs_hz=draw(st.one_of(st.none(), st.floats(2e6, 2e8))),
-        q_bits=draw(st.integers(4, 24)), full_scale_vpp=draw(st.floats(0.1, 10.0)),
-        n_fft=2 ** draw(st.integers(6, 12)), threshold_factor=draw(st.floats(0.1, 100.0)),
+        q_bits=draw(st.integers(4, 24)), n_fft=2 ** draw(st.integers(6, 12)),
+        threshold_factor=draw(st.floats(0.1, 100.0)),
         lead_pad=(lead_lo, lead_lo + draw(st.integers(0, 500))),
         tail_pad=draw(st.integers(0, 500)), adc_backoff_db=draw(st.floats(-1e3, 1e3)))
     classifier = ClassifierConfig(
@@ -193,7 +191,6 @@ PIPELINE_FIELDS = {
                st.one_of(wide(-1e4, 1e4), st.just("loud"))),
     "snr_ref_fs_hz": (st.one_of(st.none(), st.floats(1e6, 1e8)), wide(-1e7, 1e300)),
     "q_bits": (st.integers(4, 24), counts(-2, 40)),
-    "full_scale_vpp": (st.floats(0.1, 10.0), wide(-10.0, 1e300)),
     "n_fft": (st.sampled_from([2 ** k for k in range(6, 13)]), counts(-64, 8192)),
     "threshold_factor": (st.floats(1.0, 20.0), wide(-10.0, 1e6)),
     "lead_pad": (st.tuples(st.integers(0, 50), st.integers(50, 200)),
@@ -228,8 +225,6 @@ TWO_PROFILES = sample_profiles(PopulationSpec(), 2, seed=3)
 @example({"adc_backoff_db": -1e6})
 @example({"threshold_factor": float("nan")})
 @example({"tail_pad": -40})
-@example({"full_scale_vpp": 1e-320})
-@example({"adc_backoff_db": -6000.0, "full_scale_vpp": 1e300})
 def test_pipeline_config_is_rejected_or_builds_finite_features(kw):
     """Construction raises ValueError, or the config holds no NaN or infinity
     and 2 profiles x 2 captures build into finite features."""

@@ -80,7 +80,7 @@ def test_every_float_field_stores_an_integer_as_a_float():
             read = getattr(read_record(cls, data | {name: int(value)}, "rec"), name)
             assert type(read) is float and read == value, f"{cls.__name__}.{name}"
             checked += 1
-    assert checked >= 10
+    assert checked >= 9
 
 
 @pytest.mark.parametrize("case", [c for c in FIELDS if "None" not in c[3].split(" | ")],
@@ -107,7 +107,7 @@ FRACTIONS = st.floats(0.0, 1.0) | st.none()
 @PROPERTY_SETTINGS
 @given(_records(DatasetMeta, fs_hz=st.floats(min_value=0.0, allow_infinity=False),
                 snr_db=st.floats(min_value=-1000.0, allow_infinity=False) | st.just("noiseless"),
-                class_ids=st.lists(st.integers(min_value=0)),
+                q_bits=st.integers(4, 24), class_ids=st.lists(st.integers(min_value=0)),
                 onset_flagged_frac=FRACTIONS, clip_frac=FRACTIONS))
 def test_dataset_meta_reads_back_equal(meta):
     assert read_record(DatasetMeta, meta.to_dict(), "meta") == meta

@@ -8,7 +8,6 @@ import pytest
 from rffcap.fingerprint import PipelineConfig, acquire, extract_spectral_feature
 from rffcap.signal_model import (
     CHIP_RATE_HZ,
-    AdcConfig,
     DeviceProfile,
     ParamDist,
     PopulationSpec,
@@ -175,9 +174,8 @@ def test_awgn_signal_power_override_decouples_noise_from_amplitude():
 
 
 def test_quantizer_explicit_small_case():
-    # 4 bits over 2 Vpp: step 0.125
-    adc = AdcConfig(q_bits=4, full_scale_vpp=2.0)
-    out, clip_fraction = adc_sample(np.array([0.1 + 0.3j, -0.26 + 0.9999j]), adc)
+    # 4 bits over the +/-1 full scale: step 0.125
+    out, clip_fraction = adc_sample(np.array([0.1 + 0.3j, -0.26 + 0.9999j]), 4)
     assert np.allclose(out.real, [0.125, -0.25], rtol=0, atol=1e-15)
     assert np.allclose(out.imag, [0.25, 1.0], rtol=0, atol=1e-15)
     assert clip_fraction == 0.0
@@ -186,39 +184,39 @@ def test_quantizer_explicit_small_case():
 @pytest.mark.parametrize("q_bits", [8, 14])
 def test_quantizer_error_within_half_step(q_bits):
     rng = np.random.default_rng(100 + q_bits)
-    adc = AdcConfig(q_bits=q_bits, full_scale_vpp=2.0)
     x = rng.uniform(-1.0, 1.0, size=20_000) + 1j * rng.uniform(-1.0, 1.0, size=20_000)
-    out, clip_fraction = adc_sample(x, adc)
+    out, clip_fraction = adc_sample(x, q_bits)
     err = np.maximum(np.abs(out.real - x.real),
                      np.abs(out.imag - x.imag))
     half_step = 2.0 / 2 ** q_bits / 2.0
     assert err.max() <= half_step + 1e-15
-    assert err.max() <= quantization_error_bound(adc)
+    assert err.max() <= quantization_error_bound(q_bits)
     assert clip_fraction == 0.0
 
 
 def test_quantizer_idempotent_and_clipping():
-    adc = AdcConfig(q_bits=6, full_scale_vpp=2.0)
     rng = np.random.default_rng(11)
     x = rng.normal(scale=1.2, size=2000) + 1j * rng.normal(scale=1.2, size=2000)
-    once, once_clipped = adc_sample(x, adc)
-    twice, _ = adc_sample(once, adc)
+    once, once_clipped = adc_sample(x, 6)
+    twice, _ = adc_sample(once, 6)
     assert np.array_equal(once, twice)
     assert once_clipped > 0.0
     assert np.abs(once.real).max() <= 1.0
     assert np.abs(once.imag).max() <= 1.0
     # rails land exactly on the clip level
-    hot, hot_clipped = adc_sample(np.array([5.0 - 5.0j]), adc)
+    hot, hot_clipped = adc_sample(np.array([5.0 - 5.0j]), 6)
     assert hot[0] == 1.0 - 1.0j
     assert hot_clipped == 1.0
     # a sample clips when either rail passes full scale; one on it does not
-    _, one_rail_clipped = adc_sample(np.array([5.0 + 0.2j, 0.2 - 5.0j, 1.0 - 1.0j, 0.5j]), adc)
+    _, one_rail_clipped = adc_sample(np.array([5.0 + 0.2j, 0.2 - 5.0j, 1.0 - 1.0j, 0.5j]), 6)
     assert one_rail_clipped == 0.5
 
 
 def test_quantization_error_bound_values():
-    assert quantization_error_bound(AdcConfig(q_bits=8, full_scale_vpp=2.0)) == 2.0 ** -7
-    assert quantization_error_bound(AdcConfig(q_bits=14, full_scale_vpp=2.0)) == 2.0 ** -13
+    assert quantization_error_bound(8) == 2.0 ** -7
+    assert quantization_error_bound(14) == 2.0 ** -13
+    with pytest.raises(ValueError, match=r"^q_bits must be >= 4, <= 24 and an integer: 25$"):
+        quantization_error_bound(25)
 
 
 def test_profile_validation():
@@ -253,12 +251,6 @@ def test_param_dist_rejects_non_finite_values(name, value):
 
 
 def test_adc_and_channel_validation():
-    with pytest.raises(ValueError):
-        AdcConfig(q_bits=3)
-    with pytest.raises(ValueError):
-        AdcConfig(q_bits=25)
-    with pytest.raises(ValueError):
-        AdcConfig(q_bits=8, full_scale_vpp=0.0)
     # the sampling-rate limit is one check, made by PipelineConfig and generate_preamble
     for build in (lambda: PipelineConfig(fs_hz=1e6),
                   lambda: generate_preamble(DeviceProfile(device_id=0), 1e6)):
@@ -273,11 +265,10 @@ def test_adc_and_channel_validation():
 
 def test_capture_validation():
     """Every one-row function rejects empty, 2-D and non-finite samples."""
-    adc = AdcConfig(q_bits=8)
     for samples in (np.array([]), np.zeros((2, 2)), np.array([np.nan + 0j]),
                     np.array([1 + 1j, complex(0.0, np.inf)])):
         for call in (lambda: apply_awgn(samples, 20.0), lambda: apply_awgn(samples, "noiseless"),
-                     lambda: adc_sample(samples, adc), lambda: acquire(samples, 1),
+                     lambda: adc_sample(samples, 8), lambda: acquire(samples, 1),
                      lambda: extract_spectral_feature(samples, 64)):
             with pytest.raises(ValueError, match="^samples must be a non-empty, finite 1-D array$"):
                 call()
