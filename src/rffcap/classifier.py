@@ -217,6 +217,7 @@ def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
     to measure chance-level behavior.
     """
     _check_count("n_classes", n_classes, MIN_USERS)
+    _check_count("master_seed", master_seed, 0)
     if n_classes > len(profiles):
         raise ValueError(f"only {len(profiles)} profiles for n_classes={n_classes}")
     train, test, shuffle_seq = _experiment_datasets(

@@ -24,6 +24,7 @@ from ._records import _check_count, _check_real, _is_real, read_record
 from .signal_model import (
     DeviceProfile,
     _as_complex,
+    _check_capture,
     _check_fs_hz,
     _check_q_bits,
     _check_samples,
@@ -189,11 +190,12 @@ class PipelineConfig:
     """End-to-end capture pipeline settings shared by dataset builders.
 
     lead_pad is an inclusive range of noise-only samples prepended before the
-    burst (drawn per capture). The ADC clips each rail at a fixed full scale
-    of +/-1, where the half-sine rails of the ideal unit-power preamble peak,
-    and quantizes at q_bits; adc_backoff_db, a front-end gain backoff applied
-    before it, is the one setting of the signal's level against that full
-    scale.
+    burst (drawn per capture); with the most lead-in, the preamble and
+    tail_pad, a capture holds at most MAX_CAPTURE_SAMPLES samples. The ADC
+    clips each rail at a fixed full scale of +/-1, where the half-sine rails
+    of the ideal unit-power preamble peak, and quantizes at q_bits;
+    adc_backoff_db, a front-end gain backoff applied before it, is the one
+    setting of the signal's level against that full scale.
     Construction checks every limit, and the config is frozen so it stays valid.
     """
 
@@ -221,6 +223,8 @@ class PipelineConfig:
         _check_count("lead_pad low", lead_lo, 0)
         _check_count("lead_pad high", lead_hi, lead_lo)
         _check_count("tail_pad", self.tail_pad, 0)
+        # build_dataset's buffers hold whole captures
+        _check_capture(self.fs_hz, self.n_symbols, lead_hi + self.tail_pad)
         # with snr_db >= -1000 the ADC input stays below ~1e100, finite when squared
         _check_real("adc_backoff_db", self.adc_backoff_db, -1000.0, 1000.0)
 
@@ -415,11 +419,9 @@ def _generate_state64(pool: list) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=-1)
 
 
-def _entropy_words(x) -> int:
-    """Number of uint32 words SeedSequence makes of an int or a sequence of ints."""
-    if isinstance(x, (int, np.integer)):
-        return max(1, (int(x).bit_length() + 31) // 32)
-    return sum(_entropy_words(v) for v in x)
+def _entropy_words(x: int) -> int:
+    """Number of uint32 words SeedSequence makes of a non-negative int."""
+    return max(1, (int(x).bit_length() + 31) // 32)
 
 
 def _spawned_states(master_seed, device_ids, per_class: int) -> np.ndarray:
@@ -535,11 +537,12 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     passed through AWGN, front-end backoff, the ADC, burst acquisition, and
     spectral extraction.
 
-    Seeding contract: capture k of a device is seeded by
-    SeedSequence(master_seed, spawn_key=(device_id, k)); its first child draws
-    the lead-in length and its second seeds the standard-normal I/Q noise over
-    exactly that capture's length, as `apply_awgn` would. Results therefore do
-    not depend on the order of the profiles or on how captures are batched.
+    Seeding contract: master_seed is a non-negative integer, and capture k of
+    a device is seeded by SeedSequence(master_seed, spawn_key=(device_id, k));
+    its first child draws the lead-in length and its second seeds the
+    standard-normal I/Q noise over exactly that capture's length, as
+    `apply_awgn` would. Results therefore do not depend on the order of the
+    profiles or on how captures are batched.
     The generator states and the lead-ins of all captures are derived at
     once, in NumPy arithmetic (`_spawned_states`, `_seeded_states`,
     `_lead_ins`), equal to NumPy's bit for bit.
@@ -577,6 +580,7 @@ def build_dataset(profiles: list[DeviceProfile], per_class: int,
     if len(set(ids)) != len(ids):
         raise ValueError("device_id values must be unique")
     _check_count("per_class", per_class, 2)
+    _check_count("master_seed", master_seed, 0)
 
     ordered = sorted(profiles, key=lambda p: p.device_id)
     n_burst = window = pipeline.window()

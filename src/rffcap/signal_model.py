@@ -9,6 +9,7 @@ the receive side as an AWGN channel followed by a clipping mid-tread ADC.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Complex
@@ -19,6 +20,10 @@ from ._records import _check_count, _check_real, _is_real
 
 CHIP_RATE_HZ = 2.0e6
 CHIPS_PER_SYMBOL = 32
+# the most samples one capture holds: its lead-in, preamble and tail. build_dataset
+# holds a block of I/Q rails and one of unit noise draws, each of at least one
+# whole capture, so a capture at this limit takes ~32 MiB of them per process
+MAX_CAPTURE_SAMPLES = 2**20
 
 # 32-chip spreading sequence of the all-zero data symbol; the sync header is
 # this sequence repeated once per symbol.
@@ -33,6 +38,17 @@ def _check_fs_hz(fs_hz: float) -> None:
 
 def _check_q_bits(q_bits: int) -> None:
     _check_count("q_bits", q_bits, 4, 24)
+
+
+def _check_capture(fs_hz: float, n_symbols: int, pad: int = 0) -> None:
+    """The one check of a capture's length: pad samples plus the n_symbols preamble
+    at fs_hz, counted as a float so that a length past float range is inf, at most
+    MAX_CAPTURE_SAMPLES. fs_hz and n_symbols come checked."""
+    try:
+        n_samples = pad + n_symbols * CHIPS_PER_SYMBOL * fs_hz / CHIP_RATE_HZ
+    except OverflowError:  # an integer past float range
+        n_samples = math.inf
+    _check_real("capture samples", n_samples, high=MAX_CAPTURE_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -136,8 +152,10 @@ class PopulationSpec:
 
 
 def sample_profiles(spec: PopulationSpec, n_devices: int, seed=0) -> list[DeviceProfile]:
-    """Draw n_devices profiles from the population, deterministically per seed."""
+    """Draw n_devices profiles from the population, deterministically per seed,
+    a non-negative integer."""
     _check_count("n_devices", n_devices, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     def draw(dist: ParamDist, lo, hi):
@@ -219,10 +237,12 @@ def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) 
         Sampling rate; must be finite and at least the chip rate (2 MHz) so
         the chip stream is represented without dropping chips.
     n_symbols : int
-        Number of 32-chip sync symbols, >= 1.
+        Number of 32-chip sync symbols, >= 1, with the preamble at most
+        MAX_CAPTURE_SAMPLES samples long.
     """
     _check_fs_hz(fs_hz)
     _check_count("n_symbols", n_symbols, 1)
+    _check_capture(fs_hz, n_symbols)
 
     s = _oqpsk_baseband(fs_hz, n_symbols).copy()
     n = s.size
@@ -260,11 +280,12 @@ def apply_awgn(samples, snr_db: float | str, seed=0,
     Noise power is set relative to signal_power when given, otherwise to the
     mean power measured from the samples, so the realized in-band SNR equals
     snr_db in expectation. The noise is the standard-normal I then Q draws of
-    np.random.default_rng(seed), as build_dataset draws each capture's; a
-    "noiseless" snr_db returns a copy of the samples.
+    np.random.default_rng(seed), seed a non-negative integer, as build_dataset
+    draws each capture's; a "noiseless" snr_db returns a copy of the samples.
     """
     samples = _check_samples(samples)
     _check_snr_db(snr_db)
+    _check_count("seed", seed, 0)
     if isinstance(snr_db, str):
         return samples.copy()
     p_sig = float(np.mean(np.abs(samples) ** 2)) if signal_power is None else signal_power

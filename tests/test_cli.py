@@ -342,6 +342,40 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
         assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr
 
 
+@pytest.mark.parametrize("scenario, command, message", [
+    # an int field takes only an integer: 4.0 is rejected, not truncated
+    pytest.param("n_devices: 4.0", "simulate", "n_devices: expected int, got 4.0",
+                 id="integral_float"),
+    # rejected at load, not by NumPy during the build
+    pytest.param("seed: -1", "simulate", "top level: seed must be >= 0 and an integer: -1",
+                 id="negative_seed"),
+    pytest.param("sweep: {values: []}", "simulate", "sweep: values must be non-empty",
+                 id="empty_sweep"),
+    pytest.param(f"sweep: {{values: [10, {10**400}]}}", "simulate",
+                 f"sweep: values must be finite: {10**400}", id="sweep_value_past_float_range"),
+    # the ADC's full scale is fixed at +/-1
+    pytest.param("pipeline: {full_scale_vpp: 2.0}", "simulate",
+                 "pipeline: unknown keys ['full_scale_vpp']", id="full_scale_vpp"),
+    # before per_feature_mi sizes its counts by bins
+    pytest.param("estimator: {bins: 4097}", "mi",
+                 "estimator: bins must be >= 2, <= 4096 and an integer: 4097", id="bins"),
+    pytest.param("population: {cfo_hz: {std: -1.0}}", "simulate",
+                 "population.cfo_hz: std must be >= 0.0 and finite: -1.0", id="negative_std"),
+    # it loaded, and simulate ended in an OverflowError traceback, exit 1
+    pytest.param("pipeline: {fs_hz: 1.0e308}", "simulate",
+                 "pipeline: capture samples must be <= 1048576 and finite: inf",
+                 id="capture_past_its_limit"),
+])
+def test_scenario_rejected_at_load_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                     scenario, command, message):
+    """Exit 2, the one error line, nothing on stdout and no file written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.yaml").write_text(scenario + "\n")
+    assert main([command, "--config", "scenario.yaml", "--out", "out"]) == 2
+    assert capsys.readouterr() == ("", f"rffcap: error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
+
+
 # one row of two features, the second NaN, under a valid meta block
 META = json.dumps({"fs_hz": 4e6, "n_fft": 2, "snr_db": 24.0, "q_bits": 14,
                    "class_ids": [0]}).encode()

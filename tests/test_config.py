@@ -154,6 +154,17 @@ def test_value_validation(tmp_path):
         ({"pipeline": {"lead_pad": [10, 5]}}, "pipeline: lead_pad high must be >= 10"),
         ({"pipeline": {"adc_backoff_db": -1e6}},
          "pipeline: adc_backoff_db must be >= -1000.0, <= 1000.0 and finite"),
+        # a capture of lead_pad high + preamble + tail_pad samples sizes build_dataset's
+        # buffers: fs_hz 1e308 loaded and ended simulate in an OverflowError, and
+        # this lead_pad asked for 64 GB
+        ({"pipeline": {"fs_hz": 1e308}},
+         "pipeline: capture samples must be <= 1048576 and finite: inf"),
+        ({"pipeline": {"lead_pad": [16, 2000000000]}},
+         r"pipeline: capture samples must be <= 1048576 and finite: 2000000544\.0"),
+        ({"pipeline": {"tail_pad": 2**20}},
+         r"pipeline: capture samples must be <= 1048576 and finite: 1049232\.0"),
+        ({"pipeline": {"n_symbols": 10**400}},
+         "pipeline: capture samples must be <= 1048576 and finite: inf"),
         ({"n_devices": 4, "per_class": 1}, "top level: per_class must be >= 2"),
         # an int field takes only an integer: no fraction, no infinity, not 4.0
         ({"n_devices": 4.0}, "n_devices: expected int, got 4.0"),
@@ -254,6 +265,10 @@ SHARED_LIMITS = {
     "fs_hz": (lambda v: PipelineConfig(fs_hz=v),
               lambda v: generate_preamble(DeviceProfile(device_id=0), v),
               [True, "4e6", *NON_FINITE, -1.0, 1e6]),
+    # with no padding a capture is the preamble: 8 symbols at 8.192 GHz fill the limit
+    "capture samples": (lambda v: PipelineConfig(fs_hz=v, lead_pad=(0, 0), tail_pad=0),
+                        lambda v: generate_preamble(DeviceProfile(device_id=0), v),
+                        [8.2e9, 1e308]),
     "threshold_factor": (lambda v: PipelineConfig(threshold_factor=v),
                          lambda v: acquire(SAMPLES, 32, v),
                          [True, "6", *NON_FINITE, -1.0, 0.0]),

@@ -89,6 +89,10 @@ def test_sweep_spec_validation():
     # a YAML boolean is not a value, though float(True) is 1.0
     with pytest.raises(ConfigError, match="sweep: values must be finite: True"):
         SweepSpec(axis="snr_db", values=[True, 30.0], fixed=base)
+    # a capture too long to build (the point was aborted in an OverflowError)
+    with pytest.raises(ConfigError, match=r"^sweep: fs_hz = 1e\+308: capture samples must be "
+                                          r"<= 1048576 and finite: inf$"):
+        SweepSpec(axis="fs_hz", values=[4e6, 1e308], fixed=base)
     # the pipeline's own limits, not narrower ones
     assert SweepSpec(axis="n_fft", values=[4096], fixed=base).values == [4096]
     assert SweepSpec(axis="fs_hz", values=[20e6], fixed=base).values == [20e6]

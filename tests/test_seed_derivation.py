@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rffcap.classifier import error_rate_experiment
 from rffcap.fingerprint import (
     PipelineConfig,
     _PresetState,
@@ -21,10 +22,16 @@ from rffcap.fingerprint import (
     _spawned_states,
     build_dataset,
 )
-from rffcap.signal_model import DeviceProfile, PopulationSpec, _unit_noise, sample_profiles
+from rffcap.signal_model import (
+    DeviceProfile,
+    PopulationSpec,
+    _unit_noise,
+    apply_awgn,
+    sample_profiles,
+)
 
 MASTER_SEEDS = [0, 1, 1234, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 9, 2**160 - 1,
-                np.int64(7), True]
+                np.int64(7)]
 DEVICE_IDS = [0, 39, 2**32 - 1, 2**32 + 5]
 PER_CLASS = 300
 
@@ -65,13 +72,6 @@ def test_states_match_seed_sequence(master_seed):
     noise = _seeded_states(children[:, :, 1, 0])
     assert noise.flags.c_contiguous
     assert np.array_equal(noise, want_noise)
-
-
-def test_sequence_master_seed_matches_seed_sequence():
-    # SeedSequence also takes a sequence of ints as entropy
-    for master_seed in ([3, 2**40], []):
-        want, _, _ = reference_states(master_seed, [2, 5], 4)
-        assert np.array_equal(_spawned_states(master_seed, [2, 5], 4), want)
 
 
 def test_seeded_states_cover_one_and_two_word_seeds():
@@ -189,11 +189,6 @@ def small_build(master_seed=3, device_ids=(0, 1)):
     return build_dataset(profiles, 2, PipelineConfig(n_fft=64), master_seed=master_seed)
 
 
-def test_negative_master_seed_raises_numpys_error():
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        small_build(master_seed=-1)
-
-
 def test_negative_device_id_rejected_at_construction():
     with pytest.raises(ValueError, match="device_id must be >= 0 and an integer: -3"):
         DeviceProfile(device_id=-3)
@@ -201,6 +196,22 @@ def test_negative_device_id_rejected_at_construction():
         small_build(device_ids=(0, -3))
 
 
-def test_float_master_seed_raises_type_error():
-    with pytest.raises(TypeError, match="expects int"):
-        small_build(master_seed=1.5)
+# each seed the library takes, by name, and a call that takes it
+SEEDED_CALLS = {
+    "sample_profiles": ("seed", lambda s: sample_profiles(PopulationSpec(), 2, seed=s)),
+    "apply_awgn": ("seed", lambda s: apply_awgn(np.ones(8, dtype=complex), 20.0, seed=s)),
+    "build_dataset": ("master_seed", lambda s: small_build(master_seed=s)),
+    "error_rate_experiment": ("master_seed", lambda s: error_rate_experiment(
+        sample_profiles(PopulationSpec(), 3, seed=4), 3, PipelineConfig(n_fft=64),
+        train_per_class=2, test_per_class=2, master_seed=s)),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "7"], ids=repr)
+@pytest.mark.parametrize("call", SEEDED_CALLS)
+def test_every_seed_must_be_a_non_negative_integer(call, seed):
+    # None drew OS entropy in the first two and ended build_dataset in a
+    # TypeError, 1.5 raised NumPy's TypeError, and True was taken as 1
+    name, run = SEEDED_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0 and an integer: {seed!r}$"):
+        run(seed)
