@@ -88,7 +88,16 @@ def _check_threshold(threshold: float) -> float:
     return _check_real("threshold", threshold, 0.0, 0.5, strict=True)
 
 
-def user_capacity(emi_bits: float, threshold: float, n_max: int = 10_000) -> CapacityResult:
+@dataclass(frozen=True)
+class CapacityConfig:
+    n_max: int = 10_000
+
+    def __post_init__(self):
+        _check_count("n_max", self.n_max, MIN_USERS, MAX_USERS)
+
+
+def user_capacity(emi_bits: float, threshold: float,
+                  n_max: int = CapacityConfig.n_max) -> CapacityResult:
     """Largest N in [3, n_max] whose Fano error lower bound stays <= threshold.
 
     The scan evaluates (log2(N) - emi - H(threshold)) / log2(N-1) for every

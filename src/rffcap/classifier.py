@@ -71,8 +71,24 @@ def _check_ridge(ridge: float | None) -> float | None:
     return None if ridge is None else _check_real("ridge", ridge, 0.0)
 
 
-def fit_lda(train: FingerprintDataset, kappa: int = 150,
-            ridge: float | None = None) -> LdaModel:
+@dataclass(frozen=True)
+class ClassifierConfig:
+    kappa: int = 150
+    ridge: float | None = None
+    train_per_class: int = 200
+    test_per_class: int = 200
+    max_devices: int = 40  # the bracket classifies n_lo and n_lo + 1 devices, n_lo >= MIN_USERS
+
+    def __post_init__(self):
+        _check_count("kappa", self.kappa, 1)
+        _check_ridge(self.ridge)
+        _check_count("train_per_class", self.train_per_class, 2)
+        _check_count("test_per_class", self.test_per_class, 2)
+        _check_count("max_devices", self.max_devices, MIN_USERS + 1)
+
+
+def fit_lda(train: FingerprintDataset, kappa: int = ClassifierConfig.kappa,
+            ridge: float | None = ClassifierConfig.ridge) -> LdaModel:
     """Fit the discriminant projection and Mahalanobis scoring model.
 
     The directions solve the symmetric generalized eigenproblem between-class
@@ -95,8 +111,8 @@ def fit_lda(train: FingerprintDataset, kappa: int = 150,
     _check_ridge(ridge)
     classes, y = np.unique(train.labels, return_inverse=True)
     n_classes = classes.size
-    if n_classes < 3:
-        raise ValueError(f"need at least 3 classes: {n_classes}")
+    if n_classes < MIN_USERS:
+        raise ValueError(f"need at least {MIN_USERS} classes: {n_classes}")
     counts = np.bincount(y, minlength=n_classes)
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 training samples")
@@ -191,26 +207,25 @@ def classify(model: LdaModel, test: FingerprintDataset) -> ClassificationReport:
 
 
 def _experiment_datasets(profiles: Sequence[DeviceProfile], n_classes: int,
-                         pipeline: PipelineConfig, train_per_class: int,
-                         test_per_class: int, master_seed: int):
+                         pipeline: PipelineConfig, settings: ClassifierConfig,
+                         master_seed: int):
     selected = sorted(profiles, key=lambda p: p.device_id)[:n_classes]
     root = np.random.SeedSequence(master_seed)
     train_seq, test_seq, shuffle_seq = root.spawn(3)
-    train = build_dataset(selected, train_per_class, pipeline,
+    train = build_dataset(selected, settings.train_per_class, pipeline,
                           int(train_seq.generate_state(1, np.uint64)[0]))
-    test = build_dataset(selected, test_per_class, pipeline,
+    test = build_dataset(selected, settings.test_per_class, pipeline,
                          int(test_seq.generate_state(1, np.uint64)[0]))
     return train, test, shuffle_seq
 
 
 def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
-                          pipeline: PipelineConfig, train_per_class: int = 200,
-                          test_per_class: int = 200, kappa: int = 150,
-                          ridge: float | None = None, master_seed: int = 0,
-                          shuffle_train_labels: bool = False,
+                          pipeline: PipelineConfig, settings: ClassifierConfig = ClassifierConfig(),
+                          master_seed: int = 0, shuffle_train_labels: bool = False,
                           return_datasets: bool = False):
     """Generate disjoint train/test datasets, fit, classify, and report.
 
+    settings gives each set's rows per class and fit_lda's kappa and ridge.
     Train and test noise realizations are drawn from independent streams
     derived from master_seed, so the experiment is reproducible end to end.
     shuffle_train_labels destroys the feature/identity association (seeded)
@@ -221,12 +236,12 @@ def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
     if n_classes > len(profiles):
         raise ValueError(f"only {len(profiles)} profiles for n_classes={n_classes}")
     train, test, shuffle_seq = _experiment_datasets(
-        profiles, n_classes, pipeline, train_per_class, test_per_class, master_seed)
+        profiles, n_classes, pipeline, settings, master_seed)
     if shuffle_train_labels:
         rng = np.random.default_rng(shuffle_seq)
         train = FingerprintDataset(train.features, rng.permutation(train.labels),
                                    train.meta)
-    model = fit_lda(train, kappa=kappa, ridge=ridge)
+    model = fit_lda(train, kappa=settings.kappa, ridge=settings.ridge)
     report = classify(model, test)
     if return_datasets:
         return report, train, test

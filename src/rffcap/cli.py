@@ -149,10 +149,7 @@ def cmd_classify(args) -> int:
                  else args.n_classes)
     profiles = sample_profiles(cfg.population, max(n_classes, cfg.n_devices), cfg.seed)
     report = _rejected(
-        None, error_rate_experiment, profiles, n_classes, cfg.pipeline,
-        train_per_class=cfg.classifier.train_per_class,
-        test_per_class=cfg.classifier.test_per_class,
-        kappa=cfg.classifier.kappa, ridge=cfg.classifier.ridge,
+        None, error_rate_experiment, profiles, n_classes, cfg.pipeline, cfg.classifier,
         master_seed=cfg.seed, shuffle_train_labels=args.shuffle_labels)
     summary = {"n_classes": n_classes, "pe": report.pe,
                "n_test": report.n_test,

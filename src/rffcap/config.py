@@ -1,9 +1,10 @@
 """Structured configuration for scenarios, populations, and sweeps.
 
 A scenario YAML file is a nested key-value document; every key is optional
-and falls back to the defaults below. Unknown keys are rejected so typos
-fail loudly. Each section checks its limits when it is constructed and is
-frozen (use dataclasses.replace). See the README for the full schema.
+and falls back to the default of its section, which the module it configures
+defines. Unknown keys are rejected so typos fail loudly. Each section checks
+its limits when it is constructed and is frozen (use dataclasses.replace).
+See the README for the full schema.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from pathlib import Path
 import yaml
 
 from ._records import _check_count, _check_real, read_record
-from .capacity import MAX_USERS, MIN_USERS
-from .classifier import _check_ridge
+from .capacity import CapacityConfig
+from .classifier import ClassifierConfig
 from .fingerprint import PipelineConfig
-from .infotheory import MAX_BINS, MAX_PROJECTED_DIM, MIN_BINS
+from .infotheory import EstimatorConfig
 from .signal_model import PopulationSpec
 
 SWEEP_AXES = ("n_train_devices", "snr_db", "q_bits", "n_fft", "fs_hz")
@@ -26,40 +27,6 @@ SWEEP_AXES = ("n_train_devices", "snr_db", "q_bits", "n_fft", "fs_hz")
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    bins: int = 64
-    projected_dim: int = 10
-
-    def __post_init__(self):
-        _check_count("bins", self.bins, MIN_BINS, MAX_BINS)
-        _check_count("projected_dim", self.projected_dim, 1, MAX_PROJECTED_DIM)
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    kappa: int = 150
-    ridge: float | None = None
-    train_per_class: int = 200
-    test_per_class: int = 200
-    max_devices: int = 40  # the bracket classifies n_lo and n_lo + 1 devices, n_lo >= MIN_USERS
-
-    def __post_init__(self):
-        _check_count("kappa", self.kappa, 1)
-        _check_ridge(self.ridge)
-        _check_count("train_per_class", self.train_per_class, 2)
-        _check_count("test_per_class", self.test_per_class, 2)
-        _check_count("max_devices", self.max_devices, MIN_USERS + 1)
-
-
-@dataclass(frozen=True)
-class CapacityConfig:
-    n_max: int = 10_000
-
-    def __post_init__(self):
-        _check_count("n_max", self.n_max, MIN_USERS, MAX_USERS)
 
 
 @dataclass(frozen=True)

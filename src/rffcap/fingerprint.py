@@ -243,8 +243,8 @@ class PipelineConfig:
         return preamble_length(self.fs_hz, self.n_symbols)
 
 
-def acquire(samples, window: int,
-            threshold_factor: float = 6.0) -> tuple[np.ndarray, int, bool]:
+def acquire(samples, window: int, threshold_factor: float = PipelineConfig.threshold_factor
+            ) -> tuple[np.ndarray, int, bool]:
     """The `window` samples from the burst onset, the onset index and the fallback flag.
 
     Short-term power (trailing 16-sample mean) is compared against

@@ -136,15 +136,12 @@ def _run_point(spec: SweepSpec, value, with_classifier: bool) -> SweepRow:
         below_min=any(c.below_min for c in cap.values()))
 
     if with_classifier:
-        c = scenario.classifier
-        n_lo = int(np.clip(cap[0.01].n_c, MIN_USERS, c.max_devices - 1))
-        kw = dict(train_per_class=c.train_per_class, test_per_class=c.test_per_class,
-                  kappa=c.kappa, ridge=c.ridge)
+        n_lo = int(np.clip(cap[0.01].n_c, MIN_USERS, scenario.classifier.max_devices - 1))
         rep_lo, train_lo, _ = error_rate_experiment(
-            profiles, n_lo, scenario.pipeline, master_seed=cls_lo_seed,
-            return_datasets=True, **kw)
+            profiles, n_lo, scenario.pipeline, scenario.classifier, master_seed=cls_lo_seed,
+            return_datasets=True)
         rep_hi = error_rate_experiment(profiles, n_lo + 1, scenario.pipeline,
-                                       master_seed=cls_hi_seed, **kw)
+                                       scenario.classifier, master_seed=cls_hi_seed)
         emi_cls = emi_kde(train_lo, scenario.estimator.projected_dim)
         row.n_classes_tested = n_lo
         row.pe_empirical = rep_lo.pe

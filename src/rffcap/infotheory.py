@@ -15,13 +15,23 @@ import numpy as np
 from ._records import _check_count, _check_real
 from .fingerprint import FingerprintDataset, _column_means, _float64_blocks
 
-# estimator limits; EstimatorConfig checks a loaded scenario against them too
+# estimator limits, checked by EstimatorConfig and the estimators alike
 MIN_BINS = 2
-# per_feature_mi counts a block of _MI_BLOCK members in _MI_BLOCK * classes *
-# bins cells: ~4.2 MiB of counts and temporaries per class at MAX_BINS, ~3 TB
-# at a billion bins and 12 classes
+# per_feature_mi holds at least one member's classes x bins counts and their
+# temporaries: ~128 KiB per class at MAX_BINS, ~380 GB at a billion bins and
+# 12 classes
 MAX_BINS = 4096
 MAX_PROJECTED_DIM = 20
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    bins: int = 64
+    projected_dim: int = 10
+
+    def __post_init__(self):
+        _check_count("bins", self.bins, MIN_BINS, MAX_BINS)
+        _check_count("projected_dim", self.projected_dim, 1, MAX_PROJECTED_DIM)
 
 
 def __getattr__(name):
@@ -67,8 +77,10 @@ class MiReport:
 
 # feature members histogrammed per bincount in per_feature_mi: enough to
 # amortise the call, few enough that a block's counts and temporaries stay in
-# cache (one bincount over all 512 members of a 6,000-row dataset is slower)
+# cache (one bincount over all 512 members of a 6,000-row dataset is slower);
+# past 40 classes x 64 bins a block holds fewer, down to one member's table
 _MI_BLOCK = 32
+_MI_BLOCK_CELLS = _MI_BLOCK * 40 * 64  # the most (member, label, bin) cells a block counts
 
 
 def _contiguous_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -78,7 +90,7 @@ def _contiguous_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return y, classes.size
 
 
-def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
+def per_feature_mi(dataset: FingerprintDataset, bins: int = EstimatorConfig.bins) -> MiReport:
     """Histogram plug-in estimate of I(X_m; Y) for every feature member m.
 
     Each member is discretized into `bins` equal-width bins spanning its
@@ -96,12 +108,13 @@ def per_feature_mi(dataset: FingerprintDataset, bins: int = 64) -> MiReport:
     widths = x.max(axis=0).astype(np.float64, copy=False) - mins
     safe_w = np.where(widths > 0, widths, 1.0)
     p_y = np.bincount(y, minlength=n_classes) / n
+    block = min(_MI_BLOCK, max(1, _MI_BLOCK_CELLS // (n_classes * bins)))
     # cell of each sample in a block's (member, label, bin) counts
-    cells = np.arange(_MI_BLOCK) * (n_classes * bins) + y[:, np.newaxis] * bins
+    cells = np.arange(block) * (n_classes * bins) + y[:, np.newaxis] * bins
     mi = np.empty(m)
     h_x = np.empty(m)
-    for lo in range(0, m, _MI_BLOCK):
-        cols = slice(lo, min(lo + _MI_BLOCK, m))
+    for lo in range(0, m, block):
+        cols = slice(lo, min(lo + block, m))
         # a constant member has x - mins = 0, hence all its samples in bin 0
         idx = np.clip(((x[:, cols] - mins[cols]) / safe_w[cols] * bins).astype(np.int64),
                       0, bins - 1)
@@ -139,7 +152,8 @@ class EmiEstimate:
     loo_floor_hits: int   # samples whose LOO class or total mass hit the 1e-300 floor
 
 
-def emi_kde(dataset: FingerprintDataset, projected_dim: int = 10) -> EmiEstimate:
+def emi_kde(dataset: FingerprintDataset,
+            projected_dim: int = EstimatorConfig.projected_dim) -> EmiEstimate:
     """Kernel-density estimate of I(X; Y) for the full fingerprint vector.
 
     The features are centered and projected onto their top principal

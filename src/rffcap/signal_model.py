@@ -183,7 +183,11 @@ def sample_profiles(spec: PopulationSpec, n_devices: int, seed=0) -> list[Device
 
 
 def preamble_length(fs_hz: float, n_symbols: int) -> int:
-    """Number of samples produced for an n_symbols preamble at fs_hz."""
+    """Number of samples produced for an n_symbols preamble at fs_hz; ValueError
+    unless fs_hz and n_symbols are in range and it is at most MAX_CAPTURE_SAMPLES."""
+    _check_fs_hz(fs_hz)
+    _check_count("n_symbols", n_symbols, 1)
+    _check_capture(fs_hz, n_symbols)
     n_chips = n_symbols * CHIPS_PER_SYMBOL
     return int(round(n_chips * fs_hz / CHIP_RATE_HZ))
 
@@ -240,12 +244,8 @@ def generate_preamble(profile: DeviceProfile, fs_hz: float, n_symbols: int = 8) 
         Number of 32-chip sync symbols, >= 1, with the preamble at most
         MAX_CAPTURE_SAMPLES samples long.
     """
-    _check_fs_hz(fs_hz)
-    _check_count("n_symbols", n_symbols, 1)
-    _check_capture(fs_hz, n_symbols)
-
+    n = preamble_length(fs_hz, n_symbols)  # checks its inputs, which a cache hit would skip
     s = _oqpsk_baseband(fs_hz, n_symbols).copy()
-    n = s.size
 
     if profile.dc_offset != 0:
         s = s + profile.dc_offset

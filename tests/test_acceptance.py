@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 from scipy.integrate import quad
 
 from rffcap.capacity import fano_lower_bound, user_capacity
-from rffcap.classifier import error_rate_experiment, fit_lda
+from rffcap.classifier import ClassifierConfig, error_rate_experiment, fit_lda
 from rffcap.config import ScenarioConfig
 from rffcap.fingerprint import (
     DatasetMeta,
@@ -30,6 +30,8 @@ from rffcap.signal_model import (
     sample_profiles,
 )
 
+# the classifier's training and test rows per class in criteria 5 and 7
+CLASSIFIER = ClassifierConfig(train_per_class=200, test_per_class=200)
 # hardware spread used by the bound-consistency and trend criteria: wide
 # enough that the density estimate saturates where the classifier is clean
 WIDE_POPULATION = PopulationSpec(
@@ -169,8 +171,7 @@ def test_acceptance_5_fano_consistency():
         profiles = sample_profiles(WIDE_POPULATION, n_classes, seed=41)
         cfg = PipelineConfig(n_fft=256, snr_db=snr)
         rep, train, _ = error_rate_experiment(
-            profiles, n_classes, cfg, train_per_class=200, test_per_class=200,
-            master_seed=17, return_datasets=True)
+            profiles, n_classes, cfg, CLASSIFIER, master_seed=17, return_datasets=True)
         emi = emi_kde(train, projected_dim=10)
         bound = fano_lower_bound(emi.emi_bits_clamped + 0.2, n_classes, rep.pe)
         ok &= bound.value <= rep.pe
@@ -233,16 +234,14 @@ def test_acceptance_7_classifier_sanity():
     profiles = sample_profiles(SPREAD_POPULATION, 6, seed=21)
     cfg = PipelineConfig(n_fft=256, snr_db=30.0)
     rep, train, _ = error_rate_experiment(
-        profiles, 6, cfg, train_per_class=200, test_per_class=200,
-        master_seed=22, return_datasets=True)
+        profiles, 6, cfg, CLASSIFIER, master_seed=22, return_datasets=True)
     ok = rep.pe == 0.0
 
     model = fit_lda(train, kappa=150)
     ok &= model.projection.shape[1] == 5  # capped at C - 1
 
     shuffled = error_rate_experiment(
-        profiles, 6, cfg, train_per_class=200, test_per_class=200,
-        master_seed=22, shuffle_train_labels=True)
+        profiles, 6, cfg, CLASSIFIER, master_seed=22, shuffle_train_labels=True)
     ok &= abs(shuffled.pe - (1.0 - 1.0 / 6.0)) <= 0.05
 
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eig, qr, svdvals
 
 from rffcap.classifier import (
+    ClassifierConfig,
     LdaModel,
     classify,
     error_rate_experiment,
@@ -228,15 +229,14 @@ def test_error_rate_experiment_end_to_end():
         PopulationSpec(cfo_hz=ParamDist(0.0, 60e3),
                        iq_gain_db=ParamDist(0.0, 1.0)), 6, seed=3)
     cfg = PipelineConfig(n_fft=128, snr_db=30.0)
+    settings = ClassifierConfig(train_per_class=40, test_per_class=30)
     rep, train, test = error_rate_experiment(
-        profiles, 4, cfg, train_per_class=40, test_per_class=30,
-        master_seed=11, return_datasets=True)
+        profiles, 4, cfg, settings, master_seed=11, return_datasets=True)
     assert train.features.shape == (160, 128)
     assert test.features.shape == (120, 128)
     assert rep.n_test == 120
     assert rep.pe <= 0.05  # strong impairments at high SNR separate cleanly
-    again = error_rate_experiment(profiles, 4, cfg, train_per_class=40,
-                                  test_per_class=30, master_seed=11)
+    again = error_rate_experiment(profiles, 4, cfg, settings, master_seed=11)
     assert again.pe == rep.pe
     assert np.array_equal(again.assigned_ids, rep.assigned_ids)
 
@@ -245,9 +245,9 @@ def test_error_rate_experiment_shuffled_labels_hit_chance():
     profiles = sample_profiles(
         PopulationSpec(cfo_hz=ParamDist(0.0, 60e3)), 4, seed=4)
     cfg = PipelineConfig(n_fft=64, snr_db=24.0)
-    rep = error_rate_experiment(profiles, 4, cfg, train_per_class=150,
-                                test_per_class=400, master_seed=12,
-                                shuffle_train_labels=True)
+    rep = error_rate_experiment(profiles, 4, cfg,
+                                ClassifierConfig(train_per_class=150, test_per_class=400),
+                                master_seed=12, shuffle_train_labels=True)
     assert abs(rep.pe - 0.75) < 0.06
 
 
@@ -267,8 +267,9 @@ def test_classification_report_csv(tmp_path):
     assert main(["classify", "--config", str(config), "--format", "csv",
                  "--out", str(path)]) == 0
     rep = error_rate_experiment(sample_profiles(PopulationSpec(), 3, 33), 3,
-                                PipelineConfig(n_fft=64), train_per_class=20,
-                                test_per_class=5, master_seed=33)
+                                PipelineConfig(n_fft=64),
+                                ClassifierConfig(train_per_class=20, test_per_class=5),
+                                master_seed=33)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "sample_index,min_distance,assigned_id,true_id"
     assert len(lines) == 1 + 15

@@ -1,6 +1,7 @@
 """Scenario configuration parsing, validation, and YAML roundtrips."""
 
-from dataclasses import asdict
+import inspect
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from rffcap.signal_model import (
     adc_sample,
     apply_awgn,
     generate_preamble,
+    preamble_length,
     sample_profiles,
 )
 
@@ -242,52 +244,77 @@ PROFILES = sample_profiles(PopulationSpec(), 2, seed=1)
 SAMPLES = np.ones(64, dtype=complex)
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 
-# each limit that a config section and a library function both enforce: the
-# section built with a value, the function called with it, and bad values (a
-# bool, a string, a fraction or non-finite values, below the low limit, above
-# the high one)
+# each limit that a config section and library functions enforce: the section
+# built with a value, the functions called with it, and bad values (a bool, a
+# string, a fraction or non-finite values, below the low limit, above the
+# high one)
 SHARED_LIMITS = {
     "bins": (lambda v: EstimatorConfig(bins=v),
-             lambda v: per_feature_mi(DATASET, bins=v), [True, "64", 2.5, 1, MAX_BINS + 1]),
+             [lambda v: per_feature_mi(DATASET, bins=v)], [True, "64", 2.5, 1, MAX_BINS + 1]),
     "projected_dim": (lambda v: EstimatorConfig(projected_dim=v),
-                      lambda v: emi_kde(DATASET, projected_dim=v), [True, "10", 2.5, 0, 21]),
+                      [lambda v: emi_kde(DATASET, projected_dim=v)], [True, "10", 2.5, 0, 21]),
     "kappa": (lambda v: ClassifierConfig(kappa=v),
-              lambda v: fit_lda(DATASET, kappa=v), [True, "150", 2.5, 0]),
+              [lambda v: fit_lda(DATASET, kappa=v)], [True, "150", 2.5, 0]),
     "ridge": (lambda v: ClassifierConfig(ridge=v),
-              lambda v: fit_lda(DATASET, ridge=v), [True, "1", *NON_FINITE, -1.0]),
+              [lambda v: fit_lda(DATASET, ridge=v)], [True, "1", *NON_FINITE, -1.0]),
     "n_max": (lambda v: CapacityConfig(n_max=v),
-              lambda v: user_capacity(3.0, 0.01, n_max=v), [True, "100", 2.5, 2, 1_000_001]),
+              [lambda v: user_capacity(3.0, 0.01, n_max=v)], [True, "100", 2.5, 2, 1_000_001]),
     "per_class": (lambda v: ScenarioConfig(per_class=v),
-                  lambda v: build_dataset(PROFILES, v, PipelineConfig()), [True, "150", 2.5, 1]),
+                  [lambda v: build_dataset(PROFILES, v, PipelineConfig())],
+                  [True, "150", 2.5, 1]),
     "n_symbols": (lambda v: PipelineConfig(n_symbols=v),
-                  lambda v: generate_preamble(DeviceProfile(device_id=0), 4e6, v),
+                  [lambda v: generate_preamble(DeviceProfile(device_id=0), 4e6, v),
+                   lambda v: preamble_length(4e6, v)],
                   [True, "8", 2.5, 0]),
     "fs_hz": (lambda v: PipelineConfig(fs_hz=v),
-              lambda v: generate_preamble(DeviceProfile(device_id=0), v),
-              [True, "4e6", *NON_FINITE, -1.0, 1e6]),
+              [lambda v: generate_preamble(DeviceProfile(device_id=0), v),
+               lambda v: preamble_length(v, 8)],
+              [True, "4e6", *NON_FINITE, -1.0, 1e6, -4e6]),
     # with no padding a capture is the preamble: 8 symbols at 8.192 GHz fill the limit
     "capture samples": (lambda v: PipelineConfig(fs_hz=v, lead_pad=(0, 0), tail_pad=0),
-                        lambda v: generate_preamble(DeviceProfile(device_id=0), v),
+                        [lambda v: generate_preamble(DeviceProfile(device_id=0), v),
+                         lambda v: preamble_length(v, 8)],
                         [8.2e9, 1e308]),
     "threshold_factor": (lambda v: PipelineConfig(threshold_factor=v),
-                         lambda v: acquire(SAMPLES, 32, v),
+                         [lambda v: acquire(SAMPLES, 32, v)],
                          [True, "6", *NON_FINITE, -1.0, 0.0]),
     "snr_db": (lambda v: PipelineConfig(snr_db=v),
-               lambda v: apply_awgn(SAMPLES, v), [True, "24", "quiet", *NON_FINITE, -5000.0]),
+               [lambda v: apply_awgn(SAMPLES, v)],
+               [True, "24", "quiet", *NON_FINITE, -5000.0]),
     "q_bits": (lambda v: PipelineConfig(q_bits=v),
-               lambda v: adc_sample(SAMPLES, v), [True, "14", 2.5, 3, 25]),
+               [lambda v: adc_sample(SAMPLES, v)], [True, "14", 2.5, 3, 25]),
 }
 
 
 @pytest.mark.parametrize("name, bad", [(name, bad) for name, (_, _, values) in SHARED_LIMITS.items()
                                        for bad in values])
 def test_config_and_library_reject_a_bad_value_with_one_message(name, bad):
-    section, library, _ = SHARED_LIMITS[name]
+    section, libraries, _ = SHARED_LIMITS[name]
     with pytest.raises(ValueError, match=f"^{name} must be ") as from_section:
         section(bad)
-    with pytest.raises(ValueError) as from_library:
-        library(bad)
-    assert str(from_library.value) == str(from_section.value)
+    for library in libraries:
+        with pytest.raises(ValueError) as from_library:
+            library(bad)
+        assert str(from_library.value) == str(from_section.value)
+
+
+# each library default that a config section also states, and the section's
+# field that it reads
+SECTION_DEFAULTS = [
+    (per_feature_mi, "bins", EstimatorConfig, "bins"),
+    (emi_kde, "projected_dim", EstimatorConfig, "projected_dim"),
+    (fit_lda, "kappa", ClassifierConfig, "kappa"),
+    (fit_lda, "ridge", ClassifierConfig, "ridge"),
+    (user_capacity, "n_max", CapacityConfig, "n_max"),
+    (acquire, "threshold_factor", PipelineConfig, "threshold_factor"),
+]
+
+
+@pytest.mark.parametrize("function, parameter, section, field", SECTION_DEFAULTS,
+                         ids=[f"{f.__name__}-{p}" for f, p, _, _ in SECTION_DEFAULTS])
+def test_library_default_is_its_sections_field_default(function, parameter, section, field):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == {f.name: f.default for f in fields(section)}[field]
 
 
 @pytest.mark.parametrize("name, text", [("snr_ref_fs_hz", "4e6"), ("adc_backoff_db", "3")])

@@ -74,21 +74,44 @@ def test_emi_kde_holds_one_kernel_block_beyond_its_input(dataset):
     assert traced_peak(emi_kde, dataset, projected_dim=10) - kernel_block < 0.25 * nbytes
 
 
-@pytest.mark.parametrize("n_classes, bins", [(40, 64), (4, 16)])
-def test_per_feature_mi_holds_one_blocks_temporaries(n_classes, bins):
+def class_blobs(n_classes):
+    """About 4,000 x 256 float64 features of n_classes equal classes."""
     rng = np.random.default_rng(n_classes)
     y = np.repeat(np.arange(n_classes), 4000 // n_classes)
-    x = rng.normal(size=(4000, 256)) + rng.normal(scale=0.5, size=(n_classes, 256))[y]
-    ds = FingerprintDataset(x, y, DatasetMeta(fs_hz=4e6, n_fft=256, snr_db=24.0, q_bits=14,
-                                              class_ids=list(range(n_classes))))
+    x = rng.normal(size=(y.size, 256)) + rng.normal(scale=0.5, size=(n_classes, 256))[y]
+    return FingerprintDataset(x, y, DatasetMeta(fs_hz=4e6, n_fft=256, snr_db=24.0, q_bits=14,
+                                                class_ids=list(range(n_classes))))
+
+
+@pytest.mark.parametrize("n_classes, bins", [(40, 64), (4, 16), (40, 4096)])
+def test_per_feature_mi_holds_one_blocks_temporaries(n_classes, bins):
+    ds = class_blobs(n_classes)
+    # members per block: 32 up to 40 classes x 64 bins, fewer past that
+    block = min(infotheory._MI_BLOCK, max(1, infotheory._MI_BLOCK_CELLS // (n_classes * bins)))
     # one block's binning holds the cell offsets, the binned members and the
-    # float temporaries of binning them, about three n x _MI_BLOCK arrays,
-    # and its MI the counts, joint, ratio and log terms, four count-sized
-    # arrays; the previous block's idx, counts, joint and ratio still alive
-    # while the next block is binned passed this (40 classes: 6.2 MB traced)
-    column_block = x.shape[0] * infotheory._MI_BLOCK * 8
-    count_block = infotheory._MI_BLOCK * n_classes * bins * 8
-    assert traced_peak(per_feature_mi, ds, bins=bins) < 3.25 * column_block + 4 * count_block
+    # float temporaries of binning them, about three n x block arrays, and
+    # its MI the counts, joint, ratio and log terms, four count-sized arrays,
+    # and the boolean mask of non-empty cells; the labels take a few n-long
+    # arrays whatever the block. The previous block's idx, counts, joint and
+    # ratio still alive while the next block is binned passed this (40
+    # classes x 64 bins: 6.2 MB traced)
+    column_block = ds.n_samples * block * 8
+    count_block = block * n_classes * bins * 8
+    labels = ds.n_samples * 8
+    peak = traced_peak(per_feature_mi, ds, bins=bins)
+    assert peak < 3.25 * column_block + 4.125 * count_block + 4 * labels
+    # 32-member blocks of 40 classes x 4,096 bins traced 168 MiB
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n_classes, bins", [(40, 64), (41, 64), (12, 4096)])
+def test_per_feature_mi_bits_do_not_depend_on_the_block(monkeypatch, n_classes, bins):
+    ds = class_blobs(n_classes)
+    blocked = per_feature_mi(ds, bins=bins)
+    monkeypatch.setattr(infotheory, "_MI_BLOCK_CELLS", 1)  # one member per block
+    single = per_feature_mi(ds, bins=bins)
+    assert np.array_equal(blocked.per_bin_mi, single.per_bin_mi)
+    assert np.array_equal(blocked.h_x, single.h_x)
 
 
 def build_transients(profiles, pipeline):

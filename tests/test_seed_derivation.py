@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rffcap.classifier import error_rate_experiment
+from rffcap.classifier import ClassifierConfig, error_rate_experiment
 from rffcap.fingerprint import (
     PipelineConfig,
     _PresetState,
@@ -203,7 +203,7 @@ SEEDED_CALLS = {
     "build_dataset": ("master_seed", lambda s: small_build(master_seed=s)),
     "error_rate_experiment": ("master_seed", lambda s: error_rate_experiment(
         sample_profiles(PopulationSpec(), 3, seed=4), 3, PipelineConfig(n_fft=64),
-        train_per_class=2, test_per_class=2, master_seed=s)),
+        ClassifierConfig(train_per_class=2, test_per_class=2), master_seed=s)),
 }
 
 

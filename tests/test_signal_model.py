@@ -279,6 +279,9 @@ def test_generate_preamble_validation():
         generate_preamble(DeviceProfile(device_id=0), 1e6)
     with pytest.raises(ValueError, match="^n_symbols must be >= 1 and an integer: 0$"):
         generate_preamble(DeviceProfile(device_id=0), 4e6, 0)
+    # the ideal waveform cached for (4e6, 1) is the cache's entry for (4e6,
+    # True) too; the checks run before the cache is read
+    generate_preamble(DeviceProfile(device_id=0), 4e6, 1)
     for n_symbols in (2.5, True):
         with pytest.raises(ValueError, match=rf"^n_symbols must be >= 1 and an integer: {n_symbols}$"):
             generate_preamble(DeviceProfile(device_id=0), 4e6, n_symbols)
