@@ -43,7 +43,6 @@ from .infotheory import (
     MiReport,
     binary_entropy,
     emi_kde,
-    entropy_discrete,
     per_feature_mi,
 )
 from .signal_model import (
@@ -73,8 +72,7 @@ __all__ = [
     "SweepResult", "SweepRow", "SweepSpec", "read_sweep_rows", "run_sweep",
     "sweep_to_csv", "sweep_to_json", "validate_bounds", "write_table",
     # infotheory
-    "EmiEstimate", "MiReport", "binary_entropy", "emi_kde", "entropy_discrete",
-    "per_feature_mi",
+    "EmiEstimate", "MiReport", "binary_entropy", "emi_kde", "per_feature_mi",
     # signal_model
     "DeviceProfile", "ParamDist", "PopulationSpec", "adc_sample", "apply_awgn",
     "generate_preamble", "preamble_length", "quantization_error_bound", "sample_profiles",

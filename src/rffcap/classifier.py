@@ -206,19 +206,6 @@ def classify(model: LdaModel, test: FingerprintDataset) -> ClassificationReport:
         class_ids=model.class_ids, unseen_labels=unseen)
 
 
-def _experiment_datasets(profiles: Sequence[DeviceProfile], n_classes: int,
-                         pipeline: PipelineConfig, settings: ClassifierConfig,
-                         master_seed: int):
-    selected = sorted(profiles, key=lambda p: p.device_id)[:n_classes]
-    root = np.random.SeedSequence(master_seed)
-    train_seq, test_seq, shuffle_seq = root.spawn(3)
-    train = build_dataset(selected, settings.train_per_class, pipeline,
-                          int(train_seq.generate_state(1, np.uint64)[0]))
-    test = build_dataset(selected, settings.test_per_class, pipeline,
-                         int(test_seq.generate_state(1, np.uint64)[0]))
-    return train, test, shuffle_seq
-
-
 def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
                           pipeline: PipelineConfig, settings: ClassifierConfig = ClassifierConfig(),
                           master_seed: int = 0, shuffle_train_labels: bool = False,
@@ -235,8 +222,12 @@ def error_rate_experiment(profiles: Sequence[DeviceProfile], n_classes: int,
     _check_count("master_seed", master_seed, 0)
     if n_classes > len(profiles):
         raise ValueError(f"only {len(profiles)} profiles for n_classes={n_classes}")
-    train, test, shuffle_seq = _experiment_datasets(
-        profiles, n_classes, pipeline, settings, master_seed)
+    selected = sorted(profiles, key=lambda p: p.device_id)[:n_classes]
+    train_seq, test_seq, shuffle_seq = np.random.SeedSequence(master_seed).spawn(3)
+    train = build_dataset(selected, settings.train_per_class, pipeline,
+                          int(train_seq.generate_state(1, np.uint64)[0]))
+    test = build_dataset(selected, settings.test_per_class, pipeline,
+                         int(test_seq.generate_state(1, np.uint64)[0]))
     if shuffle_train_labels:
         rng = np.random.default_rng(shuffle_seq)
         train = FingerprintDataset(train.features, rng.permutation(train.labels),

@@ -10,11 +10,13 @@ depend on evaluation order or worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import os
 import zlib
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,6 @@ import numpy as np
 from ._records import _check_count, _check_real, read_record
 from .capacity import (
     MIN_USERS,
-    check_fano_consistency,
     fano_lower_bound,
     fano_upper_bound,
     user_capacity,
@@ -149,8 +150,7 @@ def _run_point(spec: SweepSpec, value, with_classifier: bool) -> SweepRow:
         row.emi_bits_classifier = emi_cls.emi_bits_clamped
         row.fano_lower = fano_lower_bound(emi_cls.emi_bits_clamped, n_lo, rep_lo.pe).value
         row.fano_upper_raw = fano_upper_bound(emi_cls.emi_bits_clamped, n_lo).raw
-        row.fano_consistent = check_fano_consistency(
-            emi_cls.emi_bits_clamped, n_lo, rep_lo.pe)
+        row.fano_consistent = row.fano_lower <= rep_lo.pe
     return row
 
 
@@ -159,25 +159,16 @@ def run_sweep(spec: SweepSpec, with_classifier: bool = False,
     """Evaluate every axis value; failed points are recorded, not fatal."""
     _check_count("threads", threads, 1)
     result = SweepResult(spec_axis=spec.axis)
-    outcomes: list = [None] * len(spec.values)
-    if threads == 1 or len(spec.values) == 1:
-        for i, value in enumerate(spec.values):
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=threads)
+          if threads > 1 and len(spec.values) > 1 else contextlib.nullcontext()) as pool:
+        # each point as a call: its future's result, or the point itself, run in process
+        points = [pool.submit(_run_point, spec, v, with_classifier).result if pool
+                  else partial(_run_point, spec, v, with_classifier) for v in spec.values]
+        for value, point in zip(spec.values, points):
             try:
-                outcomes[i] = _run_point(spec, value, with_classifier)
+                result.rows.append(point())
             except Exception as exc:  # noqa: BLE001 - point isolation is the contract
-                outcomes[i] = AbortedPoint(float(value), f"{type(exc).__name__}: {exc}")
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_run_point, spec, v, with_classifier): i
-                       for i, v in enumerate(spec.values)}
-            for fut, i in futures.items():
-                try:
-                    outcomes[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    outcomes[i] = AbortedPoint(float(spec.values[i]),
-                                               f"{type(exc).__name__}: {exc}")
-    for out in outcomes:
-        (result.rows if isinstance(out, SweepRow) else result.aborted).append(out)
+                result.aborted.append(AbortedPoint(float(value), f"{type(exc).__name__}: {exc}"))
     return result
 
 

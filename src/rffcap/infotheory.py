@@ -45,19 +45,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def entropy_discrete(probabilities) -> float:
-    """Shannon entropy in bits of a discrete distribution; 0*log0 = 0."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if not np.isfinite(p).all():
-        raise ValueError("probabilities must be finite")
-    if np.any(p < 0):
-        raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1 (got {p.sum()!r})")
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
 def binary_entropy(p: float) -> float:
     """H(p) = -p*log2(p) - (1-p)*log2(1-p), with H(0) = H(1) = 0."""
     _check_real("p", p, 0.0, 1.0)

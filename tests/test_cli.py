@@ -1,4 +1,9 @@
-"""End-to-end command-line checks, via subprocess and in process."""
+"""Command-line checks that the goldens do not pin: rejected input, in process,
+and the entry point, in one subprocess test.
+
+What each command prints and writes is pinned byte for byte by
+``tests/test_cli_goldens.py``.
+"""
 
 import json
 import os
@@ -13,173 +18,36 @@ import pytest
 
 import rffcap
 from rffcap.cli import main
-from rffcap.fingerprint import DatasetMeta, FingerprintDataset, load_dataset, save_dataset
+from rffcap.fingerprint import DatasetMeta, FingerprintDataset, save_dataset
 from rffcap.harness import SweepResult, SweepRow, sweep_to_csv, sweep_to_json
-
-CONFIG_YAML = """\
-population:
-  cfo_hz: {mean: 0.0, std: 40000.0}
-  iq_gain_db: {mean: 0.0, std: 0.8}
-pipeline:
-  n_fft: 64
-  snr_db: 24.0
-n_devices: 4
-per_class: 24
-estimator:
-  bins: 16
-  projected_dim: 2
-classifier:
-  train_per_class: 24
-  test_per_class: 24
-  max_devices: 6
-sweep:
-  axis: snr_db
-  values: [12.0, 24.0]
-seed: 9
-"""
-
-
-# The directory that holds the imported rffcap package. The child runs in a
-# temp directory, where a relative PYTHONPATH (such as ``src``) would not
-# resolve, so it is given this absolute root instead.
-PACKAGE_ROOT = str(Path(rffcap.__file__).resolve().parent.parent)
-
-
-def run_cli(args, cwd):
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "rffcap", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
-
-
-@pytest.fixture()
-def config_file(tmp_path):
-    path = tmp_path / "scenario.yaml"
-    path.write_text(CONFIG_YAML)
-    return path
 
 
 def test_version_and_usage(tmp_path):
-    ok = run_cli(["--version"], tmp_path)
-    assert ok.returncode == 0
-    assert ok.stdout.strip() == "0.1.0"
-    bare = run_cli([], tmp_path)
-    assert bare.returncode == 2
+    """What only a real ``python -m rffcap`` process shows: --version, bare
+    usage exiting 2, and an unexpected error exiting 1 with its traceback."""
+    # the child runs in a temp directory, where a relative PYTHONPATH (such as
+    # ``src``) would not resolve, so the imported package's absolute root goes first
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(rffcap.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH")) if p)
+
+    def run_cli(*args):
+        return subprocess.run([sys.executable, "-m", "rffcap", *args],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+
+    ok = run_cli("--version")
+    assert (ok.returncode, ok.stdout) == (0, "0.1.0\n")
+    assert run_cli().returncode == 2
+    for argv in (["emi", "--data", "missing.rfds"], ["classify", "--config", "missing.yaml"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr
 
 
-def test_simulate_binary_and_csv(tmp_path, config_file):
-    out = tmp_path / "ds.rfds"
-    res = run_cli(["simulate", "--config", str(config_file), "--format", "bin",
-                   "--out", str(out)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert f"wrote 96 samples x 64 bins (4 devices) to {out}" in res.stdout
-    ds = load_dataset(out)
-    assert ds.features.shape == (96, 64)
-    assert ds.meta.class_ids == [0, 1, 2, 3]
-
-    res = run_cli(["simulate", "--config", str(config_file), "--format", "csv"],
-                  tmp_path)
-    assert res.returncode == 0, res.stderr
-    lines = (tmp_path / "dataset.csv").read_text().splitlines()
-    assert lines[0].startswith("bin_0,") and lines[0].endswith(",label")
-    assert len(lines) == 97
-
-
-def test_mi_command(tmp_path, config_file):
-    ds_path = tmp_path / "ds.rfds"
-    res = run_cli(["simulate", "--config", str(config_file), "--format", "bin",
-                   "--out", str(ds_path)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    out = tmp_path / "mi.csv"
-    res = run_cli(["mi", "--data", str(ds_path), "--config", str(config_file),
-                   "--out", str(out)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    lines = out.read_text().splitlines()
-    assert lines[0] == "bin_index,freq_hz,mi_bits"
-    assert len(lines) == 65
-    assert all(float(ln.split(",")[2]) >= 0.0 for ln in lines[1:])
-
-
-def test_emi_command_json_stdout(tmp_path, config_file):
-    ds_path = tmp_path / "ds.rfds"
-    res = run_cli(["simulate", "--config", str(config_file), "--format", "bin",
-                   "--out", str(ds_path)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    res = run_cli(["emi", "--data", str(ds_path), "--config", str(config_file)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    payload = json.loads(res.stdout)
-    assert payload["projected_dim"] == 2
-    assert payload["n_samples"] == 96
-    assert payload["n_classes"] == 4
-    assert 0.0 <= payload["emi_bits_clamped"] <= 2.0
-    assert len(payload["bandwidths"]) == 2
-
-
-def test_capacity_command(tmp_path):
-    res = run_cli(["capacity", "--emi", "3.5"], tmp_path)
-    assert res.returncode == 0, res.stderr
-    payload = json.loads(res.stdout)
-    assert payload["capacity"]["0.01"]["n_c"] == 12
-    assert payload["capacity"]["0.1"]["n_c"] > 12
-    assert not payload["capacity"]["0.01"]["saturated"]
-
-    out = tmp_path / "cap.csv"
-    res = run_cli(["capacity", "--emi", "3.5", "--format", "csv",
-                   "--out", str(out), "--thresholds", "0.01,0.10"], tmp_path)
-    assert res.returncode == 0, res.stderr
-    lines = out.read_text().splitlines()
-    assert lines[0] == "parameter,emi_bits,nc_at_1pct,nc_at_10pct,saturated,below_min"
-    assert lines[1].split(",")[2] == "12"
-
-
-def test_classify_command(tmp_path, config_file):
-    res = run_cli(["classify", "--config", str(config_file)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    payload = json.loads(res.stdout)
-    assert payload["n_classes"] == 4
-    assert payload["n_test"] == 96
-    assert 0.0 <= payload["pe"] <= 1.0
-    assert len(payload["per_class_errors"]) == 4
-    assert payload["unseen_labels"] == []
-
-
-def test_sweep_command(tmp_path, config_file):
-    res = run_cli(["sweep", "--config", str(config_file)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert "wrote 2 rows (0 aborted) to sweep_snr_db.csv" in res.stdout
-    lines = (tmp_path / "sweep_snr_db.csv").read_text().splitlines()
-    assert lines[0].startswith("# timestamp:")
-    assert lines[1].startswith("axis,value,seed,emi_bits")
-    assert len(lines) == 4
-
-
-def test_validate_command(tmp_path):
-    def row(value, pe, emi):
-        return SweepRow(axis="snr_db", value=value, seed=0, emi_bits=emi,
-                        emi_bits_clamped=emi, nc_1pct=3, nc_10pct=3,
-                        saturated=False, below_min=False, n_classes_tested=8,
-                        pe_empirical=pe, emi_bits_classifier=emi)
-
-    good = tmp_path / "good.csv"
-    sweep_to_csv(SweepResult(spec_axis="snr_db",
-                             rows=[row(1.0, 0.875, 0.0), row(2.0, 0.01, 3.0)]),
-                 good)
-    res = run_cli(["validate", "--rows", str(good)], tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert "2/2 bound checks passed" in res.stdout
-    assert res.stdout.count("pass ") == 2
-
-    bad = tmp_path / "bad.csv"
-    sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[row(1.0, 0.0, 0.0)]), bad)
-    res = run_cli(["validate", "--rows", str(bad)], tmp_path)
-    assert res.returncode == 1
-    assert "FAIL" in res.stdout
-    assert "0/1 bound checks passed" in res.stdout
-
-
-def test_validate_never_passes_a_nan_emi(tmp_path):
+def test_validate_never_passes_a_nan_emi(tmp_path, monkeypatch, capsys):
     # the row printed "pass ... bound=0.0000" and the command exited 0
+    monkeypatch.chdir(tmp_path)
     nan_row = SweepRow(axis="snr_db", value=1.0, seed=0, emi_bits=1.0,
                        emi_bits_clamped=1.0, nc_1pct=3, nc_10pct=3, saturated=False,
                        below_min=False, n_classes_tested=8, pe_empirical=0.0,
@@ -187,15 +55,16 @@ def test_validate_never_passes_a_nan_emi(tmp_path):
     rows = tmp_path / "nan.csv"
     sweep_to_csv(SweepResult(spec_axis="snr_db", rows=[nan_row]), rows)
     assert ",nan," in rows.read_text()
-    res = run_cli(["validate", "--rows", str(rows), "--out", "checks.csv"], tmp_path)
-    assert (res.returncode, res.stdout) == (2, "")
-    assert res.stderr.splitlines() == [
-        f"rffcap: error: {rows}: rows[0] (value=1.0): emi_bits must be finite: nan"]
+    assert main(["validate", "--rows", str(rows), "--out", "checks.csv"]) == 2
+    assert capsys.readouterr() == (
+        "", f"rffcap: error: {rows}: rows[0] (value=1.0): emi_bits must be finite: nan\n")
     assert not (tmp_path / "checks.csv").exists()
 
 
-def test_validate_rejects_a_malformed_or_classifier_less_file_in_one_line(tmp_path):
+def test_validate_rejects_a_malformed_or_classifier_less_file_in_one_line(
+        tmp_path, monkeypatch, capsys):
     # both ended in a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
     cells = tmp_path / "cells.csv"
     cells.write_text("axis,value\nsnr_db,1.0,2\n")
     no_classifier = tmp_path / "sweep.json"
@@ -205,27 +74,30 @@ def test_validate_rejects_a_malformed_or_classifier_less_file_in_one_line(tmp_pa
     for rows, message in [
             (cells, f"{cells}: line 2 has 3 cells, the header has 2"),
             (no_classifier, f"{no_classifier}: no rows carry an empirical error rate to validate")]:
-        res = run_cli(["validate", "--rows", str(rows), "--out", "checks.csv"], tmp_path)
-        assert (res.returncode, res.stdout) == (2, "")
-        assert res.stderr.splitlines() == [f"rffcap: error: {message}"]
+        assert main(["validate", "--rows", str(rows), "--out", "checks.csv"]) == 2
+        assert capsys.readouterr() == ("", f"rffcap: error: {message}\n")
         assert not (tmp_path / "checks.csv").exists()
 
 
-def test_validate_names_a_rows_file_that_is_not_utf8(tmp_path):
+def test_validate_names_a_rows_file_that_is_not_utf8(tmp_path, monkeypatch, capsys):
     # the error line quoted the codec error and did not name the file
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "bin.csv").write_bytes(b"\xff\xfe\x00axis,value\n")
-    res = run_cli(["validate", "--rows", "bin.csv", "--out", "checks.csv"], tmp_path)
-    assert (res.returncode, res.stdout) == (2, "")
-    lines = res.stderr.splitlines()
+    assert main(["validate", "--rows", "bin.csv", "--out", "checks.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("rffcap: error: bin.csv: "), lines
     assert not (tmp_path / "checks.csv").exists()
 
 
-def test_explicit_zero_override_is_not_replaced_by_the_config(config_file, capsys):
+def test_explicit_zero_override_is_not_replaced_by_the_config(tmp_path, capsys):
     # 0 is not taken for "unset", and every count below 3 is a usage error
+    config = tmp_path / "scenario.yaml"
+    config.write_text("n_devices: 4\n")
     for value in ["0", "2", "-1"]:
         with pytest.raises(SystemExit) as exit_info:
-            main(["classify", "--n-classes", value, "--config", str(config_file)])
+            main(["classify", "--n-classes", value, "--config", str(config)])
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"rffcap classify: error: argument --n-classes: "
@@ -296,50 +168,47 @@ def test_bad_option_value_is_a_usage_error(capsys, argv, message):
     assert err.splitlines()[-1] == f"rffcap {argv[0]}: error: {message}"
 
 
-def test_rejected_scenario_is_one_error_line(tmp_path):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("pipeline: {n_fft: 96}\n")
-    proc = run_cli(["simulate", "--config", str(bad), "--out", "bad.rfds"], tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
-        "rffcap: error: pipeline: n_fft must be a power of two in [64, 4096]: 96"]
-    assert not (tmp_path / "bad.rfds").exists()
-    bad.write_text("estimator: {projected_dim: 0}\n")
-    proc = run_cli(["emi", "--config", str(bad)], tmp_path)
-    assert (proc.returncode, proc.stderr) == (
-        2, "rffcap: error: estimator: projected_dim must be >= 1, <= 20 and an integer: 0\n")
+# (scenario, argv, message): a scenario rejected at load, or later by a sweep
+# point, an estimator, the capacity scan or the classifier
+REJECTED_SCENARIOS = [
+    ("pipeline: {n_fft: 96}", "simulate --config scenario.yaml --out bad.rfds",
+     "pipeline: n_fft must be a power of two in [64, 4096]: 96"),
+    ("estimator: {projected_dim: 0}", "emi --config scenario.yaml",
+     "estimator: projected_dim must be >= 1, <= 20 and an integer: 0"),
+    # a NaN std passed construction and failed in the build with a traceback
+    ("population: {cfo_hz: {std: .nan}}", "simulate --config scenario.yaml --out nan.rfds",
+     "population.cfo_hz: std must be >= 0.0 and finite: nan"),
     # a sweep value is checked against the scenario it makes, before any point runs
-    bad.write_text("sweep: {axis: n_train_devices, values: [1, 4]}\n")
-    proc = run_cli(["sweep", "--config", str(bad), "--out", "bad.csv"], tmp_path)
-    assert (proc.returncode, proc.stderr) == (
-        2, "rffcap: error: sweep: n_train_devices = 1: "
-           "n_devices must be >= 2 and an integer: 1\n")
-    assert not (tmp_path / "bad.csv").exists()
+    ("sweep: {axis: n_train_devices, values: [1, 4]}",
+     "sweep --config scenario.yaml --out bad.csv",
+     "sweep: n_train_devices = 1: n_devices must be >= 2 and an integer: 1"),
     # an estimator's rejection of the scenario's dataset (a 15-line traceback before)
-    bad.write_text("per_class: 10\n")
-    proc = run_cli(["emi", "--config", str(bad), "--out", "emi.json"], tmp_path)
-    assert (proc.returncode, proc.stderr) == (
-        2, "rffcap: error: every class needs >= 10*projected_dim = 100 samples "
-           "(smallest has 10); reduce projected_dim\n")
-    assert not (tmp_path / "emi.json").exists()
+    ("per_class: 10", "emi --config scenario.yaml --out emi.json",
+     "every class needs >= 10*projected_dim = 100 samples (smallest has 10); "
+     "reduce projected_dim"),
     # an n_max past the scan's limit (a MemoryError traceback before)
-    bad.write_text("capacity: {n_max: 1000000000000000}\n")
-    proc = run_cli(["capacity", "--emi", "3", "--config", str(bad)], tmp_path)
-    assert (proc.returncode, proc.stderr) == (
-        2, "rffcap: error: capacity: n_max must be >= 3, <= 1000000 and an integer: "
-           "1000000000000000\n")
+    ("capacity: {n_max: 1000000000000000}", "capacity --emi 3 --config scenario.yaml",
+     "capacity: n_max must be >= 3, <= 1000000 and an integer: 1000000000000000"),
     # the classifier's rejection of the scenario's training set (a traceback before)
-    bad.write_text("n_devices: 4\npipeline: {n_fft: 1024}\nclassifier: "
-                   "{ridge: 0, train_per_class: 2, test_per_class: 2, max_devices: 4}\n")
-    proc = run_cli(["classify", "--config", str(bad), "--out", "cls.csv"], tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "rffcap: error: within-class scatter is singular; rerun with a positive ridge\n")
-    assert not (tmp_path / "cls.csv").exists()
-    # any other failure keeps its traceback
-    for argv in (["emi", "--data", "missing.rfds"], ["classify", "--config", "missing.yaml"]):
-        proc = run_cli(argv, tmp_path)
-        assert proc.returncode == 1
-        assert "Traceback" in proc.stderr and "FileNotFoundError" in proc.stderr
+    ("n_devices: 4\npipeline: {n_fft: 1024}\nclassifier: "
+     "{ridge: 0, train_per_class: 2, test_per_class: 2, max_devices: 4}",
+     "classify --config scenario.yaml --out cls.csv",
+     "within-class scatter is singular; rerun with a positive ridge"),
+]
+
+
+def assert_one_error_line(tmp_path, capsys, scenario, argv, message):
+    """Exit 2, the one error line, nothing on stdout and no file written."""
+    (tmp_path / "scenario.yaml").write_text(scenario + "\n")
+    assert main(argv) == 2, argv
+    assert capsys.readouterr() == ("", f"rffcap: error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
+
+
+def test_rejected_scenario_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for scenario, argv, message in REJECTED_SCENARIOS:
+        assert_one_error_line(tmp_path, capsys, scenario, argv.split(), message)
 
 
 @pytest.mark.parametrize("scenario, command, message", [
@@ -368,12 +237,9 @@ def test_rejected_scenario_is_one_error_line(tmp_path):
 ])
 def test_scenario_rejected_at_load_is_one_error_line(tmp_path, monkeypatch, capsys,
                                                      scenario, command, message):
-    """Exit 2, the one error line, nothing on stdout and no file written."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "scenario.yaml").write_text(scenario + "\n")
-    assert main([command, "--config", "scenario.yaml", "--out", "out"]) == 2
-    assert capsys.readouterr() == ("", f"rffcap: error: {message}\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
+    assert_one_error_line(tmp_path, capsys, scenario,
+                          [command, "--config", "scenario.yaml", "--out", "out"], message)
 
 
 # one row of two features, the second NaN, under a valid meta block
@@ -409,13 +275,3 @@ def test_an_estimator_rejecting_the_data_file_is_one_error_line(tmp_path, capsys
     assert main([command, "--data", str(bad), "--out", str(out), "--format", "csv"]) == 2
     assert capsys.readouterr() == ("", f"rffcap: error: {bad}: need at least 2 distinct labels\n")
     assert not out.exists()
-
-
-def test_non_finite_population_value_is_one_error_line(tmp_path):
-    # a NaN std passed construction and failed in the build with a traceback
-    bad = tmp_path / "nan.yaml"
-    bad.write_text("population: {cfo_hz: {std: .nan}}\n")
-    proc = run_cli(["simulate", "--config", str(bad), "--out", "nan.rfds"], tmp_path)
-    assert (proc.returncode, proc.stderr) == (
-        2, "rffcap: error: population.cfo_hz: std must be >= 0.0 and finite: nan\n")
-    assert not (tmp_path / "nan.rfds").exists()

@@ -99,6 +99,7 @@ CASES = [
      ["cls.csv"]),
     ("classify_json", "classify --config scenario.yaml --n-classes 3 --format json "
      "--out cls.json", 0, ["cls.json"]),
+    ("sweep_no_classifier", "sweep --config scenario.yaml", 0, ["sweep_snr_db.csv"]),
     ("sweep_csv", "sweep --config scenario.yaml --with-classifier", 0,
      ["sweep_snr_db.csv"]),
     ("sweep_json", "sweep --config scenario.yaml --with-classifier --format json "

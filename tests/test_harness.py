@@ -152,6 +152,20 @@ def test_thread_count_does_not_change_results(tmp_path):
         run_sweep(spec, threads=True)
 
 
+def test_a_point_that_raises_in_a_pool_worker_is_aborted():
+    # 24 rows a class, short of the 10 * projected_dim that emi_kde needs
+    fixed = dataclasses.replace(small_scenario(seed=5),
+                                estimator=EstimatorConfig(projected_dim=3))
+    spec = SweepSpec(axis="snr_db", values=[12.0, 24.0], fixed=fixed)
+    pooled = run_sweep(spec, threads=2)
+    assert pooled.rows == []
+    assert [a.value for a in pooled.aborted] == [12.0, 24.0]
+    assert pooled.aborted[0].reason == (
+        "ValueError: every class needs >= 10*projected_dim = 30 samples (smallest has 24); "
+        "reduce projected_dim")
+    assert pooled.aborted == run_sweep(spec, threads=1).aborted
+
+
 def test_aborted_point_is_isolated(tmp_path, monkeypatch):
     # a point that fails while it runs: the estimator rejects the 2-device dataset
     emi_kde = rffcap.harness.emi_kde

@@ -11,7 +11,6 @@ from rffcap.infotheory import (
     EmiEstimate,
     binary_entropy,
     emi_kde,
-    entropy_discrete,
     per_feature_mi,
 )
 
@@ -30,19 +29,6 @@ def make_ds(x, y):
     meta = DatasetMeta(fs_hz=4e6, n_fft=x.shape[1], snr_db=24.0, q_bits=14,
                        class_ids=sorted({int(v) for v in np.asarray(y)}))
     return FingerprintDataset(x, np.asarray(y), meta)
-
-
-def test_entropy_discrete():
-    assert entropy_discrete([0.25, 0.25, 0.25, 0.25]) == 2.0
-    assert entropy_discrete([1.0, 0.0]) == 0.0
-    assert abs(entropy_discrete([0.5, 0.25, 0.25]) - 1.5) < 1e-15
-    with pytest.raises(ValueError):
-        entropy_discrete([0.5, 0.6])
-    with pytest.raises(ValueError):
-        entropy_discrete([-0.1, 1.1])
-    # NaN fails every comparison, so it used to pass both checks above
-    with pytest.raises(ValueError, match="probabilities must be finite"):
-        entropy_discrete([float("nan"), 1.0])
 
 
 def test_binary_entropy():
