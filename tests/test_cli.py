@@ -175,9 +175,6 @@ REJECTED_SCENARIOS = [
      "pipeline: n_fft must be a power of two in [64, 4096]: 96"),
     ("estimator: {projected_dim: 0}", "emi --config scenario.yaml",
      "estimator: projected_dim must be >= 1, <= 20 and an integer: 0"),
-    # a NaN std passed construction and failed in the build with a traceback
-    ("population: {cfo_hz: {std: .nan}}", "simulate --config scenario.yaml --out nan.rfds",
-     "population.cfo_hz: std must be >= 0.0 and finite: nan"),
     # a sweep value is checked against the scenario it makes, before any point runs
     ("sweep: {axis: n_train_devices, values: [1, 4]}",
      "sweep --config scenario.yaml --out bad.csv",
@@ -209,6 +206,14 @@ def test_rejected_scenario_is_one_error_line(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for scenario, argv, message in REJECTED_SCENARIOS:
         assert_one_error_line(tmp_path, capsys, scenario, argv.split(), message)
+
+
+def test_non_finite_population_value_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a NaN std passed construction and failed in the build with a traceback
+    monkeypatch.chdir(tmp_path)
+    assert_one_error_line(tmp_path, capsys, "population: {cfo_hz: {std: .nan}}",
+                          ["simulate", "--config", "scenario.yaml", "--out", "nan.rfds"],
+                          "population.cfo_hz: std must be >= 0.0 and finite: nan")
 
 
 @pytest.mark.parametrize("scenario, command, message", [
