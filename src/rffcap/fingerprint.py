@@ -89,6 +89,7 @@ class DatasetMeta:
     def __post_init__(self):  # what the annotations cannot say
         # fs_hz 0 means no sample rate is known
         _check_real("fs_hz", self.fs_hz, 0.0)
+        _check_count("n_fft", self.n_fft, 1)  # any width: a hand-built dataset need not be Welch's
         _check_snr_db(self.snr_db)
         _check_q_bits(self.q_bits)
         for c in self.class_ids:
@@ -501,17 +502,12 @@ def _lead_ins(states: np.ndarray, low: int, high: int) -> np.ndarray:
     multiply-shift) run as uint64 array arithmetic, with 128-bit values held
     as (high, low) word pairs. A row that Lemire's method would reject and
     redraw (its low product word below the range, probability range / 2**32)
-    is drawn by NumPy's own Generator, and so is every row of a range that is
-    empty, of 2**32 or more, or outside int64.
+    is drawn by NumPy's own Generator. The range must be non-empty and hold
+    fewer than 2**32 values, as PipelineConfig's lead_pad does (0 <= low <=
+    high <= MAX_CAPTURE_SAMPLES); callers pass no other.
     """
     low, high = int(low), int(high)
     span = high - low + 1
-
-    def numpy_draw(state):
-        return np.random.default_rng(_PresetState(state)).integers(low, high + 1)
-
-    if not (0 < span < 1 << 32 and -1 << 63 <= low and high < 1 << 63):
-        return np.array([numpy_draw(s) for s in states], dtype=np.int64)
     s_hi, s_lo, seq_hi, seq_lo = np.asarray(states, dtype=np.uint64).T
     # pcg64_set_seed: inc = (words[2:4] << 1) | 1; a step from state 0 gives
     # inc, words[0:2] are added, and one more step follows
@@ -525,7 +521,7 @@ def _lead_ins(states: np.ndarray, low: int, high: int) -> np.ndarray:
     product = (out & _LOW32) * np.uint64(span)
     leads = (product >> _U32).astype(np.int64) + low
     for r in np.flatnonzero((product & _LOW32) < span).tolist():
-        leads[r] = numpy_draw(states[r])
+        leads[r] = np.random.default_rng(_PresetState(states[r])).integers(low, high + 1)
     return leads
 
 

@@ -14,12 +14,7 @@ from scipy.integrate import quad
 from rffcap.capacity import fano_lower_bound, user_capacity
 from rffcap.classifier import ClassifierConfig, error_rate_experiment, fit_lda
 from rffcap.config import ScenarioConfig
-from rffcap.fingerprint import (
-    DatasetMeta,
-    FingerprintDataset,
-    PipelineConfig,
-    build_dataset,
-)
+from rffcap.fingerprint import PipelineConfig, build_dataset
 from rffcap.harness import SweepSpec, run_sweep, sweep_to_csv
 from rffcap.infotheory import emi_kde, per_feature_mi
 from rffcap.signal_model import (
@@ -29,6 +24,8 @@ from rffcap.signal_model import (
     quantization_error_bound,
     sample_profiles,
 )
+
+from helpers import make_ds
 
 # the classifier's training and test rows per class in criteria 5 and 7
 CLASSIFIER = ClassifierConfig(train_per_class=200, test_per_class=200)
@@ -51,13 +48,6 @@ SPREAD_POPULATION = PopulationSpec(
 def report(num, name, ok):
     print(f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}")
     return ok
-
-
-def make_ds(x, y):
-    x = np.asarray(x, dtype=float)
-    meta = DatasetMeta(fs_hz=4e6, n_fft=x.shape[1], snr_db=24.0, q_bits=14,
-                       class_ids=sorted({int(v) for v in np.asarray(y)}))
-    return FingerprintDataset(x, np.asarray(y), meta)
 
 
 def test_acceptance_1_adc_error_bound():

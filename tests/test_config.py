@@ -30,6 +30,7 @@ from rffcap.fingerprint import (
     PipelineConfig,
     acquire,
     build_dataset,
+    extract_spectral_feature,
 )
 from rffcap.harness import validate_bounds
 from rffcap.infotheory import MAX_BINS, binary_entropy, emi_kde, per_feature_mi
@@ -41,8 +42,11 @@ from rffcap.signal_model import (
     apply_awgn,
     generate_preamble,
     preamble_length,
+    quantization_error_bound,
     sample_profiles,
 )
+
+from helpers import NON_FINITE
 
 
 def test_defaults():
@@ -242,7 +246,6 @@ DATASET = FingerprintDataset(
     DatasetMeta(fs_hz=4e6, n_fft=4, snr_db=24.0, q_bits=14, class_ids=[0, 1, 2]))
 PROFILES = sample_profiles(PopulationSpec(), 2, seed=1)
 SAMPLES = np.ones(64, dtype=complex)
-NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 
 # each limit that a config section and library functions enforce: the section
 # built with a value, the functions called with it, and bad values (a bool, a
@@ -257,8 +260,10 @@ SHARED_LIMITS = {
               [lambda v: fit_lda(DATASET, kappa=v)], [True, "150", 2.5, 0]),
     "ridge": (lambda v: ClassifierConfig(ridge=v),
               [lambda v: fit_lda(DATASET, ridge=v)], [True, "1", *NON_FINITE, -1.0]),
+    # 100.5 once scanned N up to 101 and returned n_c 101, unsaturated
     "n_max": (lambda v: CapacityConfig(n_max=v),
-              [lambda v: user_capacity(3.0, 0.01, n_max=v)], [True, "100", 2.5, 2, 1_000_001]),
+              [lambda v: user_capacity(3.0, 0.01, n_max=v)],
+              [True, "100", 2.5, 100.5, 100.0, 2, 1_000_001]),
     "per_class": (lambda v: ScenarioConfig(per_class=v),
                   [lambda v: build_dataset(PROFILES, v, PipelineConfig())],
                   [True, "150", 2.5, 1]),
@@ -282,7 +287,11 @@ SHARED_LIMITS = {
                [lambda v: apply_awgn(SAMPLES, v)],
                [True, "24", "quiet", *NON_FINITE, -5000.0]),
     "q_bits": (lambda v: PipelineConfig(q_bits=v),
-               [lambda v: adc_sample(SAMPLES, v)], [True, "14", 2.5, 3, 25]),
+               [lambda v: adc_sample(SAMPLES, v), quantization_error_bound],
+               [True, "14", 2.5, 3, 25]),
+    "n_fft": (lambda v: PipelineConfig(n_fft=v),
+              [lambda v: extract_spectral_feature(SAMPLES, v)],
+              [True, "512", 2.5, 32, 100, 8192]),
 }
 
 
@@ -350,11 +359,12 @@ REAL_LIMITS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["1", True, *NON_FINITE])
+@pytest.mark.parametrize("bad", ["1", True, *NON_FINITE, pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("name, call", REAL_LIMITS,
                          ids=[f"{name}-{i}" for i, (name, _) in enumerate(REAL_LIMITS)])
 def test_every_real_limit_rejects_a_bad_value_with_one_message(name, call, bad):
-    # a string ended in a TypeError, and a bool or a NaN passed some of them
+    # a string ended in a TypeError, and a bool or a NaN passed some of them;
+    # an integer past float range is no finite number either
     with pytest.raises(ValueError, match=f"^{name} must be (.* and )?finite: "):
         call(bad)
 
@@ -368,7 +378,9 @@ def test_real_limits_keep_their_ranges():
     assert fano_lower_bound(1.0, 4, 1).raw < 1.0
     assert PipelineConfig(fs_hz=2e6, adc_backoff_db=-1000, snr_ref_fs_hz=1e-9).fs_hz == 2e6
     for bad in [lambda: DeviceProfile(0, cfo_hz=200001.0), lambda: DeviceProfile(0, pa_alpha3=1),
-                lambda: ParamDist(0.0, -1e-300), lambda: user_capacity(3.0, 0.5),
+                lambda: DeviceProfile(0, iq_gain_db=3.5), lambda: ParamDist(0.0, -1e-300),
+                lambda: binary_entropy(-0.01), lambda: binary_entropy(1.01),
+                lambda: user_capacity(3.0, 0.5),
                 lambda: user_capacity(3.0, 0), lambda: fano_lower_bound(1.0, 4, 1.0001),
                 lambda: PipelineConfig(adc_backoff_db=1000.5),
                 lambda: PipelineConfig(snr_ref_fs_hz=0),
@@ -385,9 +397,12 @@ def test_device_id_must_be_a_non_negative_integer(device_id):
         DeviceProfile(device_id)
 
 
-@pytest.mark.parametrize("dc_offset", [True, "0", complex("nan")])
+@pytest.mark.parametrize("dc_offset", [True, "0", *[complex(v, 0.0) for v in NON_FINITE],
+                                       *[complex(0.0, v) for v in NON_FINITE],
+                                       pytest.param(10**400, id="10**400")])
 def test_dc_offset_must_be_a_finite_complex_number(dc_offset):
-    # a bool was taken as 1 and a string ended in a TypeError
+    # a bool was taken as 1 and a string ended in a TypeError; an integer past
+    # float range is a complex number that cmath cannot convert
     with pytest.raises(ValueError, match="^dc_offset must be a finite complex number: "):
         DeviceProfile(0, dc_offset=dc_offset)
 

@@ -19,9 +19,11 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from rffcap.classifier import LdaModel, classify, fit_lda
-from rffcap.fingerprint import DatasetMeta, FingerprintDataset, PipelineConfig, build_dataset
+from rffcap.fingerprint import FingerprintDataset, PipelineConfig, build_dataset
 from rffcap.infotheory import emi_kde, per_feature_mi
 from rffcap.signal_model import PopulationSpec, sample_profiles
+
+from helpers import make_ds
 
 
 def reference_per_feature_mi(x, labels, bins):
@@ -151,13 +153,6 @@ def reference_assignments(model, test):
         for mu in model.class_means])
     assigned = model.class_ids[np.argmin(dist2, axis=1)]
     return assigned, float(np.mean(assigned != test.labels))
-
-
-def make_ds(x, y):
-    x = np.asarray(x, dtype=float)
-    meta = DatasetMeta(fs_hz=4e6, n_fft=x.shape[1], snr_db=24.0, q_bits=14,
-                       class_ids=sorted({int(v) for v in np.asarray(y)}))
-    return FingerprintDataset(x, np.asarray(y), meta)
 
 
 def separated():

